@@ -16,7 +16,6 @@ except for the wall-clock field.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -42,12 +41,7 @@ from .measure import (
     invariance_check,
     total_mass,
 )
-from .errors import (
-    ConfigError,
-    ConstraintViolationError,
-    InsufficientDataError,
-    LabError,
-)
+from .errors import ConfigError, ConstraintViolationError, LabError
 from .geometry import (
     MetricParams,
     SuspensionPoint,
@@ -71,7 +65,6 @@ from .roof import (
     roof_integral,
 )
 
-KINDS = ("check", "lyapunov", "aaronson", "measure", "entropy")
 FAMILIES = ("BlockRotation", "BlockSwap", "VonNeumannKakutani", "ExplicitTable")
 
 
@@ -531,8 +524,12 @@ def _quantiles(values: np.ndarray) -> dict:
             "p95": float(np.percentile(values, 95))}
 
 
+# Every runner takes (iet, spec, summability, params, exp, out_path), writes
+# its CSV and returns (exit code, report entry, data for its plotter).
+
+
 def run_check(iet, spec, summability, params, exp: ExperimentSpec,
-              out_path: Path) -> tuple[int, dict]:
+              out_path: Path) -> tuple[int, dict, None]:
     outcomes = run_check_suite(iet, spec, summability, params, seed=exp.seed)
     write_csv(out_path, ["check", "status", "detail"],
               [o.as_row() for o in outcomes])
@@ -546,13 +543,27 @@ def run_check(iet, spec, summability, params, exp: ExperimentSpec,
         "warned": warned,
         "csv": out_path.name,
     }
-    return (2 if failed else 0), result
+    return (2 if failed else 0), result, None
 
 
-def run_lyapunov(spec, params, exp: ExperimentSpec,
+def _orbit_result(res, exp: ExperimentSpec, summary: dict,
+                  out_path: Path) -> tuple[int, dict, object]:
+    rate_ok = res.discard_rate < 1e-4
+    result = {
+        "kind": res.kind, "n": exp.n, "samples": exp.samples,
+        "seed": exp.seed, "checkpoints": res.checkpoints,
+        "summary": summary,
+        "discarded_trajectories": res.discarded_trajectories,
+        "discard_rate": res.discard_rate,
+        "discard_rate_ok": rate_ok,
+        "csv": out_path.name,
+    }
+    return (0 if rate_ok else 2), result, res
+
+
+def run_lyapunov(iet, spec, summability, params, exp: ExperimentSpec,
                  out_path: Path) -> tuple[int, dict, object]:
-    res = lyapunov_experiment(spec, params, exp.n, exp.samples,
-                                      exp.seed)
+    res = lyapunov_experiment(spec, params, exp.n, exp.samples, exp.seed)
     rows = [(rec.seed, rec.n, rec.value_e, rec.value_delta, rec.crossings)
             for rec in res.rows]
     write_csv(out_path, ["sample", "n", "ftle_e", "ftle_delta", "k_n"], rows)
@@ -562,40 +573,21 @@ def run_lyapunov(spec, params, exp: ExperimentSpec,
             "ftle_e": _quantiles(res.column(n, "value_e")),
             "ftle_delta": _quantiles(res.column(n, "value_delta")),
         }
-    rate_ok = res.discard_rate < 1e-4
-    result = {
-        "kind": "lyapunov", "n": exp.n, "samples": exp.samples,
-        "seed": exp.seed, "checkpoints": res.checkpoints,
-        "summary": summary,
-        "discarded_trajectories": res.discarded_trajectories,
-        "discard_rate": res.discard_rate,
-        "discard_rate_ok": rate_ok,
-        "csv": out_path.name,
-    }
-    return (0 if rate_ok else 2), result, res
+    return _orbit_result(res, exp, summary, out_path)
 
 
-def run_aaronson(spec, exp: ExperimentSpec,
+def run_aaronson(iet, spec, summability, params, exp: ExperimentSpec,
                  out_path: Path) -> tuple[int, dict, object]:
     res = aaronson_experiment(spec, exp.n, exp.samples, exp.seed)
     rows = [(rec.seed, rec.n, rec.value) for rec in res.rows]
     write_csv(out_path, ["sample", "n", "average"], rows)
     summary = {str(n): _quantiles(res.column(n, "value"))
                for n in res.checkpoints}
-    rate_ok = res.discard_rate < 1e-4
-    result = {
-        "kind": "aaronson", "n": exp.n, "samples": exp.samples,
-        "seed": exp.seed, "checkpoints": res.checkpoints,
-        "summary": summary,
-        "discarded_trajectories": res.discarded_trajectories,
-        "discard_rate": res.discard_rate,
-        "discard_rate_ok": rate_ok,
-        "csv": out_path.name,
-    }
-    return (0 if rate_ok else 2), result, res
+    return _orbit_result(res, exp, summary, out_path)
 
 
-def run_measure(spec, exp: ExperimentSpec, out_path: Path) -> tuple[int, dict]:
+def run_measure(iet, spec, summability, params, exp: ExperimentSpec,
+                out_path: Path) -> tuple[int, dict, None]:
     mass = total_mass(spec)
     inv = invariance_check(spec, count=exp.n, seed=exp.seed)
     rows = [(r.region.name, r.region.x_lo, r.region.x_hi, r.region.y_lo,
@@ -615,11 +607,11 @@ def run_measure(spec, exp: ExperimentSpec, out_path: Path) -> tuple[int, dict]:
         "passed": ok,
         "csv": out_path.name,
     }
-    return (0 if ok else 2), result
+    return (0 if ok else 2), result, None
 
 
-def run_entropy(iet, spec, exp: ExperimentSpec,
-                out_path: Path) -> tuple[int, dict]:
+def run_entropy(iet, spec, summability, params, exp: ExperimentSpec,
+                out_path: Path) -> tuple[int, dict, None]:
     rows: list[tuple] = []
     estimates: list[dict] = []
 
@@ -654,11 +646,11 @@ def run_entropy(iet, spec, exp: ExperimentSpec,
         "integral_r": integral,
         "csv": out_path.name,
     }
-    return 0, result
+    return 0, result, None
 
 
 # ---------------------------------------------------------------------------
-# plotting hooks
+# plotting hooks: (spec, runner data, svg path)
 # ---------------------------------------------------------------------------
 
 
@@ -673,7 +665,7 @@ def _svg_for_lyapunov(spec, res, path: Path) -> None:
     path.write_text(svgplot.document([trend, roof]), encoding="utf-8")
 
 
-def _svg_for_aaronson(res, path: Path) -> None:
+def _svg_for_aaronson(spec, res, path: Path) -> None:
     ns = res.checkpoints
     med = [res.median(n, "value") for n in ns]
     p95 = [res.percentile(n, 95, "value") for n in ns]
@@ -683,9 +675,20 @@ def _svg_for_aaronson(res, path: Path) -> None:
     path.write_text(svgplot.document([trend]), encoding="utf-8")
 
 
-def _svg_for_check(spec, path: Path) -> None:
+def _svg_for_check(spec, res, path: Path) -> None:
     path.write_text(svgplot.document([svgplot.roof_panel(spec)]),
                     encoding="utf-8")
+
+
+#: Experiment kind -> (runner, plotter or None).
+RUNNERS = {
+    "check": (run_check, _svg_for_check),
+    "lyapunov": (run_lyapunov, _svg_for_lyapunov),
+    "aaronson": (run_aaronson, _svg_for_aaronson),
+    "measure": (run_measure, None),
+    "entropy": (run_entropy, None),
+}
+KINDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -734,28 +737,13 @@ def main(argv=None) -> int:
         for pos, exp in enumerate(selected):
             out_path = _csv_target(out_dir, exp, args.kind, pos, len(selected))
             out_path.parent.mkdir(parents=True, exist_ok=True)
-            if exp.kind == "check":
-                code, result = run_check(iet, spec, summability, params, exp,
-                                         out_path)
-                if plot:
-                    _svg_for_check(spec, out_path.with_suffix(".svg"))
-            elif exp.kind == "lyapunov":
-                code, result, res = run_lyapunov(spec, params, exp, out_path)
-                if plot:
-                    _svg_for_lyapunov(spec, res, out_path.with_suffix(".svg"))
-            elif exp.kind == "aaronson":
-                code, result, res = run_aaronson(spec, exp, out_path)
-                if plot:
-                    _svg_for_aaronson(res, out_path.with_suffix(".svg"))
-            elif exp.kind == "measure":
-                code, result = run_measure(spec, exp, out_path)
-            else:
-                code, result = run_entropy(iet, spec, exp, out_path)
+            runner, plotter = RUNNERS[exp.kind]
+            code, result, data = runner(iet, spec, summability, params, exp,
+                                        out_path)
+            if plot and plotter is not None:
+                plotter(spec, data, out_path.with_suffix(".svg"))
             results.append(result)
             exit_code = max(exit_code, code)
-    except InsufficientDataError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return 2
     except LabError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 2

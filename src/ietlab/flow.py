@@ -29,7 +29,13 @@ from .errors import (
     TruncationExceededError,
     raise_for_status,
 )
-from .geometry import MetricParams, SuspensionPoint, canonicalize, constant_C
+from .geometry import (
+    MetricParams,
+    SuspensionPoint,
+    canonicalize,
+    constant_C,
+    op_norm_euclidean,
+)
 from .iet import FiberPoint
 from .measure import sample_mu
 from .roof import RoofSpec
@@ -62,15 +68,6 @@ class Cocycle2x2:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-    @property
-    def op_norm(self) -> float:
-        """Largest singular value (euclidean operator norm)."""
-        q = (self.m11 * self.m11 + self.m12 * self.m12
-             + self.m21 * self.m21 + self.m22 * self.m22)
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        disc = max(0.0, q * q - 4.0 * det * det)
-        return math.sqrt(0.5 * (q + math.sqrt(disc)))
 
     def compose(self, first: "Cocycle2x2") -> "Cocycle2x2":
         """Matrix product self @ first (self applied after first)."""
@@ -145,8 +142,7 @@ def cocycle_checkpoints(
     out_y = np.empty(m)
     out_fail = np.empty(1, dtype=np.int64)
     status = kernels.lyap_orbit(
-        *spec.iet.pack(), *spec.pack(), spec.iet.n_trunc,
-        z.index, z.offset, z.height, cps,
+        spec.iet.pack(), spec.pack(), z.index, z.offset, z.height, cps,
         out_a, out_b, out_c, out_d, out_k, out_i, out_u, out_y, out_fail)
     if status != kernels.OK:
         raise_for_status(int(status), f"cocycle at step {int(out_fail[0])}")
@@ -165,15 +161,13 @@ def cocycle(spec: RoofSpec, z: SuspensionPoint, n: int) -> Cocycle2x2:
 
 
 def ftle(spec: RoofSpec, params: MetricParams, z: SuspensionPoint, n: int,
-         kind: str = "delta", seed: int = -1) -> FTLERecord:
+         seed: int = -1) -> FTLERecord:
     """Finite-time exponent proxy at ``n`` steps.
 
     ``value_e`` is (1/n) log+ of the euclidean operator norm of the cocycle;
     ``value_delta`` adds the sandwich corrections (1/n)(log C(z) +
-    log C(flow^n z)).  Both are always filled; ``kind`` only validates.
+    log C(flow^n z)).
     """
-    if kind not in ("euclidean", "delta"):
-        raise ConstraintViolationError(f"unknown exponent kind {kind!r}")
     mats, pts = cocycle_checkpoints(spec, z, [n])
     return _ftle_record(spec, params, z, n, mats[0], pts[0], seed)
 
@@ -181,7 +175,7 @@ def ftle(spec: RoofSpec, params: MetricParams, z: SuspensionPoint, n: int,
 def _ftle_record(spec: RoofSpec, params: MetricParams, z: SuspensionPoint,
                  n: int, mat: Cocycle2x2, endpoint: SuspensionPoint,
                  seed: int) -> FTLERecord:
-    value_e = max(0.0, math.log(mat.op_norm)) / n
+    value_e = max(0.0, math.log(op_norm_euclidean(mat.matrix))) / n
     correction = (math.log(constant_C(spec, z))
                   + math.log(constant_C(spec, endpoint))) / n
     return FTLERecord(n=n, value_e=value_e, value_delta=value_e + correction,
@@ -200,8 +194,7 @@ def aaronson_average(spec: RoofSpec, x: FiberPoint, n: int,
     cps = np.asarray([n], dtype=np.int64)
     out = np.empty(1)
     status = kernels.birkhoff_h_orbit(
-        *spec.iet.pack(), *spec.pack(), spec.iet.n_trunc,
-        x.index, x.offset, cps, out,
+        spec.iet.pack(), spec.pack(), x.index, x.offset, cps, out,
         0.0 if h_const is None else float(h_const))
     raise_for_status(int(status), "birkhoff sum")
     return max(0.0, math.log(out[0])) / n
@@ -315,8 +308,7 @@ def _aaronson_sample(spec: RoofSpec, cps: list[int], seed: int, sample: int,
     for attempt in range(MAX_ATTEMPTS):
         x = spec.iet.locate(rng.random())
         status = kernels.birkhoff_h_orbit(
-            *spec.iet.pack(), *spec.pack(), spec.iet.n_trunc,
-            x.index, x.offset, cps_arr, out,
+            spec.iet.pack(), spec.pack(), x.index, x.offset, cps_arr, out,
             0.0 if h_const is None else float(h_const))
         if status == kernels.OK:
             rows = [AaronsonRecord(n=n, value=max(0.0, math.log(out[j])) / n,

@@ -75,8 +75,8 @@ def canonicalize(spec: RoofSpec, base: FiberPoint, y_raw: float,
     (T^-1 x, y + 2 r(T^-1 x)).  Terminates because r >= 1.
     """
     i, u, y, status = kernels.canonicalize_k(
-        *spec.iet.pack(), *spec.pack(), spec.iet.n_trunc,
-        base.index, base.offset, float(y_raw), max_glue)
+        spec.iet.pack(), spec.pack(), base.index, base.offset, float(y_raw),
+        max_glue)
     raise_for_status(status, "canonicalize")
     return SuspensionPoint(FiberPoint(int(i), float(u)), float(y))
 

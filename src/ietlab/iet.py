@@ -169,13 +169,13 @@ class CountableIET:
         return self.xs.shape[0] - 1
 
     def pack(self):
-        """Positional arguments shared by the base-map kernels."""
+        """The ``base`` argument of the kernels."""
         return (self.family, self.theta, self.xs, self.aa,
-                self.ys, self.yl, self.yi)
+                self.ys, self.yl, self.yi, self.n_trunc)
 
     def length(self, i: int) -> float:
         self._check_index(i)
-        return float(kernels.iet_length(self.family, self.theta, self.xs, i))
+        return float(kernels.iet_length(self.pack(), i))
 
     def left(self, i: int) -> float:
         """Absolute left endpoint of interval ``i``."""
@@ -235,8 +235,7 @@ class CountableIET:
         elif fam == kernels.FAM_ODOMETER:
             i, u = kernels.dyadic_block(x)
         else:
-            i, u, status = kernels.explicit_locate(self.xs, x)
-            raise_for_status(status, "locate")
+            i, u = kernels.explicit_locate(self.xs, x)
         if i >= self.n_trunc:
             raise TruncationExceededError(
                 f"point {x!r} lies in interval {i} >= truncation {self.n_trunc}")
@@ -248,20 +247,18 @@ class CountableIET:
 
     def step(self, p: FiberPoint) -> FiberPoint:
         """One forward application of the base map."""
-        j, v, status = kernels.iet_step(*self.pack(), p.index, p.offset)
-        raise_for_status(status, "forward step")
-        if j >= self.n_trunc:
-            raise TruncationExceededError(
-                f"orbit reached interval {j} >= truncation {self.n_trunc}")
-        return FiberPoint(int(j), float(v))
+        return self._apply(kernels.iet_step, p, "forward step")
 
     def step_back(self, p: FiberPoint) -> FiberPoint:
         """One backward application of the base map."""
-        j, v, status = kernels.iet_step_inv(*self.pack(), p.index, p.offset)
-        raise_for_status(status, "backward step")
-        if j >= self.n_trunc:
+        return self._apply(kernels.iet_step_inv, p, "backward step")
+
+    def _apply(self, step, p: FiberPoint, what: str) -> FiberPoint:
+        j, v, status = step(self.pack(), p.index, p.offset)
+        if status == kernels.TRUNCATION:
             raise TruncationExceededError(
                 f"orbit reached interval {j} >= truncation {self.n_trunc}")
+        raise_for_status(status, what)
         return FiberPoint(int(j), float(v))
 
     def image_left(self, i: int) -> float:

@@ -5,7 +5,7 @@ Python.  When numba is importable and the environment variable ``LAB_NUMBA``
 is not set to ``0``/``false``, the functions are JIT compiled with
 ``@njit(cache=True, nogil=True)``; otherwise the plain Python definitions run
 unchanged, so the package still works (slower) without a functional numba.
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+``perfbench/`` times the kernels per layer inside whole ``lab`` runs.
 
 Conventions
 -----------
@@ -16,6 +16,10 @@ Base transformations are dispatched on an integer family code:
     2  odometer              (von Neumann-Kakutani adding machine)
     3  explicit table        (finite table + dyadic identity tail)
 
+The base map travels as one tuple ``base = (family, theta, xs, aa, ys, yl,
+yi, ntr)`` (``CountableIET.pack()``) and the roof as ``roof = (lengths,
+widths, flat, band)`` (``RoofSpec.pack()``).
+
 Base points are fiber coordinates ``(interval index i, offset u)`` with
 ``0 <= u < length(i)``.  Offsets are never converted to absolute
 coordinates inside kernels, so relative precision is uniform however close
@@ -23,6 +27,8 @@ the interval sits to the accumulation point at 1.
 
 Orbit kernels report integer status codes (see ``errors``):
 0 ok, 1 singularity band, 2 truncation exceeded, 3 inconsistent data.
+Only ``iet_step`` and ``iet_step_inv`` detect truncation; every orbit
+kernel passes their status on.
 """
 
 import math
@@ -153,7 +159,8 @@ def roof_eval(u, b, l, flat):
 
 
 @kernel
-def roof_eval_batch(idx, off, lengths, bs, flat, out_r, out_dr):
+def roof_eval_batch(roof, idx, off, out_r, out_dr):
+    lengths, bs, flat, band = roof
     for k in range(idx.shape[0]):
         i = idx[k]
         r, dr, piece = roof_eval(off[k], bs[i], lengths[i], flat)
@@ -213,8 +220,9 @@ def scaled_dyadic_block(x, start):
 
 
 @kernel
-def iet_length(fam, theta, xs, i):
-    """Length of interval ``i`` for the given family."""
+def iet_length(base, i):
+    """Length of interval ``i`` of the base map ``base``."""
+    fam, theta, xs, aa, ys, yl, yi, ntr = base
     if fam == FAM_ROTATION:
         n = i >> 1
         block = math.ldexp(1.0, int(-n - 1))
@@ -239,7 +247,7 @@ def explicit_locate(xs, x):
     tail_start = xs[nfinite]
     if x >= tail_start:
         m, w = scaled_dyadic_block(x, tail_start)
-        return nfinite + m, w, OK
+        return nfinite + m, w
     lo = 0
     hi = nfinite
     while hi - lo > 1:
@@ -248,53 +256,60 @@ def explicit_locate(xs, x):
             hi = mid
         else:
             lo = mid
-    return lo, x - xs[lo], OK
+    return lo, x - xs[lo]
 
 
 @kernel
-def iet_step(fam, theta, xs, aa, ys, yl, yi, i, u):
+def iet_step(base, i, u):
     """One forward step of the base map in fiber coordinates.
 
-    Returns ``(j, v, status)``.
+    Returns ``(j, v, status)``.  An image at or past the truncation index
+    ``ntr`` comes back with status TRUNCATION and ``j`` the index reached;
+    on INCONSISTENT the input point comes back unchanged.
     """
+    fam, theta, xs, aa, ys, yl, yi, ntr = base
     if fam == FAM_ROTATION:
         n = i >> 1
         block = math.ldexp(1.0, int(-n - 1))
         cut = (1.0 - theta) * block
-        top = block - cut
         if (i & 1) == 0:
-            w = u + top
+            w = u + (block - cut)
             if w < cut:
-                return i, w, OK
-            return i + 1, w - cut, OK
-        if u < cut:
-            return i - 1, u, OK
-        return i, u - cut, OK
-    if fam == FAM_SWAP:
-        if (i & 1) == 0:
-            return i + 1, u, OK
-        return i - 1, u, OK
-    if fam == FAM_ODOMETER:
-        if i == 0:
-            x = 0.5 + u
-            n, w = dyadic_block(x)
-            return n, w, OK
-        x = math.ldexp(1.0, int(-i - 1)) + u
-        n, w = dyadic_block(x)
-        return n, w, OK
-    # explicit table
-    nfinite = xs.shape[0] - 1
-    if i >= nfinite:
-        return i, u, OK
-    x = xs[i] + aa[i] + u
-    if x < 0.0 or x >= 1.0:
-        return i, u, INCONSISTENT
-    return explicit_locate(xs, x)
+                j = i
+                v = w
+            else:
+                j = i + 1
+                v = w - cut
+        elif u < cut:
+            j = i - 1
+            v = u
+        else:
+            j = i
+            v = u - cut
+    elif fam == FAM_SWAP:
+        j = i + 1 if (i & 1) == 0 else i - 1
+        v = u
+    elif fam == FAM_ODOMETER:
+        # interval i = [1 - 2^-i, 1 - 2^-(i+1)) moves to start at 2^-(i+1)
+        j, v = dyadic_block(math.ldexp(1.0, int(-i - 1)) + u)
+    elif i >= xs.shape[0] - 1:
+        # identity tail of an explicit table
+        j = i
+        v = u
+    else:
+        x = xs[i] + aa[i] + u
+        if x < 0.0 or x >= 1.0:
+            return i, u, INCONSISTENT
+        j, v = explicit_locate(xs, x)
+    if j >= ntr:
+        return j, v, TRUNCATION
+    return j, v, OK
 
 
 @kernel
-def iet_step_inv(fam, theta, xs, aa, ys, yl, yi, i, u):
-    """One backward step of the base map in fiber coordinates."""
+def iet_step_inv(base, i, u):
+    """One backward step of the base map; same conventions as ``iet_step``."""
+    fam, theta, xs, aa, ys, yl, yi, ntr = base
     if fam == FAM_ROTATION:
         n = i >> 1
         block = math.ldexp(1.0, int(-n - 1))
@@ -304,102 +319,110 @@ def iet_step_inv(fam, theta, xs, aa, ys, yl, yi, i, u):
         if w >= block:
             w = w - block
         if w < cut:
-            return (n << 1), w, OK
-        return (n << 1) + 1, w - cut, OK
-    if fam == FAM_SWAP:
-        if (i & 1) == 0:
-            return i + 1, u, OK
-        return i - 1, u, OK
-    if fam == FAM_ODOMETER:
+            j = n << 1
+            v = w
+        else:
+            j = (n << 1) + 1
+            v = w - cut
+    elif fam == FAM_SWAP:
+        j = i + 1 if (i & 1) == 0 else i - 1
+        v = u
+    elif fam == FAM_ODOMETER:
         if i == 0:
             if u <= 0.0:
                 return i, u, INCONSISTENT
-            m, e = math.frexp(u)
-            k = -e
-            return k, u - math.ldexp(1.0, int(-k - 1)), OK
-        v = (0.5 - math.ldexp(1.0, int(-i))) + u
-        return 0, v, OK
-    # explicit table
-    nfinite = xs.shape[0] - 1
-    if nfinite == 0:
-        return i, u, OK
-    tail_start = xs[nfinite]
-    x = xs[i] + u if i < nfinite else 1.0 - math.ldexp(1.0 - tail_start, int(-(i - nfinite))) + u
-    if x >= tail_start:
-        if i >= nfinite:
-            return i, u, OK
-        m, w = scaled_dyadic_block(x, tail_start)
-        return nfinite + m, w, OK
-    lo = 0
-    hi = nfinite
-    found = -1
-    # ys holds the sorted image starts of the finite intervals
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if x < ys[mid]:
-            hi = mid
+            mant, e = math.frexp(u)
+            j = -e
+            v = u - math.ldexp(1.0, int(-j - 1))
         else:
-            lo = mid
-    if x >= ys[lo] and x < ys[lo] + yl[lo]:
-        found = lo
-    if found < 0:
-        return i, u, INCONSISTENT
-    j = yi[found]
-    return j, x - ys[found], OK
+            j = 0
+            v = (0.5 - math.ldexp(1.0, int(-i))) + u
+    else:
+        # explicit table
+        nfinite = xs.shape[0] - 1
+        tail_start = xs[nfinite]
+        if i < nfinite:
+            x = xs[i] + u
+        else:
+            x = 1.0 - math.ldexp(1.0 - tail_start, int(-(i - nfinite))) + u
+        if nfinite == 0 or (x >= tail_start and i >= nfinite):
+            j = i
+            v = u
+        elif x >= tail_start:
+            m, v = scaled_dyadic_block(x, tail_start)
+            j = nfinite + m
+        else:
+            # ys holds the sorted image starts of the finite intervals
+            lo = 0
+            hi = nfinite
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if x < ys[mid]:
+                    hi = mid
+                else:
+                    lo = mid
+            if not (x >= ys[lo] and x < ys[lo] + yl[lo]):
+                return i, u, INCONSISTENT
+            j = yi[lo]
+            v = x - ys[lo]
+    if j >= ntr:
+        return j, v, TRUNCATION
+    return j, v, OK
 
 
 # ---------------------------------------------------------------------------
 # suspension flow: time-one map, canonical form, orbit accumulators
 # ---------------------------------------------------------------------------
+#
+# An orbit step is: band check, roof evaluation, base step (which reports
+# leaving the truncation).  The band check stays inline in each loop:
+# routing the orbit loops through ``time_one`` cost 1.08-1.10x per step in
+# pure Python.
 
 
 @kernel
-def time_one(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr, i, u, y):
+def time_one(base, roof, i, u, y):
     """Time-one map of the unit-speed vertical flow.
 
     Returns ``(i, u, y, m21_increment, crossed, status)``.  A crossing
     contributes ``-2 r'(x)`` to the lower-left cocycle entry.
     """
+    lengths, bs, flat, band = roof
     l = lengths[i]
     if u < band * l or u > l - band * l:
         return i, u, y, 0.0, 0, SINGULARITY
     r, dr, piece = roof_eval(u, bs[i], l, flat)
     if y + 1.0 < r:
         return i, u, y + 1.0, 0.0, 0, OK
-    j, v, st = iet_step(fam, theta, xs, aa, ys, yl, yi, i, u)
+    j, v, st = iet_step(base, i, u)
     if st != OK:
         return i, u, y, 0.0, 0, st
-    if j >= ntr:
-        return i, u, y, 0.0, 0, TRUNCATION
     return j, v, y + 1.0 - 2.0 * r, -2.0 * dr, 1, OK
 
 
 @kernel
-def canonicalize_k(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr, i, u, y, max_glue):
+def canonicalize_k(base, roof, i, u, y, max_glue):
     """Apply the gluing relation until y lies in [-r(T^-1 x), r(x)).
 
     Returns ``(i, u, y, status)``.
     """
+    lengths, bs, flat, band = roof
     for _ in range(max_glue):
         l = lengths[i]
         if u < band * l or u > l - band * l:
             return i, u, y, SINGULARITY
         r, dr, piece = roof_eval(u, bs[i], l, flat)
         if y >= r:
-            j, v, st = iet_step(fam, theta, xs, aa, ys, yl, yi, i, u)
+            j, v, st = iet_step(base, i, u)
             if st != OK:
                 return i, u, y, st
-            if j >= ntr:
-                return i, u, y, TRUNCATION
             i = j
             u = v
             y = y - 2.0 * r
             continue
-        j, v, st = iet_step_inv(fam, theta, xs, aa, ys, yl, yi, i, u)
+        j, v, st = iet_step_inv(base, i, u)
         if st != OK:
             return i, u, y, st
-        if j >= ntr:
-            return i, u, y, TRUNCATION
         lj = lengths[j]
         if v < band * lj or v > lj - band * lj:
             return i, u, y, SINGULARITY
@@ -414,8 +437,7 @@ def canonicalize_k(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
 
 
 @kernel
-def lyap_orbit(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
-               i, u, y, cps, out_a, out_b, out_c, out_d, out_k,
+def lyap_orbit(base, roof, i, u, y, cps, out_a, out_b, out_c, out_d, out_k,
                out_i, out_u, out_y, out_fail):
     """Iterate the time-one map, multiplying the flow Jacobians on the left.
 
@@ -425,6 +447,7 @@ def lyap_orbit(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
     the current matrix, crossing count and state are stored.  On failure the
     offending step index lands in ``out_fail[0]``.
     """
+    lengths, bs, flat, band = roof
     a = 1.0
     bb = 0.0
     c = 0.0
@@ -443,13 +466,10 @@ def lyap_orbit(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
             if y + 1.0 < r:
                 y = y + 1.0
             else:
-                j, v, st = iet_step(fam, theta, xs, aa, ys, yl, yi, i, u)
+                j, v, st = iet_step(base, i, u)
                 if st != OK:
                     out_fail[0] = step
                     return st
-                if j >= ntr:
-                    out_fail[0] = step
-                    return TRUNCATION
                 s = -2.0 * dr
                 c = s * a + c
                 d = s * bb + d
@@ -470,13 +490,13 @@ def lyap_orbit(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
 
 
 @kernel
-def birkhoff_h_orbit(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
-                     i, u, cps, out_sum, h_const):
+def birkhoff_h_orbit(base, roof, i, u, cps, out_sum, h_const):
     """Birkhoff sums of h = 2 + 2|r'| along the base orbit.
 
     ``out_sum[ci]`` receives sum_{m < cps[ci]} h(T^m x).  A positive
     ``h_const`` replaces h by that constant (diagnostic hook).
     """
+    lengths, bs, flat, band = roof
     tot = 0.0
     step = 0
     for ci in range(cps.shape[0]):
@@ -490,11 +510,9 @@ def birkhoff_h_orbit(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, nt
                     return SINGULARITY
                 r, dr, piece = roof_eval(u, bs[i], l, flat)
                 tot += 2.0 + 2.0 * abs(dr)
-            j, v, st = iet_step(fam, theta, xs, aa, ys, yl, yi, i, u)
+            j, v, st = iet_step(base, i, u)
             if st != OK:
                 return st
-            if j >= ntr:
-                return TRUNCATION
             i = j
             u = v
             step += 1
@@ -503,8 +521,7 @@ def birkhoff_h_orbit(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, nt
 
 
 @kernel
-def flow_time_one_batch(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
-                        idx, off, hei, status):
+def flow_time_one_batch(base, roof, idx, off, hei, status):
     """Apply the time-one map in place to arrays of points.
 
     Per-point status codes are written to ``status``; returns the number of
@@ -512,9 +529,8 @@ def flow_time_one_batch(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band,
     """
     bad = 0
     for kk in range(idx.shape[0]):
-        i, u, y, ds, crossed, st = time_one(
-            fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band, ntr,
-            idx[kk], off[kk], hei[kk])
+        i, u, y, ds, crossed, st = time_one(base, roof, idx[kk], off[kk],
+                                            hei[kk])
         status[kk] = st
         if st == OK:
             idx[kk] = i
@@ -526,31 +542,27 @@ def flow_time_one_batch(fam, theta, xs, aa, ys, yl, yi, lengths, bs, flat, band,
 
 
 @kernel
-def code_orbit(fam, theta, xs, aa, ys, yl, yi, ntr, i, u, alphabet, out):
+def code_orbit(base, i, u, alphabet, out):
     """Symbolic coding of the base orbit: symbol = min(index, alphabet - 1)."""
     for step in range(out.shape[0]):
         if i < alphabet - 1:
             out[step] = i
         else:
             out[step] = alphabet - 1
-        j, v, st = iet_step(fam, theta, xs, aa, ys, yl, yi, i, u)
+        j, v, st = iet_step(base, i, u)
         if st != OK:
             return st
-        if j >= ntr:
-            return TRUNCATION
         i = j
         u = v
     return OK
 
 
 @kernel
-def base_step_batch(fam, theta, xs, aa, ys, yl, yi, ntr, idx, off, status):
+def base_step_batch(base, idx, off, status):
     """One base-map step applied in place to arrays of fiber points."""
     bad = 0
     for k in range(idx.shape[0]):
-        j, v, st = iet_step(fam, theta, xs, aa, ys, yl, yi, idx[k], off[k])
-        if st == OK and j >= ntr:
-            st = TRUNCATION
+        j, v, st = iet_step(base, idx[k], off[k])
         status[k] = st
         if st == OK:
             idx[k] = j
@@ -558,17 +570,3 @@ def base_step_batch(fam, theta, xs, aa, ys, yl, yi, ntr, idx, off, status):
         else:
             bad += 1
     return bad
-
-
-@kernel
-def base_orbit_steps(fam, theta, xs, aa, ys, yl, yi, ntr, i, u, nsteps):
-    """Advance ``nsteps`` base-map steps; returns ``(i, u, status)``."""
-    for _ in range(nsteps):
-        j, v, st = iet_step(fam, theta, xs, aa, ys, yl, yi, i, u)
-        if st != OK:
-            return i, u, st
-        if j >= ntr:
-            return i, u, TRUNCATION
-        i = j
-        u = v
-    return i, u, OK

@@ -160,7 +160,8 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
         seed_words = tuple(int(s) for s in seed)
     else:
         seed_words = (int(seed),)
-    lengths, bs, flat, band = spec.pack()
+    roof = spec.pack()
+    lengths, bs, flat, band = roof
     cum = np.cumsum(lengths + (0.0 if flat else 2.0 * bs))
     total_env = float(cum[-1])
 
@@ -208,7 +209,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
 
             r = np.empty(k)
             dr = np.empty(k)
-            kernels.roof_eval_batch(sel, u, lengths, bs, flat, r, dr)
+            kernels.roof_eval_batch(roof, sel, u, r, dr)
             ratio = np.where(ok, r / env, 0.0)
             if np.any(ratio > 1.0 + 1e-12):
                 worst = float(np.max(ratio))
@@ -230,8 +231,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
                 li = idx_a[lower].copy()
                 lo = off_a[lower].copy()
                 st = np.empty(li.shape[0], dtype=np.int64)
-                bad = kernels.base_step_batch(
-                    *spec.iet.pack(), spec.iet.n_trunc, li, lo, st)
+                bad = kernels.base_step_batch(spec.iet.pack(), li, lo, st)
                 if bad:
                     keep_st = st == kernels.OK
                     stats.step_discards += int(np.count_nonzero(~keep_st))
@@ -354,9 +354,8 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
     hei = batch.hei.copy()
     status = np.empty(count, dtype=np.int64)
     if step_fn is None:
-        kernels.flow_time_one_batch(
-            *spec.iet.pack(), *spec.pack(), spec.iet.n_trunc,
-            idx, off, hei, status)
+        kernels.flow_time_one_batch(spec.iet.pack(), spec.pack(),
+                                    idx, off, hei, status)
     else:
         step_fn(idx, off, hei, status)
     keep = status == kernels.OK
@@ -425,8 +424,8 @@ def coded_orbit_stream(iet: CountableIET, length: int, seed: int = 0,
     out = np.empty(length, dtype=np.int64)
     for _ in range(max_attempts):
         p = start if start is not None else iet.locate(rng.random())
-        status = kernels.code_orbit(*iet.pack(), iet.n_trunc,
-                                    p.index, p.offset, alphabet_size, out)
+        status = kernels.code_orbit(iet.pack(), p.index, p.offset,
+                                    alphabet_size, out)
         if status == kernels.OK:
             return SymbolStream(alphabet_size, out,
                                 provenance=f"orbit({iet.name})")

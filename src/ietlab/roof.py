@@ -231,6 +231,12 @@ class RoofSpec:
         bad = (widths <= 0.0) | (widths >= 0.5 * np.asarray(lengths))
         if np.any(bad):
             i = int(np.argmax(bad))
+            if (isinstance(policy, DefaultPolicy)
+                    and policy.c * policy.rho ** i == 0.0):
+                raise ConstraintViolationError(
+                    f"policy width c*rho^i = {policy.c!r}*{policy.rho!r}^{i} "
+                    f"underflows to 0.0 on interval {i}; the largest usable "
+                    f"n_trunc is {i}")
             raise ConstraintViolationError(
                 f"policy width {float(widths[i])!r} violates 0 < b < l/2 "
                 f"on interval {i}")

@@ -65,16 +65,15 @@ def draw_canonical(spec, rng):
 def warm_kernels(golden_spec):
     """Touch every jitted kernel once so timed tests exclude compilation."""
     from ietlab import kernels
-    iet = golden_spec.iet
-    p = iet.pack()
+    p = golden_spec.iet.pack()
     s = golden_spec.pack()
     kernels.smooth_step(0.3)
     kernels.roof_eval(0.01, 0.03125, 0.1, 0)
-    kernels.iet_step(*p, 0, 0.01)
-    kernels.iet_step_inv(*p, 0, 0.01)
-    kernels.iet_length(iet.family, iet.theta, iet.xs, 0)
+    kernels.iet_step(p, 0, 0.01)
+    kernels.iet_step_inv(p, 0, 0.01)
+    kernels.iet_length(p, 0)
     kernels.dyadic_block(0.7)
-    kernels.canonicalize_k(*p, *s, iet.n_trunc, 0, 0.01, 5.0, 1000)
+    kernels.canonicalize_k(p, s, 0, 0.01, 5.0, 1000)
     out_i = np.zeros(1, dtype=np.int64)
     out_u = np.zeros(1, dtype=np.float64)
     out_y = np.zeros(1, dtype=np.float64)
@@ -82,17 +81,16 @@ def warm_kernels(golden_spec):
     cps = np.array([10], dtype=np.int64)
     mats = [np.zeros(1) for _ in range(4)]
     out_k = np.zeros(1, dtype=np.int64)
-    kernels.lyap_orbit(*p, *s, iet.n_trunc, 0, 0.01, 0.0, cps, *mats, out_k,
+    kernels.lyap_orbit(p, s, 0, 0.01, 0.0, cps, *mats, out_k,
                        out_i, out_u, out_y, out_fail)
     out_sum = np.zeros(1, dtype=np.float64)
-    kernels.birkhoff_h_orbit(*p, *s, iet.n_trunc, 0, 0.01, cps, out_sum, 0.0)
+    kernels.birkhoff_h_orbit(p, s, 0, 0.01, cps, out_sum, 0.0)
     idx = np.zeros(4, dtype=np.int64)
     off = np.full(4, 0.01)
     hei = np.zeros(4)
     status = np.zeros(4, dtype=np.int64)
-    kernels.flow_time_one_batch(*p, *s, iet.n_trunc, idx, off, hei, status)
-    kernels.base_step_batch(*p, iet.n_trunc, idx, off, status)
+    kernels.flow_time_one_batch(p, s, idx, off, hei, status)
+    kernels.base_step_batch(p, idx, off, status)
     sym = np.zeros(8, dtype=np.int64)
-    kernels.code_orbit(*p, iet.n_trunc, 0, 0.01, 16, sym)
-    kernels.base_orbit_steps(*p, iet.n_trunc, 0, 0.01, 5)
+    kernels.code_orbit(p, 0, 0.01, 16, sym)
     return True

@@ -153,7 +153,7 @@ def test_criterion_05_cocycle_structure_and_growth_bound(
         bound += 2.0 + 2.0 * abs(golden_spec.value(base).derivative)
         if abs(c.m21 + 2.0 * acc) > 1e-9 * max(1.0, abs(c.m21)):
             bad_m21 += 1
-        if c.op_norm > bound * (1 + 1e-12):
+        if op_norm_euclidean(c.matrix) > bound * (1 + 1e-12):
             bad_bound += 1
     ok = bad_unipotent == 0 and bad_m21 == 0 and bad_bound == 0
     emit("05", ok, f"runs={runs} length={length} unipotent_fail="

@@ -189,6 +189,17 @@ def test_explicit_policy_and_width_constraint(golden_iet):
         choose_b_and_check(golden_iet, ExplicitPolicy(values=good[:5]))
 
 
+
+def test_default_policy_underflow_names_largest_truncation():
+    # c * rho^i = 0.125 * 0.5^1072 = 2^-1075 rounds to 0.0
+    deepest = CountableIET.block_rotation(n_trunc=1072)
+    spec, _ = choose_b_and_check(deepest)
+    assert float(spec.widths[-1]) > 0.0
+    with pytest.raises(ConstraintViolationError,
+                       match=r"c\*rho\^i .* underflows to 0\.0 on interval "
+                             r"1072; the largest usable n_trunc is 1072"):
+        choose_b_and_check(CountableIET.block_rotation(n_trunc=1073))
+
 # ---------------------------------------------------------------------------
 # integrals against scipy
 # ---------------------------------------------------------------------------
