@@ -247,19 +247,23 @@ class CountableIET:
 
     def step(self, p: FiberPoint) -> FiberPoint:
         """One forward application of the base map."""
-        return self._apply(kernels.iet_step, p, "forward step")
+        j, v, status = kernels.iet_step(self.pack(), p.index, p.offset)
+        if status != kernels.OK:
+            self._fail(status, j, "forward step")
+        return FiberPoint(int(j), float(v))
 
     def step_back(self, p: FiberPoint) -> FiberPoint:
         """One backward application of the base map."""
-        return self._apply(kernels.iet_step_inv, p, "backward step")
+        j, v, status = kernels.iet_step_inv(self.pack(), p.index, p.offset)
+        if status != kernels.OK:
+            self._fail(status, j, "backward step")
+        return FiberPoint(int(j), float(v))
 
-    def _apply(self, step, p: FiberPoint, what: str) -> FiberPoint:
-        j, v, status = step(self.pack(), p.index, p.offset)
+    def _fail(self, status: int, j: int, what: str) -> None:
         if status == kernels.TRUNCATION:
             raise TruncationExceededError(
                 f"orbit reached interval {j} >= truncation {self.n_trunc}")
         raise_for_status(status, what)
-        return FiberPoint(int(j), float(v))
 
     def image_left(self, i: int) -> float:
         """Absolute image of the left endpoint of interval ``i``."""

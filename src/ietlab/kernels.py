@@ -290,8 +290,11 @@ def iet_step(base, i, u):
         j = i + 1 if (i & 1) == 0 else i - 1
         v = u
     elif fam == FAM_ODOMETER:
-        # interval i = [1 - 2^-i, 1 - 2^-(i+1)) moves to start at 2^-(i+1)
-        j, v = dyadic_block(math.ldexp(1.0, int(-i - 1)) + u)
+        if i == 0:
+            x = 0.5 + u
+        else:
+            x = math.ldexp(1.0, int(-i - 1)) + u
+        j, v = dyadic_block(x)
     elif i >= xs.shape[0] - 1:
         # identity tail of an explicit table
         j = i
