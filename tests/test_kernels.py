@@ -156,8 +156,9 @@ import numpy as np
 
 from ietlab import kernels
 from ietlab.errors import LabError
-from ietlab.flow import aaronson_average, cocycle, cocycle_checkpoints
-from ietlab.geometry import canonicalize
+from ietlab.flow import (aaronson_average, aaronson_experiment, cocycle,
+                         cocycle_checkpoints, lyapunov_experiment)
+from ietlab.geometry import MetricParams, canonicalize
 from ietlab.iet import CountableIET, FiberPoint
 from ietlab.measure import coded_orbit_stream, invariance_check, sample_mu
 from ietlab.roof import RoofSpec
@@ -264,6 +265,46 @@ out["truncation"] = digest([
     outcome(lambda: shallow.step_back(FiberPoint(0, 0.001))),
 ])
 
+
+
+def lyapunov_rows(*args, **kw):
+    res = lyapunov_experiment(*args, **kw)
+    return [res.discarded_trajectories, res.total_steps] + [
+        [r.n, r.value_e, r.value_delta, r.start.index, r.start.offset,
+         r.start.height, r.seed, r.crossings] for r in res.rows]
+
+
+def aaronson_rows(*args, **kw):
+    res = aaronson_experiment(*args, **kw)
+    return [res.discarded_trajectories, res.total_steps] + [
+        [r.n, r.value, r.start.index, r.start.offset, r.seed]
+        for r in res.rows]
+
+
+params = MetricParams(delta=0.25)
+exps = []
+for base in families.values():
+    s = RoofSpec.build(base)
+    exps.append(outcome(lambda: lyapunov_rows(s, params, 1000, 8, 4,
+                                              threads=1)))
+    exps.append(outcome(lambda: aaronson_rows(s, 1000, 8, 4, threads=1)))
+exps.append(outcome(lambda: aaronson_rows(spec, 1000, 8, 4, threads=1,
+                                          h_const=3.0)))
+# orbits leave the truncation now and then, so some attempts are redrawn
+deep = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=11))
+shallow_runs = [lyapunov_rows(deep, params, 3000, 12, 6, threads=1),
+                aaronson_rows(deep, 1000, 12, 6, threads=1)]
+exps.extend(shallow_runs)
+threaded_runs = [lyapunov_rows(deep, params, 3000, 12, 6, threads=3),
+                 aaronson_rows(deep, 1000, 12, 6, threads=3)]
+exps.extend(threaded_runs)
+# every attempt leaves a six-interval truncation, so the experiments give up
+exps.append(outcome(lambda: lyapunov_rows(shallow_spec, params, 1000, 3, 6)))
+exps.append(outcome(lambda: aaronson_rows(shallow_spec, 1000, 3, 6)))
+out["experiments"] = digest(exps)
+out["experiments_discards"] = [run[0] for run in shallow_runs]
+out["experiments_threads_agree"] = threaded_runs == shallow_runs
+
 print(json.dumps(out))
 """
 
@@ -297,6 +338,8 @@ GOLDEN = {
         "bc904d5a51734bc9513a2f3131a4dadb1c064a819a2a7e5a97e990744ef1a952",
     "truncation":
         "a9dd10660177531b977c8567a58b369024e9e8026d49fa99fcb49e58dc8e62ce",
+    "experiments":
+        "e23c3b766fbc780858dc53ca9740f41cfb7566c2048da6b51b28d6ffc1b99ec3",
 }
 
 
@@ -310,6 +353,9 @@ def _run_digest_subprocess(lab_numba: str) -> dict:
 
 def _assert_golden(got: dict) -> None:
     assert set(GOLDEN) <= set(got)
+    # the shallow experiments redraw some starts, and threads change nothing
+    assert min(got["experiments_discards"]) > 0
+    assert got["experiments_threads_agree"] is True
     for key, want in GOLDEN.items():
         assert got[key] == want, key
 
