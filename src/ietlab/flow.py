@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, lanes
 from .errors import (
     ConstraintViolationError,
     LabError,
-    SingularityProximityError,
-    TruncationExceededError,
     raise_for_status,
 )
 from .geometry import (
@@ -274,58 +272,77 @@ class AaronsonRecord:
 
 MAX_ATTEMPTS = 64
 
-
-def _draw_start(spec: RoofSpec, seed: int, sample: int,
-                attempt: int) -> SuspensionPoint:
-    batch = sample_mu(spec, 1, (seed, sample, attempt))
-    return batch.point(0)
+#: The batch orbit kernels: compiled loops over the scalar kernels under
+#: numba, numpy lanes stepped in lockstep otherwise (same bits either way).
+_orbits = kernels if kernels.NUMBA_ENABLED else lanes
 
 
-def _lyapunov_sample(spec: RoofSpec, params: MetricParams, cps: list[int],
-                     seed: int, sample: int) -> tuple[list[FTLERecord], int]:
-    """Rows for one trajectory; resamples the start on band hits."""
+def _in_chunks(run, count: int, threads: int) -> None:
+    """Call ``run(lo, hi)`` on contiguous chunks of ``count`` lanes.
+
+    Each chunk runs in its own thread.  Lanes are independent, so the
+    results do not depend on the chunking or the schedule.
+    """
+    parts = max(1, min(threads, count))
+    bounds = [count * t // parts for t in range(parts + 1)]
+    if parts == 1:
+        run(0, count)
+        return
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        list(pool.map(run, bounds[:-1], bounds[1:]))
+
+
+def _attempt_rounds(samples: int, what: str, draw, run_batch) -> tuple[list, int]:
+    """Rows of every sample, drawn and run in rounds of attempts.
+
+    Round ``a`` draws ``draw(k, a)`` for every pending sample ``k`` and runs
+    them all in one ``run_batch(ks, starts)`` call.  That returns
+    ``rows_of(lane, k)``: the lane's rows, or None for a discarded attempt.
+    Discarded samples are drawn again in the next round.  A sample whose
+    draw or rows raise, or that has no clean attempt in ``MAX_ATTEMPTS``
+    rounds, fails, and the first failed sample raises, as it would when
+    the samples ran one after the other.  Returns the rows in sample order
+    and the number of discarded attempts.
+    """
+    rows: list = [None] * samples
+    failed: dict[int, LabError] = {}
     discarded = 0
+    pending = list(range(samples))
     for attempt in range(MAX_ATTEMPTS):
-        z = _draw_start(spec, seed, sample, attempt)
-        try:
-            mats, pts = cocycle_checkpoints(spec, z, cps)
-        except (SingularityProximityError, TruncationExceededError):
-            discarded += 1
-            continue
-        rows = [_ftle_record(spec, params, z, n, mats[j], pts[j], sample)
-                for j, n in enumerate(cps)]
-        return rows, discarded
-    raise LabError(f"sample {sample}: no clean trajectory in "
-                   f"{MAX_ATTEMPTS} attempts")
+        drawn, starts = [], []
+        for k in pending:
+            try:
+                starts.append(draw(k, attempt))
+                drawn.append(k)
+            except LabError as exc:
+                failed[k] = exc
+        rows_of = run_batch(drawn, starts) if drawn else None
+        for lane, k in enumerate(drawn):
+            try:
+                rows[k] = rows_of(lane, k)
+            except LabError as exc:
+                failed[k] = exc
+                continue
+            discarded += rows[k] is None
+        first = min(failed, default=samples)
+        pending = [k for k in drawn if k < first and k not in failed
+                   and rows[k] is None]
+        if not pending:
+            break
+    for k in pending:
+        failed[k] = LabError(f"sample {k}: no clean {what} in "
+                             f"{MAX_ATTEMPTS} attempts")
+    if failed:
+        raise failed[min(failed)]
+    return [row for rs in rows for row in rs], discarded
 
 
-def _aaronson_sample(spec: RoofSpec, cps: list[int], seed: int, sample: int,
-                     h_const: float | None) -> tuple[list[AaronsonRecord], int]:
-    discarded = 0
-    rng = np.random.default_rng(np.random.SeedSequence((seed, sample)))
-    cps_arr = np.asarray(cps, dtype=np.int64)
-    out = np.empty(len(cps))
-    for attempt in range(MAX_ATTEMPTS):
-        x = spec.iet.locate(rng.random())
-        status = kernels.birkhoff_h_orbit(
-            spec.iet.pack(), spec.pack(), x.index, x.offset, cps_arr, out,
-            0.0 if h_const is None else float(h_const))
-        if status == kernels.OK:
-            rows = [AaronsonRecord(n=n, value=max(0.0, math.log(out[j])) / n,
-                                   start=x, seed=sample)
-                    for j, n in enumerate(cps)]
-            return rows, discarded
-        discarded += 1
-    raise LabError(f"sample {sample}: no clean base orbit in "
-                   f"{MAX_ATTEMPTS} attempts")
-
-
-def _run_samples(worker, samples: int, threads: int):
-    """Apply worker to sample indices, in order, optionally threaded."""
-    if threads <= 1:
-        return [worker(k) for k in range(samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(samples)))
+def _result(kind: str, n: int, samples: int, seed: int, cps: list[int],
+            rows: list, discarded: int) -> ExperimentResult:
+    return ExperimentResult(kind=kind, n=n, samples=samples, seed=seed,
+                            checkpoints=cps, rows=rows,
+                            discarded_trajectories=discarded,
+                            total_steps=(samples + discarded) * n)
 
 
 def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
@@ -333,42 +350,99 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
                         threads: int | None = None) -> ExperimentResult:
     """Finite-time exponents for ``samples`` trajectories of length ``n``.
 
-    Starts are drawn from the suspension measure; rows appear ordered by
-    (sample, checkpoint) whatever the thread count.
+    Attempt ``a`` of sample ``k`` starts from the suspension measure drawn
+    with seed ``(seed, k, a)``; attempts that hit a singularity band or
+    leave the truncation are discarded.  Rows appear ordered by (sample,
+    checkpoint) whatever the thread count.
     """
     if samples < 1:
         raise ConstraintViolationError("samples must be >= 1")
     cps = checkpoints_geometric(n)
     threads = thread_count() if threads is None else max(1, threads)
-    result = ExperimentResult(kind="lyapunov", n=n, samples=samples,
-                              seed=seed, checkpoints=cps)
+    base, roof = spec.iet.pack(), spec.pack()
+    cps_arr = np.asarray(cps, dtype=np.int64)
 
-    def worker(k: int):
-        return _lyapunov_sample(spec, params, cps, seed, k)
+    def draw(k: int, attempt: int) -> SuspensionPoint:
+        return sample_mu(spec, 1, (seed, k, attempt)).point(0)
 
-    for rows, discarded in _run_samples(worker, samples, threads):
-        result.rows.extend(rows)
-        result.discarded_trajectories += discarded
-        result.total_steps += n + discarded * n
-    return result
+    def run_batch(ks: list[int], starts: list[SuspensionPoint]):
+        count, m = len(starts), len(cps)
+        idx = np.array([z.index for z in starts], dtype=np.int64)
+        off = np.array([z.offset for z in starts])
+        hei = np.array([z.height for z in starts])
+        mats = [np.empty((count, m)) for _ in range(4)]
+        out_k = np.empty((count, m), dtype=np.int64)
+        out_i = np.empty((count, m), dtype=np.int64)
+        out_u = np.empty((count, m))
+        out_y = np.empty((count, m))
+        out_fail = np.empty(count, dtype=np.int64)
+        status = np.empty(count, dtype=np.int64)
+        outs = (*mats, out_k, out_i, out_u, out_y, out_fail, status)
+        _in_chunks(lambda lo, hi: _orbits.lyap_orbits(
+            base, roof, idx[lo:hi], off[lo:hi], hei[lo:hi], cps_arr,
+            *(a[lo:hi] for a in outs)), count, threads)
+
+        def rows_of(lane: int, k: int):
+            st = int(status[lane])
+            if st in (kernels.SINGULARITY, kernels.TRUNCATION):
+                return None
+            raise_for_status(st, f"cocycle at step {int(out_fail[lane])}")
+            a, b, c, d = (mat[lane] for mat in mats)
+            return [_ftle_record(
+                spec, params, starts[lane], nj,
+                Cocycle2x2(float(a[j]), float(b[j]), float(c[j]),
+                           float(d[j]), int(out_k[lane, j])),
+                SuspensionPoint(FiberPoint(int(out_i[lane, j]),
+                                           float(out_u[lane, j])),
+                                float(out_y[lane, j])), k)
+                for j, nj in enumerate(cps)]
+
+        return rows_of
+
+    rows, discarded = _attempt_rounds(samples, "trajectory", draw, run_batch)
+    return _result("lyapunov", n, samples, seed, cps, rows, discarded)
 
 
 def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
                         threads: int | None = None,
                         h_const: float | None = None) -> ExperimentResult:
-    """Birkhoff-sum growth proxies for ``samples`` base orbits."""
+    """Birkhoff-sum growth proxies for ``samples`` base orbits.
+
+    Sample ``k`` draws its uniform starts, one per attempt, from its own
+    generator seeded with ``(seed, k)``; attempts whose orbit fails are
+    discarded.
+    """
     if samples < 1:
         raise ConstraintViolationError("samples must be >= 1")
     cps = checkpoints_geometric(n)
     threads = thread_count() if threads is None else max(1, threads)
-    result = ExperimentResult(kind="aaronson", n=n, samples=samples,
-                              seed=seed, checkpoints=cps)
+    base, roof = spec.iet.pack(), spec.pack()
+    cps_arr = np.asarray(cps, dtype=np.int64)
+    h = 0.0 if h_const is None else float(h_const)
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, k)))
+            for k in range(samples)]
 
-    def worker(k: int):
-        return _aaronson_sample(spec, cps, seed, k, h_const)
+    def draw(k: int, attempt: int) -> FiberPoint:
+        return spec.iet.locate(rngs[k].random())
 
-    for rows, discarded in _run_samples(worker, samples, threads):
-        result.rows.extend(rows)
-        result.discarded_trajectories += discarded
-        result.total_steps += n + discarded * n
-    return result
+    def run_batch(ks: list[int], starts: list[FiberPoint]):
+        count = len(starts)
+        idx = np.array([x.index for x in starts], dtype=np.int64)
+        off = np.array([x.offset for x in starts])
+        out = np.empty((count, len(cps)))
+        status = np.empty(count, dtype=np.int64)
+        _in_chunks(lambda lo, hi: _orbits.birkhoff_h_orbits(
+            base, roof, idx[lo:hi], off[lo:hi], cps_arr, out[lo:hi], h,
+            status[lo:hi]), count, threads)
+
+        def rows_of(lane: int, k: int):
+            if status[lane] != kernels.OK:
+                return None
+            return [AaronsonRecord(n=nj, value=max(0.0, math.log(out[lane, j]))
+                                   / nj, start=starts[lane], seed=k)
+                    for j, nj in enumerate(cps)]
+
+        return rows_of
+
+    rows, discarded = _attempt_rounds(samples, "base orbit", draw, run_batch)
+    return _result("aaronson", n, samples, seed, cps, rows, discarded)

@@ -524,6 +524,45 @@ def birkhoff_h_orbit(base, roof, i, u, cps, out_sum, h_const):
 
 
 @kernel
+def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
+                out_k, out_i, out_u, out_y, out_fail, status):
+    """``lyap_orbit`` for a batch of starts (the lanes).
+
+    Lane k starts at ``(idx[k], off[k], hei[k])`` and writes row k of each
+    two-dimensional ``out_*`` array, its fail step to ``out_fail[k]`` and
+    its status to ``status[k]``.  Returns the number of failed lanes.
+    ``lanes.lyap_orbits`` computes the same in lockstep with numpy.
+    """
+    bad = 0
+    for k in range(idx.shape[0]):
+        st = lyap_orbit(base, roof, idx[k], off[k], hei[k], cps, out_a[k],
+                        out_b[k], out_c[k], out_d[k], out_k[k], out_i[k],
+                        out_u[k], out_y[k], out_fail[k:k + 1])
+        status[k] = st
+        if st != OK:
+            bad += 1
+    return bad
+
+
+@kernel
+def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
+    """``birkhoff_h_orbit`` for a batch of starts (the lanes).
+
+    Lane k starts at ``(idx[k], off[k])`` and writes row k of ``out_sum``
+    and its status to ``status[k]``.  Returns the number of failed lanes.
+    ``lanes.birkhoff_h_orbits`` computes the same in lockstep with numpy.
+    """
+    bad = 0
+    for k in range(idx.shape[0]):
+        st = birkhoff_h_orbit(base, roof, idx[k], off[k], cps, out_sum[k],
+                              h_const)
+        status[k] = st
+        if st != OK:
+            bad += 1
+    return bad
+
+
+@kernel
 def flow_time_one_batch(base, roof, idx, off, hei, status):
     """Apply the time-one map in place to arrays of points.
 
