@@ -123,21 +123,19 @@ def iet_step(base, i, u):
 # ---------------------------------------------------------------------------
 
 
-def in_band(roof, i, u):
-    """The orbit kernels' exclusion-band test on lanes."""
-    lengths, bs, flat, band = roof
-    l = lengths[i]
-    return (u < band * l) | (u > l - band * l)
-
-
 def _smooth_step(s):
     """``kernels.smooth_step`` on lanes: arrays ``(a, da)``."""
     x = 1.0 - s
-    if not (s.min() > 1e-6 and x.min() > 1e-6):
-        # a saturated or nearly flat lane: rare, so the scalar kernel does it
-        pairs = [kernels.smooth_step(t) for t in s.tolist()]
-        return (np.array([p[0] for p in pairs]),
-                np.array([p[1] for p in pairs]))
+    rare = ~(s > 1e-6) | ~(x > 1e-6)
+    if rare.any():
+        # saturated or nearly flat lanes are rare: the scalar kernel does them
+        a = np.empty(s.shape[0])
+        da = np.empty(s.shape[0])
+        usual = ~rare
+        a[usual], da[usual] = _smooth_step(s[usual])
+        for k in np.flatnonzero(rare).tolist():
+            a[k], da[k] = kernels.smooth_step(float(s[k]))
+        return a, da
     both = np.concatenate((x, s))
     e = _math(math.exp, -1.0 / both)
     de = e / (both * both)
@@ -203,6 +201,9 @@ def roof_eval(u, b, l, flat, value=True):
 # ---------------------------------------------------------------------------
 # batch orbit kernels
 # ---------------------------------------------------------------------------
+
+#: Base steps per block of ``birkhoff_h_orbits``.
+BLOCK = 128
 
 
 def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
@@ -282,8 +283,12 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
 def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
     """``kernels.birkhoff_h_orbits``, all lanes stepped in lockstep.
 
-    A failed lane retires: it leaves the working arrays, and its later
-    checkpoints are not written.
+    The base orbit does not depend on h, so the lanes first take up to
+    ``BLOCK`` base steps, and h is then evaluated at all points of the
+    block at once and summed step by step, in the scalar loop's order.  A
+    lane fails at its first point in the exclusion band or its first failed
+    base step, whichever comes first; it retires, and its later checkpoints
+    are not written.
     """
     lengths, bs, flat, band = roof
     lane = np.arange(idx.shape[0])
@@ -293,28 +298,48 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
     status[:] = OK
     step = 0
     for ci in range(cps.shape[0]):
-        target = cps[ci]
-        while step < target and lane.size:
+        while step < cps[ci] and lane.size:
+            span = min(BLOCK, int(cps[ci]) - step)
+            count = lane.shape[0]
+            pi = np.empty((span, count), dtype=np.int64)
+            pu = np.empty((span, count))
+            first = np.full(count, span)  # the step at which a lane fails
+            code = np.zeros(count, dtype=np.int64)
+            for s in range(span):
+                pi[s] = i
+                pu[s] = u
+                j, v, st = iet_step(base, i, u)
+                if st.any():
+                    failed = st != OK
+                    new = failed & (first == span)
+                    first[new] = s
+                    code[new] = st[new]
+                    # a failed lane stays put, inside the truncation
+                    j = np.where(failed, i, j)
+                    v = np.where(failed, u, v)
+                i = j
+                u = v
             if h_const > 0.0:
-                tot += h_const
+                h = np.full((span, count), h_const)
             else:
-                l = lengths[i]
-                bad = (u < band * l) | (u > l - band * l)
+                l = lengths[pi]
+                bad = (pu < band * l) | (pu > l - band * l)
                 if bad.any():
-                    status[lane[bad]] = SINGULARITY
-                    keep = ~bad
-                    lane, i, u, tot, l = (lane[keep], i[keep], u[keep],
-                                          tot[keep], l[keep])
-                dr = roof_eval(u, bs[i], l, flat, value=False)[1]
-                tot += 2.0 + 2.0 * np.abs(dr)
-            j, v, st = iet_step(base, i, u)
-            bad = st != OK
-            if bad.any():
-                status[lane[bad]] = st[bad]
-                keep = ~bad
-                lane, j, v, tot = lane[keep], j[keep], v[keep], tot[keep]
-            i = j
-            u = v
-            step += 1
+                    at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), span)
+                    # the band check comes before the base step of its step
+                    code = np.where(at <= first, SINGULARITY, code)
+                    first = np.minimum(at, first)
+                dr = roof_eval(pu.ravel(), bs[pi].ravel(), l.ravel(), flat,
+                               value=False)[1]
+                h = 2.0 + 2.0 * np.abs(dr).reshape(span, count)
+            failed = first < span
+            if failed.any():
+                status[lane[failed]] = code[failed]
+                keep = ~failed
+                lane, i, u, tot = lane[keep], i[keep], u[keep], tot[keep]
+                h = h[:, keep]
+            for row in h:
+                tot += row
+            step += span
         out_sum[lane, ci] = tot
     return idx.shape[0] - lane.shape[0]

@@ -171,6 +171,15 @@ class ExplicitPolicy:
         return math.inf, "UNKNOWN"
 
 
+def _underflowing_width(policy, length: float, i: int) -> str | None:
+    """The policy's width formula at interval ``i`` if it underflows to 0."""
+    if isinstance(policy, DefaultPolicy) and policy.c * policy.rho ** i == 0.0:
+        return f"c*rho^i = {policy.c!r}*{policy.rho!r}^{i}"
+    if isinstance(policy, ProportionalPolicy) and policy.kappa * length == 0.0:
+        return f"kappa*l = {policy.kappa!r}*{length!r}"
+    return None
+
+
 @dataclass
 class SummabilityReport:
     """Certificate for -sum b_i log b_i: partial sum, tail bound, verdict."""
@@ -231,12 +240,11 @@ class RoofSpec:
         bad = (widths <= 0.0) | (widths >= 0.5 * np.asarray(lengths))
         if np.any(bad):
             i = int(np.argmax(bad))
-            if (isinstance(policy, DefaultPolicy)
-                    and policy.c * policy.rho ** i == 0.0):
+            formula = _underflowing_width(policy, lengths[i], i)
+            if formula:
                 raise ConstraintViolationError(
-                    f"policy width c*rho^i = {policy.c!r}*{policy.rho!r}^{i} "
-                    f"underflows to 0.0 on interval {i}; the largest usable "
-                    f"n_trunc is {i}")
+                    f"policy width {formula} underflows to 0.0 on interval "
+                    f"{i}; the largest usable n_trunc is {i}")
             raise ConstraintViolationError(
                 f"policy width {float(widths[i])!r} violates 0 < b < l/2 "
                 f"on interval {i}")

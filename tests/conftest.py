@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ietlab.geometry import MetricParams, canonicalize
+from ietlab.geometry import MetricParams
 from ietlab.iet import CountableIET
 from ietlab.roof import RoofSpec, choose_b_and_check
 
@@ -48,17 +48,6 @@ def vnk_iet():
 @pytest.fixture(scope="session")
 def params():
     return MetricParams(delta=0.25)
-
-
-def draw_canonical(spec, rng):
-    """Random canonical point: uniform base point, height folded in."""
-    from ietlab.errors import LabError
-    while True:
-        try:
-            base = spec.iet.locate(rng.random())
-            return canonicalize(spec, base, rng.uniform(-3.0, 3.0))
-        except LabError:
-            continue
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import draw_canonical
+from canonical_points import draw_canonical
 from ietlab.errors import LabError
 from ietlab.flow import (
     aaronson_experiment,

@@ -23,7 +23,7 @@ from ietlab.flow import (
 from ietlab.geometry import SuspensionPoint, constant_C, op_norm_euclidean
 from ietlab.iet import FiberPoint
 
-from conftest import draw_canonical
+from canonical_points import draw_canonical
 
 
 # ---------------------------------------------------------------------------

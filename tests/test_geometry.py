@@ -24,7 +24,7 @@ from ietlab.geometry import (
 )
 from ietlab.iet import FiberPoint
 
-from conftest import draw_canonical
+from canonical_points import draw_canonical
 
 
 # ---------------------------------------------------------------------------

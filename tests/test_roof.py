@@ -200,6 +200,20 @@ def test_default_policy_underflow_names_largest_truncation():
                              r"1072; the largest usable n_trunc is 1072"):
         choose_b_and_check(CountableIET.block_rotation(n_trunc=1073))
 
+
+def test_proportional_policy_underflow_names_largest_truncation():
+    # kappa * l = 0.25 * 2^-1073 = 2^-1075 rounds to 0.0
+    policy = ProportionalPolicy()
+    deepest = CountableIET.von_neumann_kakutani(n_trunc=1072)
+    spec = RoofSpec.build(deepest, policy)
+    assert float(spec.widths[-1]) > 0.0
+    with pytest.raises(ConstraintViolationError,
+                       match=r"kappa\*l = 0\.25\*.* underflows to 0\.0 on "
+                             r"interval 1072; the largest usable n_trunc is "
+                             r"1072"):
+        RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=1073),
+                       policy)
+
 # ---------------------------------------------------------------------------
 # integrals against scipy
 # ---------------------------------------------------------------------------
