@@ -7,6 +7,11 @@ is not set to ``0``/``false``, the functions are JIT compiled with
 unchanged, so the package still works (slower) without a functional numba.
 ``perfbench/`` times the kernels per layer inside whole ``lab`` runs.
 
+The batch kernels ``lyap_orbits`` and ``birkhoff_h_orbits`` loop over the
+scalar orbit kernels, one lane per start.  The experiments call them under
+numba only; without it they call the twins in ``lanes``, which step all
+lanes in lockstep with numpy and give the same bits.
+
 Conventions
 -----------
 Base transformations are dispatched on an integer family code:

@@ -16,6 +16,7 @@ from ``math`` on some inputs.  The roof functions assume the invariant that
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -89,19 +90,32 @@ def _explicit_step(xs, aa, i, u):
     return np.where(keep, i, j), np.where(keep, u, v), bad
 
 
+@functools.lru_cache(maxsize=16)
+def _dyadic_tables(theta: float, ntr: int):
+    """Per interval below ``ntr``: 2^-i-1, and the rotation's cut and gap.
+
+    The same operations as the scalar step, done once per interval.
+    """
+    i = np.arange(ntr)
+    block = np.ldexp(1.0, -(i >> 1) - 1)
+    cut = (1.0 - theta) * block
+    return np.ldexp(1.0, -i - 1), cut, block - cut
+
+
 def iet_step(base, i, u):
     """``kernels.iet_step`` on lanes: arrays ``(j, v, status)``.
 
-    ``i`` is an int64 array of interval indices and ``u`` a float array of
-    offsets.  Lanes that leave the truncation come back with TRUNCATION and
-    the index reached; INCONSISTENT lanes come back unchanged.
+    ``i`` is an int64 array of interval indices below the truncation and
+    ``u`` a float array of offsets.  Lanes that leave the truncation come
+    back with TRUNCATION and the index reached; INCONSISTENT lanes come back
+    unchanged.
     """
     fam, theta, xs, aa, ys, yl, yi, ntr = base
     bad = None
     if fam == FAM_ROTATION:
-        block = np.ldexp(1.0, -(i >> 1) - 1)
-        cut = (1.0 - theta) * block
-        x = np.where((i & 1) == 0, u + (block - cut), u)
+        _, cuts, gaps = _dyadic_tables(theta, ntr)
+        cut = cuts[i]
+        x = np.where((i & 1) == 0, u + gaps[i], u)
         below = x < cut
         j = (i & -2) + ~below
         v = np.where(below, x, x - cut)
@@ -109,7 +123,7 @@ def iet_step(base, i, u):
         j = i ^ 1
         v = u
     elif fam == FAM_ODOMETER:
-        j, v = dyadic_block(np.ldexp(1.0, -i - 1) + u)
+        j, v = dyadic_block(_dyadic_tables(theta, ntr)[0][i] + u)
     else:
         j, v, bad = _explicit_step(xs, aa, i, u)
     status = np.where(j >= ntr, TRUNCATION, OK)
@@ -203,7 +217,7 @@ def roof_eval(u, b, l, flat, value=True):
 # ---------------------------------------------------------------------------
 
 #: Base steps per block of ``birkhoff_h_orbits``.
-BLOCK = 128
+BLOCK = 32
 
 
 def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
