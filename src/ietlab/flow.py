@@ -296,7 +296,7 @@ def _attempt_rounds(samples: int, what: str, draw, run_batch) -> tuple[list, int
     """Rows of every sample, drawn and run in rounds of attempts.
 
     Round ``a`` draws ``draw(k, a)`` for every pending sample ``k`` and runs
-    them all in one ``run_batch(ks, starts)`` call.  That returns
+    them all in one ``run_batch(starts)`` call.  That returns
     ``rows_of(lane, k)``: the lane's rows, or None for a discarded attempt.
     Discarded samples are drawn again in the next round.  A sample whose
     draw or rows raise, or that has no clean attempt in ``MAX_ATTEMPTS``
@@ -316,14 +316,15 @@ def _attempt_rounds(samples: int, what: str, draw, run_batch) -> tuple[list, int
                 drawn.append(k)
             except LabError as exc:
                 failed[k] = exc
-        rows_of = run_batch(drawn, starts) if drawn else None
+        rows_of = run_batch(starts) if drawn else None
         for lane, k in enumerate(drawn):
             try:
                 rows[k] = rows_of(lane, k)
             except LabError as exc:
                 failed[k] = exc
                 continue
-            discarded += rows[k] is None
+            if rows[k] is None:
+                discarded += 1
         first = min(failed, default=samples)
         pending = [k for k in drawn if k < first and k not in failed
                    and rows[k] is None]
@@ -365,7 +366,7 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
     def draw(k: int, attempt: int) -> SuspensionPoint:
         return sample_mu(spec, 1, (seed, k, attempt)).point(0)
 
-    def run_batch(ks: list[int], starts: list[SuspensionPoint]):
+    def run_batch(starts: list[SuspensionPoint]):
         count, m = len(starts), len(cps)
         idx = np.array([z.index for z in starts], dtype=np.int64)
         off = np.array([z.offset for z in starts])
@@ -425,7 +426,7 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
     def draw(k: int, attempt: int) -> FiberPoint:
         return spec.iet.locate(rngs[k].random())
 
-    def run_batch(ks: list[int], starts: list[FiberPoint]):
+    def run_batch(starts: list[FiberPoint]):
         count = len(starts)
         idx = np.array([x.index for x in starts], dtype=np.int64)
         off = np.array([x.offset for x in starts])

@@ -99,7 +99,10 @@ def _dyadic_tables(theta: float, ntr: int):
     i = np.arange(ntr)
     block = np.ldexp(1.0, -(i >> 1) - 1)
     cut = (1.0 - theta) * block
-    return np.ldexp(1.0, -i - 1), cut, block - cut
+    tables = (np.ldexp(1.0, -i - 1), cut, block - cut)
+    for table in tables:
+        table.setflags(write=False)  # shared by every caller
+    return tables
 
 
 def iet_step(base, i, u):
@@ -315,13 +318,13 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
         while step < cps[ci] and lane.size:
             span = min(BLOCK, int(cps[ci]) - step)
             count = lane.shape[0]
-            pi = np.empty((span, count), dtype=np.int64)
-            pu = np.empty((span, count))
+            orbit_i = np.empty((span, count), dtype=np.int64)
+            orbit_u = np.empty((span, count))
             first = np.full(count, span)  # the step at which a lane fails
             code = np.zeros(count, dtype=np.int64)
             for s in range(span):
-                pi[s] = i
-                pu[s] = u
+                orbit_i[s] = i
+                orbit_u[s] = u
                 j, v, st = iet_step(base, i, u)
                 if st.any():
                     failed = st != OK
@@ -336,15 +339,15 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
             if h_const > 0.0:
                 h = np.full((span, count), h_const)
             else:
-                l = lengths[pi]
-                bad = (pu < band * l) | (pu > l - band * l)
+                l = lengths[orbit_i]
+                bad = (orbit_u < band * l) | (orbit_u > l - band * l)
                 if bad.any():
                     at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), span)
                     # the band check comes before the base step of its step
                     code = np.where(at <= first, SINGULARITY, code)
                     first = np.minimum(at, first)
-                dr = roof_eval(pu.ravel(), bs[pi].ravel(), l.ravel(), flat,
-                               value=False)[1]
+                dr = roof_eval(orbit_u.ravel(), bs[orbit_i].ravel(), l.ravel(),
+                               flat, value=False)[1]
                 h = 2.0 + 2.0 * np.abs(dr).reshape(span, count)
             failed = first < span
             if failed.any():
