@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, lanes
+from . import kernels
 from .errors import (
     ConstraintViolationError,
     LabError,
@@ -272,9 +272,18 @@ class AaronsonRecord:
 
 MAX_ATTEMPTS = 64
 
-#: The batch orbit kernels: compiled loops over the scalar kernels under
-#: numba, numpy lanes stepped in lockstep otherwise (same bits either way).
-_orbits = kernels if kernels.NUMBA_ENABLED else lanes
+def _batch_kernels():
+    """The module holding the batch orbit kernels of this backend.
+
+    Under numba, compiled loops over the scalar kernels; otherwise numpy
+    lanes stepped in lockstep (same bits either way).  ``lanes`` is
+    imported on first use, so that commands running no experiment do not
+    load it.
+    """
+    if kernels.NUMBA_ENABLED:
+        return kernels
+    from . import lanes
+    return lanes
 
 
 def _in_chunks(run, count: int, threads: int) -> None:
@@ -292,7 +301,8 @@ def _in_chunks(run, count: int, threads: int) -> None:
         list(pool.map(run, bounds[:-1], bounds[1:]))
 
 
-def _attempt_rounds(samples: int, what: str, draw, run_batch) -> tuple[list, int]:
+def _attempt_rounds(samples: int, what: str, draw,
+                    run_batch) -> tuple[list, int]:
     """Rows of every sample, drawn and run in rounds of attempts.
 
     Round ``a`` draws ``draw(k, a)`` for every pending sample ``k`` and runs
@@ -362,6 +372,7 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
     threads = thread_count() if threads is None else max(1, threads)
     base, roof = spec.iet.pack(), spec.pack()
     cps_arr = np.asarray(cps, dtype=np.int64)
+    orbits = _batch_kernels()
 
     def draw(k: int, attempt: int) -> SuspensionPoint:
         return sample_mu(spec, 1, (seed, k, attempt)).point(0)
@@ -379,7 +390,7 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
         out_fail = np.empty(count, dtype=np.int64)
         status = np.empty(count, dtype=np.int64)
         outs = (*mats, out_k, out_i, out_u, out_y, out_fail, status)
-        _in_chunks(lambda lo, hi: _orbits.lyap_orbits(
+        _in_chunks(lambda lo, hi: orbits.lyap_orbits(
             base, roof, idx[lo:hi], off[lo:hi], hei[lo:hi], cps_arr,
             *(a[lo:hi] for a in outs)), count, threads)
 
@@ -419,6 +430,7 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
     threads = thread_count() if threads is None else max(1, threads)
     base, roof = spec.iet.pack(), spec.pack()
     cps_arr = np.asarray(cps, dtype=np.int64)
+    orbits = _batch_kernels()
     h = 0.0 if h_const is None else float(h_const)
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, k)))
             for k in range(samples)]
@@ -432,7 +444,7 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
         off = np.array([x.offset for x in starts])
         out = np.empty((count, len(cps)))
         status = np.empty(count, dtype=np.int64)
-        _in_chunks(lambda lo, hi: _orbits.birkhoff_h_orbits(
+        _in_chunks(lambda lo, hi: orbits.birkhoff_h_orbits(
             base, roof, idx[lo:hi], off[lo:hi], cps_arr, out[lo:hi], h,
             status[lo:hi]), count, threads)
 

@@ -342,7 +342,8 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
                 l = lengths[orbit_i]
                 bad = (orbit_u < band * l) | (orbit_u > l - band * l)
                 if bad.any():
-                    at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), span)
+                    hit = bad.any(axis=0)
+                    at = np.where(hit, np.argmax(bad, axis=0), span)
                     # the band check comes before the base step of its step
                     code = np.where(at <= first, SINGULARITY, code)
                     first = np.minimum(at, first)

@@ -98,7 +98,8 @@ def test_step_lanes_cover_every_status_and_branch():
                                   np.array([0.2, 0.499, 0.01]))
     assert status.tolist() == [kernels.OK, kernels.TRUNCATION, kernels.OK]
     for k, (i, u) in enumerate([(0, 0.2), (0, 0.499), (3, 0.01)]):
-        assert (j[k], v[k], status[k]) == kernels.iet_step(odometer.pack(), i, u)
+        want = kernels.iet_step(odometer.pack(), i, u)
+        assert (j[k], v[k], status[k]) == want
 
 
 @st.composite
@@ -172,11 +173,12 @@ def batch_starts(spec, count, seed):
 
 
 def lyap_outputs(count):
-    m = CPS.shape[0]
-    floats = [np.full((count, m), -7.5) for _ in range(4)]
-    ints = [np.full((count, m), -7, dtype=np.int64) for _ in range(2)]
-    return (*floats, ints[0], ints[1], np.full((count, m), -7.5),
-            np.full((count, m), -7.5), np.full(count, -9, dtype=np.int64),
+    """``out_a`` to ``out_y``, ``out_fail`` and ``status``, all sentinels."""
+    shape = (count, CPS.shape[0])
+    rows = [np.full(shape, -7.5) for _ in range(4)]
+    rows += [np.full(shape, -7, dtype=np.int64) for _ in range(2)]
+    rows += [np.full(shape, -7.5) for _ in range(2)]
+    return (*rows, np.full(count, -9, dtype=np.int64),
             np.full(count, -9, dtype=np.int64))
 
 
