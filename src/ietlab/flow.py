@@ -451,9 +451,9 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
         def rows_of(lane: int, k: int):
             if status[lane] != kernels.OK:
                 return None
-            return [AaronsonRecord(n=nj, value=max(0.0, math.log(out[lane, j]))
-                                   / nj, start=starts[lane], seed=k)
-                    for j, nj in enumerate(cps)]
+            return [AaronsonRecord(
+                n=nj, value=max(0.0, math.log(out[lane, j])) / nj,
+                start=starts[lane], seed=k) for j, nj in enumerate(cps)]
 
         return rows_of
 

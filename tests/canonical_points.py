@@ -1,7 +1,7 @@
 """Random canonical points for the tests.
 
 Kept out of ``conftest.py``: the benchmark's tests import their own
-``conftest`` by name in the same pytest session.
+``conftest`` by name in the same pytest run.
 """
 
 from ietlab.errors import LabError
