@@ -1,7 +1,9 @@
-"""The benchmark's orbit workload, run through `lab`, against its pinned CSVs.
+"""The benchmark's orbit and measure workloads, run through `lab`, against
+their pinned CSVs.
 
 ``perfbench`` gates every benchmark run on these digests; running the same
-config here keeps the orbit experiments' outputs under the tier-1 tests.
+configs here keeps the experiments' and the measure check's outputs under
+the tier-1 tests.
 """
 
 import json
@@ -19,12 +21,20 @@ if str(ROOT) not in sys.path:
 from perfbench import gate, workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("kind", workloads.COMMANDS["orbit"])
-def test_orbit_workload_csvs_match_pinned_digests(tmp_path, kind):
-    config = workloads.make_config("orbit", gate.DEFAULT_SEED)
-    cfg = tmp_path / "orbit.json"
+def run_pinned(tmp_path, workload: str, kind: str) -> None:
+    config = workloads.make_config(workload, gate.DEFAULT_SEED)
+    cfg = tmp_path / f"{workload}.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / kind
     assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
     csvs = workloads.expected_csvs(config, kind)
-    assert gate.csv_digest(out, csvs) == gate.PINNED["orbit"][kind]
+    assert gate.csv_digest(out, csvs) == gate.PINNED[workload][kind]
+
+
+@pytest.mark.parametrize("kind", workloads.COMMANDS["orbit"])
+def test_orbit_workload_csvs_match_pinned_digests(tmp_path, kind):
+    run_pinned(tmp_path, "orbit", kind)
+
+
+def test_measure_workload_csv_matches_pinned_digest(tmp_path):
+    run_pinned(tmp_path, "measure", "measure")

@@ -238,6 +238,37 @@ for name, s, count in (("invariance", spec, 20000),
     out[name] = digest([rep.used, rep.discards]
                        + [[r.freq_pre, r.freq_post] for r in rep.rows])
 
+# the time-one step on sampled points of every family: the first points
+# are moved into the exclusion band, and the six-interval odometer's
+# crossings leave its truncation
+stepped, step_codes = [], set()
+for base in (*families.values(), shallow):
+    s = RoofSpec.build(base)
+    pts = sample_mu(s, 3000, seed=7)
+    idx, off, hei = pts.idx, pts.off, pts.hei
+    for k, f in enumerate((0.0, 0.5 * s.band, 1.0 - 0.5 * s.band)):
+        off[k] = f * s.lengths[idx[k]]
+    status = np.full(idx.shape[0], -1, dtype=np.int64)
+    bad = kernels.flow_time_one_batch(base.pack(), s.pack(), idx, off, hei,
+                                      status)
+    stepped.append(array_digest(idx, off, hei, status) + f":{bad}")
+    step_codes.update(status.tolist())
+out["time_one"] = digest(stepped)
+out["time_one_statuses"] = sorted(step_codes)
+
+# the roof on sampled points, and at both ends of an interval
+roofs = []
+for s in (spec, RoofSpec.build(iet, flat=True)):
+    pts = sample_mu(s, 3000, seed=8)
+    off = pts.off
+    off[0] = 0.0
+    off[1] = s.lengths[pts.idx[1]]
+    r = np.full(off.shape[0], -7.5)
+    dr = np.full(off.shape[0], -7.5)
+    kernels.roof_eval_batch(s.pack(), pts.idx, off, r, dr)
+    roofs.append(array_digest(r, dr))
+out["roof_batch"] = digest(roofs)
+
 for name, s in (("samples", spec), ("samples_shallow", shallow_spec)):
     batch = sample_mu(s, 20000, seed=5)
     out[name] = array_digest(batch.idx, batch.off, batch.hei) \
@@ -340,6 +371,10 @@ GOLDEN = {
         "a9dd10660177531b977c8567a58b369024e9e8026d49fa99fcb49e58dc8e62ce",
     "experiments":
         "e23c3b766fbc780858dc53ca9740f41cfb7566c2048da6b51b28d6ffc1b99ec3",
+    "time_one":
+        "115d87224d8c9b18f412065f622b9e8ba8cea01b2d1ee85a575b125146a67165",
+    "roof_batch":
+        "8d604cc60dcc4833a286b00e4f9f9bd73201cde61422eb60063b957fa4c63f46",
 }
 
 
@@ -356,6 +391,9 @@ def _assert_golden(got: dict) -> None:
     # the shallow experiments redraw some starts, and threads change nothing
     assert min(got["experiments_discards"]) > 0
     assert got["experiments_threads_agree"] is True
+    # the stepped points include every status the time-one step can reach
+    assert set(got["time_one_statuses"]) == {
+        kernels.OK, kernels.SINGULARITY, kernels.TRUNCATION}
     for key, want in GOLDEN.items():
         assert got[key] == want, key
 
