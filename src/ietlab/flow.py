@@ -272,18 +272,17 @@ class AaronsonRecord:
 
 MAX_ATTEMPTS = 64
 
-def _batch_kernels():
-    """The module holding the batch orbit kernels of this backend.
+def _batch_backend(threads: int | None):
+    """The batch orbit kernels and the thread count of an experiment.
 
-    Under numba, compiled loops over the scalar kernels; otherwise numpy
-    lanes stepped in lockstep (same bits either way).  ``lanes`` is
-    imported on first use, so that commands running no experiment do not
-    load it.
+    Threads split the lanes only under numba, whose compiled loops release
+    the GIL.  Numpy lanes hold it for calls this small, so there each round
+    runs as one chunk.
     """
-    if kernels.NUMBA_ENABLED:
-        return kernels
-    from . import lanes
-    return lanes
+    orbits = kernels.batch_kernels()
+    if orbits is not kernels:
+        return orbits, 1
+    return orbits, thread_count() if threads is None else max(1, threads)
 
 
 def _in_chunks(run, count: int, threads: int) -> None:
@@ -369,10 +368,9 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
     if samples < 1:
         raise ConstraintViolationError("samples must be >= 1")
     cps = checkpoints_geometric(n)
-    threads = thread_count() if threads is None else max(1, threads)
+    orbits, threads = _batch_backend(threads)
     base, roof = spec.iet.pack(), spec.pack()
     cps_arr = np.asarray(cps, dtype=np.int64)
-    orbits = _batch_kernels()
 
     def draw(k: int, attempt: int) -> SuspensionPoint:
         return sample_mu(spec, 1, (seed, k, attempt)).point(0)
@@ -427,10 +425,9 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
     if samples < 1:
         raise ConstraintViolationError("samples must be >= 1")
     cps = checkpoints_geometric(n)
-    threads = thread_count() if threads is None else max(1, threads)
+    orbits, threads = _batch_backend(threads)
     base, roof = spec.iet.pack(), spec.pack()
     cps_arr = np.asarray(cps, dtype=np.int64)
-    orbits = _batch_kernels()
     h = 0.0 if h_const is None else float(h_const)
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, k)))
             for k in range(samples)]

@@ -7,10 +7,12 @@ is not set to ``0``/``false``, the functions are JIT compiled with
 unchanged, so the package still works (slower) without a functional numba.
 ``perfbench/`` times the kernels per layer inside whole ``lab`` runs.
 
-The batch kernels ``lyap_orbits`` and ``birkhoff_h_orbits`` loop over the
-scalar orbit kernels, one lane per start.  The experiments call them under
-numba only; without it they call the twins in ``lanes``, which step all
-lanes in lockstep with numpy and give the same bits.
+The batch kernels ``lyap_orbits``, ``birkhoff_h_orbits``,
+``roof_eval_batch``, ``base_step_batch`` and ``flow_time_one_batch`` loop
+over the scalar kernels, one lane per start or point.  Callers reach them
+through ``batch_kernels()``: under numba it returns this module; without it
+the twins in ``lanes``, which step all lanes together with numpy and give
+the same bits.
 
 Conventions
 -----------
@@ -38,6 +40,7 @@ kernel passes their status on.
 
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -64,6 +67,20 @@ def kernel(func):
     if NUMBA_ENABLED:
         return numba.njit(cache=True, nogil=True)(func)
     return func
+
+
+def batch_kernels():
+    """The module holding the batch kernels of this backend.
+
+    Under numba, this one: compiled loops over the scalar kernels.
+    Otherwise ``lanes``: numpy lanes with the same bits.  ``lanes`` is
+    imported on first use, so that commands without batch work do not load
+    it.
+    """
+    if NUMBA_ENABLED:
+        return sys.modules[__name__]
+    from . import lanes
+    return lanes
 
 
 FAM_ROTATION = 0

@@ -1,10 +1,13 @@
-"""The orbit experiments' kernels on numpy lanes, for the pure-Python backend.
+"""The batch kernels on numpy lanes, for the pure-Python backend.
 
 Without numba every kernel in ``kernels`` runs in the interpreter at a few
-microseconds per orbit step.  ``lyap_orbits`` and ``birkhoff_h_orbits`` here
-take a batch of starts and move all of them one step at a time in lockstep:
-each step is a fixed number of numpy calls over the whole batch (the lanes),
-so its cost is shared by every lane.
+microseconds per orbit step or point.  ``lyap_orbits`` and
+``birkhoff_h_orbits`` here take a batch of starts and move all of them one
+step at a time in lockstep: each step is a fixed number of numpy calls over
+the whole batch (the lanes), so its cost is shared by every lane.  The
+measure command's per-point kernels, ``roof_eval_batch``,
+``base_step_batch`` and ``flow_time_one_batch``, take one step per lane, in
+pieces of at most ``PIECE`` lanes so that their temporaries stay small.
 
 Each lane gives the floats and status codes of the scalar kernel bit for
 bit.  Only IEEE-exact operations are vectorised: + - * /, comparisons, abs,
@@ -361,3 +364,75 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
             step += span
         out_sum[lane, ci] = tot
     return idx.shape[0] - lane.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# per-point batch kernels
+# ---------------------------------------------------------------------------
+
+#: Lanes per piece of the per-point batch kernels.
+PIECE = 1 << 16
+
+
+def _pieces(count):
+    """Bounds ``(lo, hi)`` of consecutive pieces of at most ``PIECE`` lanes."""
+    return [(lo, min(lo + PIECE, count)) for lo in range(0, count, PIECE)]
+
+
+def roof_eval_batch(roof, idx, off, out_r, out_dr):
+    """``kernels.roof_eval_batch`` on lanes."""
+    lengths, bs, flat, band = roof
+    for lo, hi in _pieces(idx.shape[0]):
+        i = idx[lo:hi]
+        out_r[lo:hi], out_dr[lo:hi] = roof_eval(off[lo:hi], bs[i], lengths[i],
+                                                flat)
+    return 0
+
+
+def base_step_batch(base, idx, off, status):
+    """``kernels.base_step_batch`` on lanes: a failed lane keeps its point."""
+    bad = 0
+    for lo, hi in _pieces(idx.shape[0]):
+        i, u = idx[lo:hi], off[lo:hi]
+        j, v, st = iet_step(base, i, u)
+        ok = st == OK
+        np.copyto(i, j, where=ok)
+        np.copyto(u, v, where=ok)
+        status[lo:hi] = st
+        bad += hi - lo - int(np.count_nonzero(ok))
+    return bad
+
+
+def flow_time_one_batch(base, roof, idx, off, hei, status):
+    """``kernels.flow_time_one_batch`` on lanes.
+
+    A lane in the exclusion band keeps its point with SINGULARITY, and the
+    roof is evaluated on the other lanes only.  A lane under the roof climbs
+    by one; a lane that crosses takes the base step, and keeps its point
+    with the step's status if that fails.
+    """
+    lengths, bs, flat, band = roof
+    bad = 0
+    for lo, hi in _pieces(idx.shape[0]):
+        i, u, y = idx[lo:hi], off[lo:hi], hei[lo:hi]
+        l = lengths[i]
+        st = np.where((u < band * l) | (u > l - band * l), SINGULARITY, OK)
+        live = np.flatnonzero(st == OK)
+        il = i[live]
+        r = roof_eval(u[live], bs[il], l[live], flat)[0]
+        y1 = y[live] + 1.0
+        under = y1 < r
+        y[live[under]] = y1[under]
+        cross = ~under
+        at = live[cross]
+        j, v, stepped = iet_step(base, il[cross], u[at])
+        st[at] = stepped
+        ok = stepped == OK
+        y_new = y1[cross][ok] - 2.0 * r[cross][ok]
+        at = at[ok]
+        i[at] = j[ok]
+        u[at] = v[ok]
+        y[at] = y_new
+        status[lo:hi] = st
+        bad += int(np.count_nonzero(st))
+    return bad

@@ -162,6 +162,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
         seed_words = (int(seed),)
     roof = spec.pack()
     lengths, bs, flat, band = roof
+    backend = kernels.batch_kernels()
     cum = np.cumsum(lengths + (0.0 if flat else 2.0 * bs))
     total_env = float(cum[-1])
 
@@ -209,7 +210,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
 
             r = np.empty(k)
             dr = np.empty(k)
-            kernels.roof_eval_batch(roof, sel, u, r, dr)
+            backend.roof_eval_batch(roof, sel, u, r, dr)
             ratio = np.where(ok, r / env, 0.0)
             if np.any(ratio > 1.0 + 1e-12):
                 worst = float(np.max(ratio))
@@ -231,7 +232,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
                 li = idx_a[lower].copy()
                 lo = off_a[lower].copy()
                 st = np.empty(li.shape[0], dtype=np.int64)
-                bad = kernels.base_step_batch(spec.iet.pack(), li, lo, st)
+                bad = backend.base_step_batch(spec.iet.pack(), li, lo, st)
                 if bad:
                     keep_st = st == kernels.OK
                     stats.step_discards += int(np.count_nonzero(~keep_st))
@@ -341,6 +342,8 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
     Pairs whose forward step fails (exclusion band, truncation) are dropped
     from both sides.  ``step_fn`` replaces the time-one map for fault
     injection in tests; it must mutate the arrays in place and fill status.
+    The sampled points are stepped in place once their coordinates before
+    the step are taken.
     """
     if boxes is None:
         boxes = standard_boxes()
@@ -349,13 +352,11 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
     xs_pre = lefts[batch.idx] + batch.off
     ys_pre = batch.hei.copy()
 
-    idx = batch.idx.copy()
-    off = batch.off.copy()
-    hei = batch.hei.copy()
+    idx, off, hei = batch.idx, batch.off, batch.hei
     status = np.empty(count, dtype=np.int64)
     if step_fn is None:
-        kernels.flow_time_one_batch(spec.iet.pack(), spec.pack(),
-                                    idx, off, hei, status)
+        kernels.batch_kernels().flow_time_one_batch(
+            spec.iet.pack(), spec.pack(), idx, off, hei, status)
     else:
         step_fn(idx, off, hei, status)
     keep = status == kernels.OK

@@ -249,8 +249,8 @@ for base in (*families.values(), shallow):
     for k, f in enumerate((0.0, 0.5 * s.band, 1.0 - 0.5 * s.band)):
         off[k] = f * s.lengths[idx[k]]
     status = np.full(idx.shape[0], -1, dtype=np.int64)
-    bad = kernels.flow_time_one_batch(base.pack(), s.pack(), idx, off, hei,
-                                      status)
+    bad = kernels.batch_kernels().flow_time_one_batch(
+        base.pack(), s.pack(), idx, off, hei, status)
     stepped.append(array_digest(idx, off, hei, status) + f":{bad}")
     step_codes.update(status.tolist())
 out["time_one"] = digest(stepped)
@@ -265,7 +265,7 @@ for s in (spec, RoofSpec.build(iet, flat=True)):
     off[1] = s.lengths[pts.idx[1]]
     r = np.full(off.shape[0], -7.5)
     dr = np.full(off.shape[0], -7.5)
-    kernels.roof_eval_batch(s.pack(), pts.idx, off, r, dr)
+    kernels.batch_kernels().roof_eval_batch(s.pack(), pts.idx, off, r, dr)
     roofs.append(array_digest(r, dr))
 out["roof_batch"] = digest(roofs)
 

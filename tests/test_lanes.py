@@ -51,10 +51,10 @@ def special_offsets(iet, i):
 
 
 @st.composite
-def step_lanes(draw):
+def step_lanes(draw, min_count=1):
     name = draw(st.sampled_from(sorted(FAMILIES)))
     iet = FAMILIES[name]
-    count = draw(st.integers(min_value=1, max_value=24))
+    count = draw(st.integers(min_value=min_count, max_value=24))
     idx, off = [], []
     for _ in range(count):
         i = draw(st.integers(min_value=0, max_value=iet.n_trunc - 1))
@@ -103,9 +103,9 @@ def test_step_lanes_cover_every_status_and_branch():
 
 
 @st.composite
-def roof_lanes(draw):
+def roof_lanes(draw, min_count=1):
     spec = draw(st.sampled_from([SPEC, FLAT]))
-    count = draw(st.integers(min_value=1, max_value=24))
+    count = draw(st.integers(min_value=min_count, max_value=24))
     idx, off = [], []
     for _ in range(count):
         i = draw(st.integers(min_value=0, max_value=spec.iet.n_trunc - 1))
@@ -249,3 +249,153 @@ def test_birkhoff_h_orbits_match_scalar_orbits(name, h_const):
         assert band_status == [kernels.SINGULARITY] * 2
     if name == "odometer_shallow":
         assert np.count_nonzero(want_status == kernels.TRUNCATION) > 5
+
+
+# ---------------------------------------------------------------------------
+# per-point batch kernels: one call on lanes against the scalar loop
+# ---------------------------------------------------------------------------
+
+# the scalar kernels divide numpy scalars: 1/u overflows on subnormal u
+OVERFLOW = "ignore:overflow encountered in:RuntimeWarning"
+SPECS = {name: RoofSpec.build(iet) for name, iet in FAMILIES.items()}
+SPECS["flat"] = FLAT
+
+
+def broken_table():
+    """The table with every translation raised by 0.5: interval 1 then maps
+    past 1 (INCONSISTENT), while intervals 0 and 2 still map into [0, 1)."""
+    base = FAMILIES["table"].pack()
+    return base[:3] + (base[3] + 0.5,) + base[4:]
+
+
+def time_one_offsets(spec, i):
+    """Offsets at the band edges, the roof's breakpoints and the step's."""
+    l, b = float(spec.lengths[i]), float(spec.widths[i])
+    lo, hi = spec.band * l, l - spec.band * l
+    out = [lo, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0), hi,
+           np.nextafter(hi, 0.0), np.nextafter(hi, 1.0), 0.5 * b, b, l - b,
+           l - 0.5 * b, 0.0, l, -l]
+    return out + special_offsets(spec.iet, i)
+
+
+@st.composite
+def time_one_lanes(draw, min_count=0):
+    name = draw(st.sampled_from(sorted(SPECS)))
+    spec = SPECS[name]
+    base = spec.iet.pack()
+    if name == "table" and draw(st.booleans()):
+        base = broken_table()
+    count = draw(st.integers(min_value=min_count, max_value=24))
+    idx, off, hei = [], [], []
+    for _ in range(count):
+        i = draw(st.integers(min_value=0, max_value=spec.iet.n_trunc - 1))
+        l = float(spec.lengths[i])
+        if draw(st.booleans()):
+            u = draw(st.floats(0.0, 1.0, exclude_max=True)) * l
+        else:
+            u = draw(st.sampled_from(time_one_offsets(spec, i)))
+        r = 1.0
+        if 0.0 < u < l:
+            r = kernels.roof_eval(u, float(spec.widths[i]), l,
+                                  1 if spec.flat else 0)[0]
+        # heights anywhere in the fiber, and at the crossing threshold
+        edge = r - 1.0
+        y = draw(st.one_of(st.floats(-2.0 * r, 2.0 * r),
+                           st.sampled_from([edge, np.nextafter(edge, -1e9),
+                                            np.nextafter(edge, 1e9)])))
+        idx.append(i)
+        off.append(u)
+        hei.append(y)
+    return (base, spec.pack(), np.array(idx, dtype=np.int64), np.array(off),
+            np.array(hei))
+
+
+def run_both(name, packs, arrays):
+    """``name`` from ``kernels`` and from ``lanes``, each on its own copies
+    of ``arrays``: a ``(returned value, arrays)`` pair per backend."""
+    return [(getattr(impl, name)(*packs, *copies), copies)
+            for impl in (kernels, lanes)
+            for copies in [[a.copy() for a in arrays]]]
+
+
+def assert_same_runs(runs):
+    (want_bad, want), (got_bad, got) = runs
+    assert got_bad == want_bad
+    assert_same_outputs(got, want)
+
+
+def statuses(count):
+    return np.full(count, -9, dtype=np.int64)
+
+
+@pytest.mark.filterwarnings(OVERFLOW)
+@settings(max_examples=200, **COMMON)
+@given(case=roof_lanes(min_count=0))
+def test_roof_eval_batch_lanes_match_scalar_batch(case):
+    spec, idx, off = case
+    count = idx.shape[0]
+    assert_same_runs(run_both("roof_eval_batch", (spec.pack(),),
+                              [idx, off, np.full(count, -7.5),
+                               np.full(count, -7.5)]))
+
+
+@settings(max_examples=300, **COMMON)
+@given(case=step_lanes(min_count=0))
+def test_base_step_batch_lanes_match_scalar_batch(case):
+    iet, idx, off = case
+    assert_same_runs(run_both("base_step_batch", (iet.pack(),),
+                              [idx, off, statuses(idx.shape[0])]))
+
+
+@pytest.mark.filterwarnings(OVERFLOW)
+@settings(max_examples=400, **COMMON)
+@given(case=time_one_lanes())
+def test_flow_time_one_batch_lanes_match_scalar_batch(case):
+    base, roof, idx, off, hei = case
+    assert_same_runs(run_both("flow_time_one_batch", (base, roof),
+                              [idx, off, hei, statuses(idx.shape[0])]))
+
+
+def test_time_one_lanes_mix_every_status():
+    # the broken table maps interval 0 into the tail, deep into it near
+    # the interval's end, and interval 1 past 1
+    spec = SPECS["table"]
+    l0, l1, l2 = (float(spec.lengths[i]) for i in range(3))
+    idx = np.array([0, 0, 1, 2, 0, 2], dtype=np.int64)
+    off = np.array([0.5 * l0, l0 * (1.0 - 1e-9), 0.5 * l1, 0.5 * l2, 0.0,
+                    0.5 * l2])
+    hei = np.array([50.0, 50.0, 50.0, 50.0, 50.0, -5.0])
+    runs = run_both("flow_time_one_batch", (broken_table(), spec.pack()),
+                    [idx, off, hei, statuses(6)])
+    assert_same_runs(runs)
+    got_idx, got_off, got_hei, status = runs[1][1]
+    assert status.tolist() == [kernels.OK, kernels.TRUNCATION,
+                               kernels.INCONSISTENT, kernels.OK,
+                               kernels.SINGULARITY, kernels.OK]
+    assert runs[1][0] == 3
+    # failed lanes keep their points; the last lane climbs under the roof
+    keep = status != kernels.OK
+    assert np.array_equal(got_idx[keep], idx[keep])
+    assert_same_floats(got_off[keep], off[keep])
+    assert_same_floats(got_hei[keep], hei[keep])
+    assert (got_idx[5], got_off[5], got_hei[5]) == (2, 0.5 * l2, -4.0)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_per_point_lanes_take_empty_and_single_batches(count):
+    spec = SPECS["rotation"]
+    base, roof = spec.iet.pack(), spec.pack()
+    idx = np.zeros(count, dtype=np.int64)
+    off = np.full(count, 0.5 * float(spec.lengths[0]))
+    hei = np.full(count, 0.3)
+    for name, packs, arrays in (
+            ("roof_eval_batch", (roof,),
+             [idx, off, np.full(count, -7.5), np.full(count, -7.5)]),
+            ("base_step_batch", (base,), [idx, off, statuses(count)]),
+            ("flow_time_one_batch", (base, roof),
+             [idx, off, hei, statuses(count)])):
+        runs = run_both(name, packs, arrays)
+        assert_same_runs(runs)
+        assert runs[1][0] == 0
+        if count:
+            assert not np.array_equal(runs[1][1][-1], arrays[-1])
