@@ -25,6 +25,7 @@ from . import kernels
 from .errors import (
     ConstraintViolationError,
     LabError,
+    TruncationExceededError,
     raise_for_status,
 )
 from .geometry import (
@@ -307,6 +308,7 @@ def _attempt_rounds(samples: int, what: str, draw,
     Round ``a`` draws ``draw(k, a)`` for every pending sample ``k`` and runs
     them all in one ``run_batch(starts)`` call.  That returns
     ``rows_of(lane, k)``: the lane's rows, or None for a discarded attempt.
+    A draw of None (no representable start) is a discarded attempt too.
     Discarded samples are drawn again in the next round.  A sample whose
     draw or rows raise, or that has no clean attempt in ``MAX_ATTEMPTS``
     rounds, fails, and the first failed sample raises, as it would when
@@ -321,10 +323,15 @@ def _attempt_rounds(samples: int, what: str, draw,
         drawn, starts = [], []
         for k in pending:
             try:
-                starts.append(draw(k, attempt))
-                drawn.append(k)
+                start = draw(k, attempt)
             except LabError as exc:
                 failed[k] = exc
+                continue
+            if start is None:
+                discarded += 1
+            else:
+                starts.append(start)
+                drawn.append(k)
         rows_of = run_batch(starts) if drawn else None
         for lane, k in enumerate(drawn):
             try:
@@ -335,7 +342,7 @@ def _attempt_rounds(samples: int, what: str, draw,
             if rows[k] is None:
                 discarded += 1
         first = min(failed, default=samples)
-        pending = [k for k in drawn if k < first and k not in failed
+        pending = [k for k in pending if k < first and k not in failed
                    and rows[k] is None]
         if not pending:
             break
@@ -419,8 +426,8 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
     """Birkhoff-sum growth proxies for ``samples`` base orbits.
 
     Sample ``k`` draws its uniform starts, one per attempt, from its own
-    generator seeded with ``(seed, k)``; attempts whose orbit fails are
-    discarded.
+    generator seeded with ``(seed, k)``; attempts whose start lies beyond
+    the truncation or whose orbit fails are discarded.
     """
     if samples < 1:
         raise ConstraintViolationError("samples must be >= 1")
@@ -432,8 +439,11 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, k)))
             for k in range(samples)]
 
-    def draw(k: int, attempt: int) -> FiberPoint:
-        return spec.iet.locate(rngs[k].random())
+    def draw(k: int, attempt: int) -> FiberPoint | None:
+        try:
+            return spec.iet.locate(rngs[k].random())
+        except TruncationExceededError:
+            return None  # mass beyond the truncation, skipped as in sample_mu
 
     def run_batch(starts: list[FiberPoint]):
         count = len(starts)

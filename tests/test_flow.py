@@ -21,7 +21,8 @@ from ietlab.flow import (
     thread_count,
 )
 from ietlab.geometry import SuspensionPoint, constant_C, op_norm_euclidean
-from ietlab.iet import FiberPoint
+from ietlab.iet import CountableIET, FiberPoint
+from ietlab.roof import RoofSpec
 
 from canonical_points import draw_canonical
 
@@ -290,6 +291,19 @@ def test_aaronson_experiment_contract(golden_spec, warm_kernels):
         assert r.value >= math.log(2.0 * r.n) / r.n - 1e-15
     again = aaronson_experiment(golden_spec, 1000, 10, seed=9)
     assert again.rows == res.rows
+
+
+def test_aaronson_redraws_starts_beyond_the_truncation():
+    # four intervals cover [0, 0.75), and the block rotation never leaves
+    # them; sample 0's first uniform start at seed 4 lies beyond them
+    spec = RoofSpec.build(CountableIET.block_rotation(n_trunc=4))
+    rng = np.random.default_rng(np.random.SeedSequence((4, 0)))
+    first, second = rng.random(2)
+    assert first >= 0.75 > second
+    res = aaronson_experiment(spec, 100, 3, seed=4)
+    assert res.discarded_trajectories >= 1
+    assert [r.seed for r in res.rows] == [0, 1, 2]
+    assert res.rows[0].start == spec.iet.locate(second)
 
 
 def test_thread_count_env(monkeypatch):

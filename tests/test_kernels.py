@@ -370,7 +370,7 @@ GOLDEN = {
     "truncation":
         "a9dd10660177531b977c8567a58b369024e9e8026d49fa99fcb49e58dc8e62ce",
     "experiments":
-        "e23c3b766fbc780858dc53ca9740f41cfb7566c2048da6b51b28d6ffc1b99ec3",
+        "db252ccb41c7948f36279b5c7cbe2844a9d5fdae905d29577eed85ae6f9a25ba",
     "time_one":
         "115d87224d8c9b18f412065f622b9e8ba8cea01b2d1ee85a575b125146a67165",
     "roof_batch":
