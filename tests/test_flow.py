@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from ietlab import kernels
 from ietlab.errors import ConstraintViolationError
 from ietlab.flow import (
     Cocycle2x2,
+    _batch_backend,
+    _in_chunks,
     aaronson_average,
     aaronson_experiment,
     checkpoints_geometric,
@@ -304,6 +307,21 @@ def test_aaronson_redraws_starts_beyond_the_truncation():
     assert res.discarded_trajectories >= 1
     assert [r.seed for r in res.rows] == [0, 1, 2]
     assert res.rows[0].start == spec.iet.locate(second)
+
+
+def test_threads_split_lanes_only_under_numba():
+    orbits, threads = _batch_backend(4)
+    assert threads == (4 if kernels.NUMBA_ENABLED else 1)
+    assert orbits is kernels.batch_kernels()
+
+
+def test_in_chunks_runs_every_lane_once():
+    for count, threads, want in ((10, 3, [(0, 3), (3, 6), (6, 10)]),
+                                 (2, 5, [(0, 1), (1, 2)]),
+                                 (7, 1, [(0, 7)])):
+        seen = []
+        _in_chunks(lambda lo, hi: seen.append((lo, hi)), count, threads)
+        assert sorted(seen) == want
 
 
 def test_thread_count_env(monkeypatch):

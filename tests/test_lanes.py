@@ -313,9 +313,11 @@ def time_one_lanes(draw, min_count=0):
 def run_both(name, packs, arrays):
     """``name`` from ``kernels`` and from ``lanes``, each on its own copies
     of ``arrays``: a ``(returned value, arrays)`` pair per backend."""
-    return [(getattr(impl, name)(*packs, *copies), copies)
-            for impl in (kernels, lanes)
-            for copies in [[a.copy() for a in arrays]]]
+    runs = []
+    for impl in (kernels, lanes):
+        copies = [a.copy() for a in arrays]
+        runs.append((getattr(impl, name)(*packs, *copies), copies))
+    return runs
 
 
 def assert_same_runs(runs):
@@ -397,5 +399,5 @@ def test_per_point_lanes_take_empty_and_single_batches(count):
         runs = run_both(name, packs, arrays)
         assert_same_runs(runs)
         assert runs[1][0] == 0
-        if count:
+        if count:  # the last output was written
             assert not np.array_equal(runs[1][1][-1], arrays[-1])
