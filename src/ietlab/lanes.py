@@ -434,5 +434,5 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
         u[at] = v[ok]
         y[at] = y_new
         status[lo:hi] = st
-        bad += int(np.count_nonzero(st))
+        bad += int(np.count_nonzero(st != OK))
     return bad

@@ -391,7 +391,7 @@ def _assert_golden(got: dict) -> None:
     # the shallow experiments redraw some starts, and threads change nothing
     assert min(got["experiments_discards"]) > 0
     assert got["experiments_threads_agree"] is True
-    # the stepped points include every status the time-one step can reach
+    # the stepped points reach every status a consistent base map allows
     assert set(got["time_one_statuses"]) == {
         kernels.OK, kernels.SINGULARITY, kernels.TRUNCATION}
     for key, want in GOLDEN.items():
