@@ -5,14 +5,23 @@ outputs land in pytest tmp directories, never in the working tree.
 """
 
 import filecmp
+import hashlib
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from ietlab.cli import load_config, main, parse_config, serialize_config
 from ietlab.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
 
 BASE = {"iet": {"family": "BlockRotation", "n_trunc": 32},
         "b_policy": {"kind": "default"},
@@ -52,23 +61,25 @@ def test_parse_defaults_materialize():
     assert parse_config(dumped) == cfg
 
 
+FULL_FEATURED = {
+    "iet": {"family": "ExplicitTable", "n_trunc": 16,
+            "pairs": [{"x": 0.0, "a": 0.3}, {"x": 0.2, "a": 0.3},
+                      {"x": 0.5, "a": -0.5}, {"x": 0.8, "a": 0.0}],
+            "tail": "identity"},
+    "b_policy": {"kind": "proportional", "kappa": 0.2},
+    "delta": 0.1,
+    "experiments": [
+        {"kind": "entropy", "n": 5000, "samples": 1, "seed": 3,
+         "block_len": 8, "p_values": [0.5], "h_base": [0.0, "inf"],
+         "output_path": "deep/ent.csv"},
+        {"kind": "check", "n": 10, "samples": 1, "seed": 0},
+    ],
+    "plot": True,
+}
+
+
 def test_round_trip_full_featured():
-    raw = {
-        "iet": {"family": "ExplicitTable", "n_trunc": 16,
-                "pairs": [{"x": 0.0, "a": 0.3}, {"x": 0.2, "a": 0.3},
-                          {"x": 0.5, "a": -0.5}, {"x": 0.8, "a": 0.0}],
-                "tail": "identity"},
-        "b_policy": {"kind": "proportional", "kappa": 0.2},
-        "delta": 0.1,
-        "experiments": [
-            {"kind": "entropy", "n": 5000, "samples": 1, "seed": 3,
-             "block_len": 8, "p_values": [0.5], "h_base": [0.0, "inf"],
-             "output_path": "deep/ent.csv"},
-            {"kind": "check", "n": 10, "samples": 1, "seed": 0},
-        ],
-        "plot": True,
-    }
-    cfg = parse_config(raw)
+    cfg = parse_config(FULL_FEATURED)
     assert cfg.experiments[0].h_base == (0.0, math.inf)
     assert cfg.experiments[0].output_path == "deep/ent.csv"
     round2 = parse_config(serialize_config(cfg))
@@ -76,6 +87,60 @@ def test_round_trip_full_featured():
     assert serialize_config(round2) == serialize_config(cfg)
     # JSON round trip too: the serialized form must be plain JSON data
     assert parse_config(json.loads(json.dumps(serialize_config(cfg)))) == cfg
+
+
+def pinned_configs() -> dict:
+    """Raw configs whose resolved form every report.json embeds."""
+    raws = {name: json.loads((ROOT / "configs" / f"{name}.json").read_text())
+            for name in ("quick", "default")}
+    for workload in workloads.COMMANDS:
+        for seed in (0, 7):
+            raws[f"{workload}/{seed}"] = workloads.make_config(workload, seed)
+    raws["full_featured"] = FULL_FEATURED
+    raws["empty"] = {}
+    raws["theta"] = {"iet": {"family": "BlockRotation", "theta": 0.3,
+                             "n_trunc": 40}}
+    raws["explicit"] = {"b_policy": {"kind": "explicit",
+                                     "values": [0.01, 0.02, 0.005]}}
+    return raws
+
+
+#: SHA-256 of each resolved config as report.json writes it.
+SERIALIZED = {
+    "quick":
+        "2a459c3e12b1733d71d4614cd2dfb11a3137d5185ca4bc6a70791a797ab48ae2",
+    "default":
+        "7601070c4644711196dd786084b49e4d8225260d8d31d0dcf1ff914de9d87001",
+    "orbit/0":
+        "cc9086119897bace111e731397c3fdbf5776c8c1878f4e5eb624a61ebe206031",
+    "orbit/7":
+        "51a708aaaa5cb2a20c6e1486659808423c802d8e85bc8cc9cdaf4826564c47be",
+    "measure/0":
+        "5ee9556dac1fcfc916d9979f3ec331bf08df8da4d4d53a2810a29283727f8cd9",
+    "measure/7":
+        "30368f90817a535f31750432efc0bbea180ddc7feac5eadd818d79edb2100dc5",
+    "diagnostics/0":
+        "9da330282cc96b5b1a0fdc13c9251e0d9aaad770f804fe7c3a536b5d30d1918a",
+    "diagnostics/7":
+        "a51afcd5778d7e5548b3e557513ae6ff2548b5e01397ebc97976e85e5345e3e9",
+    "full_featured":
+        "46f5c61bb6540520beb15964485df2fa1ea4ddfb76a2ded9c163aef74468962d",
+    "empty":
+        "b42a556daa3bf9669164f1395a99a273a9ee744907fb7331f2eb6a1a904b001d",
+    "theta":
+        "840e20ae581973f4d0e6837e0d9b3dd469497cc820c3ebedb14eb6f6f71e7011",
+    "explicit":
+        "1ce789338522eb9f9e2c09d6b997b5b2988f07b8c5cf53497edff3b577977c7b",
+}
+
+
+def test_serialized_configs_match_pinned_digests():
+    got = {}
+    for name, raw in pinned_configs().items():
+        text = json.dumps(serialize_config(parse_config(raw)), sort_keys=True,
+                          indent=2)
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SERIALIZED
 
 
 def test_unknown_or_invalid_config_rejected():
