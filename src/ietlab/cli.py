@@ -20,8 +20,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .geometry import (
     op_norm_between,
     op_norm_euclidean,
 )
-from .iet import GOLDEN_ROTATION, CountableIET, FiberPoint, validate
+from .iet import DEFAULT_TRUNCATION, CountableIET, FiberPoint, validate
 from .roof import (
     DefaultPolicy,
     ExplicitPolicy,
@@ -64,260 +65,6 @@ from .roof import (
     log_derivative_integral,
     roof_integral,
 )
-
-FAMILIES = ("BlockRotation", "BlockSwap", "VonNeumannKakutani", "ExplicitTable")
-
-
-# ---------------------------------------------------------------------------
-# configuration schema
-# ---------------------------------------------------------------------------
-
-
-def _reject_unknown(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-@dataclass(frozen=True)
-class IETConfig:
-    family: str = "BlockRotation"
-    theta: float | None = None
-    n_trunc: int = 64
-    pairs: tuple = ()
-    tail: str | None = None
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    kind: str = "default"
-    c: float = 0.125
-    rho: float = 0.5
-    kappa: float = 0.25
-    values: tuple = ()
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    kind: str
-    n: int = 1000
-    samples: int = 1
-    seed: int = 0
-    output_path: str | None = None
-    p_values: tuple = (0.1, 0.3, 0.5)
-    block_len: int = 12
-    h_base: tuple = ()
-
-
-@dataclass(frozen=True)
-class LabConfig:
-    iet: IETConfig = field(default_factory=IETConfig)
-    b_policy: PolicyConfig = field(default_factory=PolicyConfig)
-    delta: float = 0.25
-    experiments: tuple = ()
-    plot: bool = False
-
-
-def _parse_iet(raw: dict) -> IETConfig:
-    _reject_unknown(raw, {"family", "theta", "n_trunc", "pairs", "tail"},
-                    "iet")
-    family = raw.get("family", "BlockRotation")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; expected one of "
-                          f"{FAMILIES}")
-    theta = raw.get("theta")
-    if theta is not None:
-        if family != "BlockRotation":
-            raise ConfigError("theta only applies to BlockRotation")
-        theta = float(theta)
-    pairs_raw = raw.get("pairs", [])
-    tail = raw.get("tail")
-    if family == "ExplicitTable":
-        if not pairs_raw:
-            raise ConfigError("ExplicitTable requires pairs")
-        if tail != "identity":
-            raise ConfigError('ExplicitTable requires "tail": "identity"')
-    elif pairs_raw or tail is not None:
-        raise ConfigError("pairs/tail only apply to ExplicitTable")
-    pairs = []
-    for k, entry in enumerate(pairs_raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"pairs[{k}] must be an object with x and a")
-        _reject_unknown(entry, {"x", "a"}, f"pairs[{k}]")
-        if "x" not in entry or "a" not in entry:
-            raise ConfigError(f"pairs[{k}] must have both x and a")
-        pairs.append((float(entry["x"]), float(entry["a"])))
-    n_trunc = int(raw.get("n_trunc", 64))
-    if n_trunc < 2:
-        raise ConfigError("n_trunc must be >= 2")
-    return IETConfig(family=family, theta=theta, n_trunc=n_trunc,
-                     pairs=tuple(pairs), tail=tail)
-
-
-def _parse_policy(raw: dict) -> PolicyConfig:
-    _reject_unknown(raw, {"kind", "c", "rho", "kappa", "values"}, "b_policy")
-    kind = raw.get("kind", "default")
-    if kind not in ("default", "proportional", "explicit"):
-        raise ConfigError(f"unknown b_policy kind {kind!r}")
-    extras = {"default": {"c", "rho"}, "proportional": {"kappa"},
-              "explicit": {"values"}}[kind]
-    for key in ("c", "rho", "kappa", "values"):
-        if key in raw and key not in extras:
-            raise ConfigError(f"b_policy key {key!r} does not apply to "
-                              f"kind {kind!r}")
-    if kind == "explicit" and not raw.get("values"):
-        raise ConfigError("explicit b_policy requires values")
-    return PolicyConfig(
-        kind=kind,
-        c=float(raw.get("c", 0.125)),
-        rho=float(raw.get("rho", 0.5)),
-        kappa=float(raw.get("kappa", 0.25)),
-        values=tuple(float(v) for v in raw.get("values", [])))
-
-
-def _parse_h_base(value) -> float:
-    if value == "inf":
-        return math.inf
-    h = float(value)
-    if math.isnan(h) or h < 0.0:
-        raise ConfigError("h_base entries must be >= 0 or \"inf\"")
-    return h
-
-
-def _parse_experiment(raw: dict, pos: int) -> ExperimentSpec:
-    where = f"experiments[{pos}]"
-    base_keys = {"kind", "n", "samples", "seed", "output_path"}
-    entropy_keys = {"p_values", "block_len", "h_base"}
-    _reject_unknown(raw, base_keys | entropy_keys, where)
-    if "kind" not in raw:
-        raise ConfigError(f"{where} missing kind")
-    kind = raw["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"{where}: unknown kind {kind!r}")
-    if kind != "entropy":
-        for key in entropy_keys:
-            if key in raw:
-                raise ConfigError(f"{where}: key {key!r} only applies to "
-                                  "entropy experiments")
-    n = int(raw.get("n", 1000))
-    samples = int(raw.get("samples", 1))
-    if n < 1 or samples < 1:
-        raise ConfigError(f"{where}: n and samples must be >= 1")
-    output_path = raw.get("output_path")
-    if output_path is not None:
-        p = Path(output_path)
-        if p.is_absolute() or ".." in p.parts:
-            raise ConfigError(f"{where}: output_path must be relative and "
-                              "must not escape the output directory")
-    return ExperimentSpec(
-        kind=kind, n=n, samples=samples, seed=int(raw.get("seed", 0)),
-        output_path=output_path,
-        p_values=tuple(float(p) for p in raw.get("p_values", (0.1, 0.3, 0.5))),
-        block_len=int(raw.get("block_len", 12)),
-        h_base=tuple(_parse_h_base(h) for h in raw.get("h_base", ())))
-
-
-def parse_config(raw: dict) -> LabConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, {"iet", "b_policy", "delta", "experiments", "plot"},
-                    "config root")
-    try:
-        delta = float(raw.get("delta", 0.25))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed delta: {exc}") from exc
-    if not 0.0 < delta < 0.5:
-        raise ConfigError("delta must lie in (0, 1/2)")
-    experiments = raw.get("experiments", [])
-    if not isinstance(experiments, list):
-        raise ConfigError("experiments must be a list")
-    plot = raw.get("plot", False)
-    if not isinstance(plot, bool):
-        raise ConfigError("plot must be a boolean")
-    try:
-        return LabConfig(
-            iet=_parse_iet(raw.get("iet", {})),
-            b_policy=_parse_policy(raw.get("b_policy", {})),
-            delta=delta,
-            experiments=tuple(_parse_experiment(e, k)
-                              for k, e in enumerate(experiments)),
-            plot=plot)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
-
-
-def serialize_config(cfg: LabConfig) -> dict:
-    """JSON-ready dict with every field materialized (round-trips exactly)."""
-    iet: dict = {"family": cfg.iet.family, "n_trunc": cfg.iet.n_trunc}
-    if cfg.iet.theta is not None:
-        iet["theta"] = cfg.iet.theta
-    if cfg.iet.family == "ExplicitTable":
-        iet["pairs"] = [{"x": x, "a": a} for x, a in cfg.iet.pairs]
-        iet["tail"] = cfg.iet.tail
-    pol: dict = {"kind": cfg.b_policy.kind}
-    if cfg.b_policy.kind == "default":
-        pol["c"] = cfg.b_policy.c
-        pol["rho"] = cfg.b_policy.rho
-    elif cfg.b_policy.kind == "proportional":
-        pol["kappa"] = cfg.b_policy.kappa
-    else:
-        pol["values"] = list(cfg.b_policy.values)
-    exps = []
-    for e in cfg.experiments:
-        entry: dict = {"kind": e.kind, "n": e.n, "samples": e.samples,
-                       "seed": e.seed}
-        if e.output_path is not None:
-            entry["output_path"] = e.output_path
-        if e.kind == "entropy":
-            entry["p_values"] = list(e.p_values)
-            entry["block_len"] = e.block_len
-            entry["h_base"] = ["inf" if math.isinf(h) else h
-                               for h in e.h_base]
-        exps.append(entry)
-    return {"iet": iet, "b_policy": pol, "delta": cfg.delta,
-            "experiments": exps, "plot": cfg.plot}
-
-
-def load_config(path) -> LabConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(raw)
-
-
-# ---------------------------------------------------------------------------
-# building the objects
-# ---------------------------------------------------------------------------
-
-
-def build_iet(cfg: IETConfig) -> CountableIET:
-    if cfg.family == "BlockRotation":
-        theta = GOLDEN_ROTATION if cfg.theta is None else cfg.theta
-        return CountableIET.block_rotation(theta=theta, n_trunc=cfg.n_trunc)
-    if cfg.family == "BlockSwap":
-        return CountableIET.block_swap(n_trunc=cfg.n_trunc)
-    if cfg.family == "VonNeumannKakutani":
-        return CountableIET.von_neumann_kakutani(n_trunc=cfg.n_trunc)
-    return CountableIET.explicit_table(list(cfg.pairs), n_trunc=cfg.n_trunc)
-
-
-def build_policy(cfg: PolicyConfig):
-    if cfg.kind == "default":
-        return DefaultPolicy(c=cfg.c, rho=cfg.rho)
-    if cfg.kind == "proportional":
-        return ProportionalPolicy(kappa=cfg.kappa)
-    return ExplicitPolicy(values=tuple(cfg.values))
-
-
-def build_spec(cfg: LabConfig):
-    iet = build_iet(cfg.iet)
-    spec, summability = choose_b_and_check(iet, build_policy(cfg.b_policy))
-    return iet, spec, summability
-
 
 # ---------------------------------------------------------------------------
 # output helpers
@@ -335,12 +82,6 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _render_float(v: float):
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
 
 
 def _csv_target(out_dir: Path, exp: ExperimentSpec, kind: str,
@@ -692,6 +433,255 @@ KINDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
+# configuration schema
+# ---------------------------------------------------------------------------
+#
+# Each config key is one dataclass field below: its default and, in its
+# metadata, its Form (check, reading, JSON form) and, for a key that only
+# one family or kind takes, that value of its section's SELECTOR key.
+# Parsing, serializing and building the objects read nothing else.
+
+FAMILIES = {
+    "BlockRotation": CountableIET.block_rotation,
+    "BlockSwap": CountableIET.block_swap,
+    "VonNeumannKakutani": CountableIET.von_neumann_kakutani,
+    "ExplicitTable": CountableIET.explicit_table,
+}
+POLICIES = {
+    "default": DefaultPolicy,
+    "proportional": ProportionalPolicy,
+    "explicit": ExplicitPolicy,
+}
+
+
+def _same(value, where=None):
+    return value
+
+
+class Form(NamedTuple):
+    """A kind of JSON value: the test it must pass, how to read and write it."""
+
+    valid: Callable  # JSON value -> bool
+    what: str  # a valid value, as error messages describe it
+    read: Callable = _same  # (JSON value, where) -> value
+    dump: Callable = _same  # value -> JSON value
+
+    def parse(self, value, where: str):
+        if not self.valid(value):
+            raise ConfigError(f"{where} must be {self.what}")
+        return self.read(value, where)
+
+
+def _key(form: Form, default=MISSING, only: str | None = None):
+    return field(default=default, metadata={"form": form, "only": only})
+
+
+def _real(value) -> float:
+    """A JSON number as a float; nan (outside every range) for anything else."""
+    if type(value) not in (int, float):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _number(lo: float = -math.inf, hi: float = math.inf) -> Form:
+    """A JSON number strictly between ``lo`` and ``hi``, hence finite."""
+    return Form(lambda v: lo < _real(v) < hi, f"a number in ({lo:g}, {hi:g})",
+                lambda v, where: _real(v))
+
+
+def _integer(lo: int) -> Form:
+    return Form(lambda v: type(v) is int and v >= lo, f"an integer >= {lo}")
+
+
+def _choice(options: tuple) -> Form:
+    return Form(lambda v: isinstance(v, str) and v in options,
+                f"one of {list(options)}")
+
+
+def _list_of(item: Form) -> Form:
+    return Form(lambda v: isinstance(v, list), "a list",
+                lambda v, where: tuple(item.parse(x, f"{where}[{k}]")
+                                       for k, x in enumerate(v)),
+                lambda values: [item.dump(x) for x in values])
+
+
+def _section(cls) -> Form:
+    return Form(lambda v: isinstance(v, dict), "a JSON object",
+                lambda v, where: _parse_section(cls, v, where), _dump_section)
+
+
+def _is_relative_file(value) -> bool:
+    if not isinstance(value, str) or "\0" in value:
+        return False
+    path = Path(value)
+    return bool(path.parts) and not path.is_absolute() \
+        and ".." not in path.parts
+
+
+_BOOLEAN = Form(lambda v: type(v) is bool, "true or false")
+_PATH = Form(_is_relative_file,
+             "a non-empty relative file path inside the output directory")
+_PAIR = Form(lambda v: isinstance(v, dict) and set(v) == {"x", "a"},
+             "an object with keys x and a",
+             lambda v, where: tuple(_number().parse(v[k], f"{where}.{k}")
+                                    for k in "xa"),
+             lambda pair: {"x": pair[0], "a": pair[1]})
+_RATE = Form(lambda v: v == "inf" or 0.0 <= _real(v) < math.inf,
+             'a number >= 0 or "inf"',
+             lambda v, where: math.inf if v == "inf" else _real(v),
+             lambda h: "inf" if math.isinf(h) else h)
+
+
+def _applicable(section):
+    """(key, form, value) of each set key that applies to ``section``."""
+    selector = getattr(section, "SELECTOR", None)
+    selected = getattr(section, selector) if selector else None
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if value is not None and f.metadata["only"] in (None, selected):
+            yield f.name, f.metadata["form"], value
+
+
+def _parse_section(cls, raw: dict, where: str):
+    keys = {f.name: f for f in fields(cls)}
+    unknown = raw.keys() - keys.keys()
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in "
+                          f"{where or 'config root'}")
+    values = {}
+    for key, f in keys.items():
+        at = f"{where}.{key}" if where else key
+        if key in raw:
+            values[key] = f.metadata["form"].parse(raw[key], at)
+        elif f.default is MISSING:
+            raise ConfigError(f"{at} is required")
+    section = cls(**values)
+    stray = sorted(raw.keys() - {key for key, _, _ in _applicable(section)})
+    if stray:
+        raise ConfigError(f"{where}.{stray[0]} does not apply to "
+                          f"{cls.SELECTOR} {getattr(section, cls.SELECTOR)!r}")
+    return section
+
+
+def _dump_section(section) -> dict:
+    return {key: form.dump(value) for key, form, value in _applicable(section)}
+
+
+@dataclass(frozen=True)
+class IETConfig:
+    SELECTOR: ClassVar[str] = "family"
+
+    family: str = _key(_choice(tuple(FAMILIES)), "BlockRotation")
+    theta: float | None = _key(_number(0.0, 1.0), None, only="BlockRotation")
+    n_trunc: int = _key(_integer(2), DEFAULT_TRUNCATION)
+    pairs: tuple = _key(_list_of(_PAIR), (), only="ExplicitTable")
+    tail: str | None = _key(_choice(("identity",)), None, only="ExplicitTable")
+
+    def __post_init__(self):
+        if self.family == "ExplicitTable" and not (self.pairs and self.tail):
+            raise ConfigError('iet: ExplicitTable requires pairs and '
+                              '"tail": "identity"')
+
+
+@dataclass(frozen=True)
+class PolicyConfig:
+    SELECTOR: ClassVar[str] = "kind"
+
+    kind: str = _key(_choice(tuple(POLICIES)), "default")
+    c: float = _key(_number(0.0), DefaultPolicy.c, only="default")
+    rho: float = _key(_number(0.0, 1.0), DefaultPolicy.rho, only="default")
+    kappa: float = _key(_number(0.0, 0.5), ProportionalPolicy.kappa,
+                        only="proportional")
+    values: tuple = _key(_list_of(_number(0.0)), (), only="explicit")
+
+    def __post_init__(self):
+        if self.kind == "explicit" and not self.values:
+            raise ConfigError("b_policy: an explicit policy requires values")
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    SELECTOR: ClassVar[str] = "kind"
+
+    kind: str = _key(_choice(KINDS))
+    n: int = _key(_integer(1), 1000)
+    samples: int = _key(_integer(1), 1)
+    seed: int = _key(_integer(0), 0)
+    output_path: str | None = _key(_PATH, None)
+    p_values: tuple = _key(_list_of(_number(0.0, 1.0)), (0.1, 0.3, 0.5),
+                           only="entropy")
+    block_len: int = _key(_integer(1), 12, only="entropy")
+    h_base: tuple = _key(_list_of(_RATE), (), only="entropy")
+
+
+@dataclass(frozen=True)
+class LabConfig:
+    iet: IETConfig = _key(_section(IETConfig), IETConfig())
+    b_policy: PolicyConfig = _key(_section(PolicyConfig), PolicyConfig())
+    delta: float = _key(_number(0.0, 0.5), MetricParams.delta)
+    experiments: tuple = _key(_list_of(_section(ExperimentSpec)), ())
+    plot: bool = _key(_BOOLEAN, False)
+
+
+def parse_config(raw) -> LabConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return _parse_section(LabConfig, raw, "")
+
+
+def serialize_config(cfg: LabConfig) -> dict:
+    """JSON-ready dict with every field materialized (round-trips exactly)."""
+    return _dump_section(cfg)
+
+
+def load_config(path) -> LabConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return parse_config(raw)
+
+
+# ---------------------------------------------------------------------------
+# building the objects
+# ---------------------------------------------------------------------------
+
+
+def _arguments(section, *skip: str) -> dict:
+    """The set keys that apply to ``section``, less ``skip``, by name."""
+    return {key: value for key, _, value in _applicable(section)
+            if key not in skip}
+
+
+def build_iet(cfg: IETConfig) -> CountableIET:
+    # the identity tail that "tail" names is the only one explicit_table makes
+    return FAMILIES[cfg.family](**_arguments(cfg, "family", "tail"))
+
+
+def build_policy(cfg: PolicyConfig):
+    return POLICIES[cfg.kind](**_arguments(cfg, "kind"))
+
+
+def build_spec(cfg: LabConfig):
+    """(base map, roof, summability report); a violated constraint is a
+    config error that names the section it comes from."""
+    section = "iet"
+    try:
+        iet = build_iet(cfg.iet)
+        section = "b_policy"
+        spec, summability = choose_b_and_check(iet, build_policy(cfg.b_policy))
+    except ConstraintViolationError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+    return iet, spec, summability
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -715,7 +705,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         iet, spec, summability = build_spec(cfg)
-    except (ConfigError, ConstraintViolationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -747,6 +737,10 @@ def main(argv=None) -> int:
     except LabError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # e.g. one experiment's output_path is a directory of another's
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     report = {
         "command": args.kind,

@@ -26,8 +26,11 @@ import numpy as np
 
 from . import kernels
 from .errors import ConstraintViolationError, raise_for_status
-from .iet import CountableIET, FiberPoint
+from .iet import FiberPoint
 from .roof import RoofSpec, RoofValue
+
+#: Edge gluings ``canonicalize`` may apply before it gives up.
+MAX_GLUE = 100000
 
 
 class SuspensionPoint(NamedTuple):
@@ -66,8 +69,8 @@ class MetricParams:
 # ---------------------------------------------------------------------------
 
 
-def canonicalize(spec: RoofSpec, base: FiberPoint, y_raw: float,
-                 max_glue: int = 100000) -> SuspensionPoint:
+def canonicalize(spec: RoofSpec, base: FiberPoint,
+                 y_raw: float) -> SuspensionPoint:
     """Apply the edge gluing until -r(T^-1 x) <= y < r(x).
 
     Already-canonical points are returned bit-exactly unchanged.  Each
@@ -76,7 +79,7 @@ def canonicalize(spec: RoofSpec, base: FiberPoint, y_raw: float,
     """
     i, u, y, status = kernels.canonicalize_k(
         spec.iet.pack(), spec.pack(), base.index, base.offset, float(y_raw),
-        max_glue)
+        MAX_GLUE)
     raise_for_status(status, "canonicalize")
     return SuspensionPoint(FiberPoint(int(i), float(u)), float(y))
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    ConsistencyError,
     ConstraintViolationError,
     TruncationExceededError,
     raise_for_status,
@@ -34,6 +33,9 @@ GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Default number of retained intervals.
 DEFAULT_TRUNCATION = 64
+
+#: Relative tolerance of the endpoint-isolation check in ``validate``.
+ISOLATION_GAP_TOL = 1e-9
 
 _DUMMY_F = np.zeros(1, dtype=np.float64)
 _DUMMY_I = np.zeros(1, dtype=np.int64)
@@ -201,22 +203,6 @@ class CountableIET:
     def right(self, i: int) -> float:
         return self.left(i) + self.length(i)
 
-    def translation(self, i: int) -> float:
-        """Shift applied on interval ``i`` (0 on identity tails)."""
-        self._check_index(i)
-        fam = self.family
-        if fam == kernels.FAM_ROTATION:
-            block = math.ldexp(1.0, -(i >> 1) - 1)
-            cut = (1.0 - self.theta) * block
-            return block - cut if (i & 1) == 0 else -cut
-        if fam == kernels.FAM_SWAP:
-            half = math.ldexp(1.0, -(i >> 1) - 2)
-            return half if (i & 1) == 0 else -half
-        if fam == kernels.FAM_ODOMETER:
-            return 0.5 if i == 0 else 3.0 * math.ldexp(1.0, -i - 1) - 1.0
-        nf = self.n_finite
-        return float(self.aa[i]) if i < nf else 0.0
-
     # -- points ------------------------------------------------------------
 
     def locate(self, x: float) -> FiberPoint:
@@ -325,16 +311,15 @@ class CheckReport:
         }
 
 
-def validate(iet: CountableIET, n_check: int | None = None,
-             gap_tol: float = 1e-9) -> CheckReport:
+def validate(iet: CountableIET, n_check: int | None = None) -> CheckReport:
     """Check the truncated map against the structural requirements.
 
     Three checks run over the first ``n_check`` intervals:
 
     * partition: left endpoints start at 0, increase strictly, stay below 1;
     * isolation: each image endpoint outside the unchecked tail zone must
-      have no other image endpoint within ``gap_tol`` times its distance to
-      1 (accumulation anywhere except 1 is flagged);
+      have no other image endpoint within ``ISOLATION_GAP_TOL`` times its
+      distance to 1 (accumulation anywhere except 1 is flagged);
     * covering: image intervals lie in [0, 1) and are pairwise disjoint.
 
     The isolation tolerance is relative to the gap 1 - y so that families
@@ -392,7 +377,7 @@ def validate(iet: CountableIET, n_check: int | None = None,
             nearest = min(nearest, points[pos + 1] - y)
         # relative to the gap below 1, so endpoints that legitimately pile
         # up at 1 pass at any truncation depth
-        if nearest <= gap_tol * max(1.0 - y, 1e-300):
+        if nearest <= ISOLATION_GAP_TOL * max(1.0 - y, 1e-300):
             report.cond_isolation = False
             if len(report.offenders) < 8:
                 report.offenders.append((float(y), float(nearest)))
@@ -447,10 +432,6 @@ class PartitionEntropy:
             return math.nan
         return self.partial_sum + self.tail_bound
 
-    def as_dict(self) -> dict:
-        return {"partial_sum": self.partial_sum, "tail_bound": self.tail_bound,
-                "status": self.status, "value": self.value}
-
 
 def _entropy_term(lengths: np.ndarray) -> np.ndarray:
     return -lengths * np.log(lengths)
@@ -501,8 +482,7 @@ def partition_entropy(iet: CountableIET, n_terms: int | None = None) -> Partitio
     """
     if n_terms is None:
         n_terms = iet.n_trunc
-    fam = iet.family
-    if fam == kernels.FAM_EXPLICIT:
+    if iet.family == kernels.FAM_EXPLICIT:
         nf = iet.n_finite
         lengths = np.diff(iet.xs)
         head = lengths[:min(n_terms, nf)]
@@ -515,16 +495,10 @@ def partition_entropy(iet: CountableIET, n_terms: int | None = None) -> Partitio
         status, _ = _octave_trend(lengths) if nf else ("CONVERGENT", 0.0)
         return PartitionEntropy(partial, tail, status)
 
+    base = iet.pack()
+
     def term(i: int) -> float:
-        block = math.ldexp(1.0, -(i >> 1) - 1) if fam != kernels.FAM_ODOMETER \
-            else math.ldexp(1.0, -i - 1)
-        if fam == kernels.FAM_ROTATION:
-            piece = (1.0 - iet.theta) * block if (i & 1) == 0 \
-                else block - (1.0 - iet.theta) * block
-        elif fam == kernels.FAM_SWAP:
-            piece = 0.5 * block
-        else:
-            piece = block
+        piece = kernels.iet_length(base, i)
         return -piece * math.log(piece)
 
     partial = sum(term(i) for i in range(n_terms))

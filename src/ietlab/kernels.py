@@ -42,8 +42,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 try:
     import numba
 

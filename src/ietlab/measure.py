@@ -30,11 +30,15 @@ from .errors import (
 )
 from .geometry import SuspensionPoint
 from .iet import CountableIET, FiberPoint
-from .roof import RoofIntegral, RoofSpec, roof_integral
+from .roof import RoofSpec, roof_integral
 
 log = logging.getLogger(__name__)
 
+#: Samples per chunk of ``sample_mu``; each chunk has its own seed, so this
+#: fixes the sampler's seed layout.
 SAMPLE_CHUNK = 65536
+SAMPLE_MAX_ROUNDS = 512
+CODED_ORBIT_ATTEMPTS = 100
 MIN_EFFICIENCY = 0.25
 
 
@@ -144,8 +148,7 @@ def _spike_fraction(rng: np.random.Generator, k: int) -> np.ndarray:
     return np.maximum(v, 1e-300)
 
 
-def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
-              chunk: int = SAMPLE_CHUNK, max_rounds: int = 512) -> PointBatch:
+def sample_mu(spec: RoofSpec, count: int, seed: int | tuple) -> PointBatch:
     """Draw ``count`` exact samples from the normalized suspension measure.
 
     Deterministic given ``seed`` (an integer or a tuple of integers): chunk
@@ -172,15 +175,15 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple,
     stats = PointBatch(out_idx, out_off, out_hei)
 
     filled = 0
-    n_chunks = (count + chunk - 1) // chunk
+    n_chunks = (count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     for ci in range(n_chunks):
-        want = min(chunk, count - filled)
+        want = min(SAMPLE_CHUNK, count - filled)
         rng = np.random.default_rng(np.random.SeedSequence(seed_words + (ci,)))
         got = 0
         rounds = 0
         while got < want:
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > SAMPLE_MAX_ROUNDS:
                 raise ConsistencyError("rejection sampler stalled; check roof")
             k = want - got
             stats.proposals += k
@@ -414,8 +417,7 @@ def bernoulli_stream(p: float, length: int, seed: int) -> SymbolStream:
 
 def coded_orbit_stream(iet: CountableIET, length: int, seed: int = 0,
                        start: FiberPoint | None = None,
-                       alphabet_size: int = 16,
-                       max_attempts: int = 100) -> SymbolStream:
+                       alphabet_size: int = 16) -> SymbolStream:
     """Symbolic coding of a base orbit: symbol = min(interval index, A - 1).
 
     A random start is redrawn if the orbit leaves the representable index
@@ -423,7 +425,7 @@ def coded_orbit_stream(iet: CountableIET, length: int, seed: int = 0,
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     out = np.empty(length, dtype=np.int64)
-    for _ in range(max_attempts):
+    for _ in range(CODED_ORBIT_ATTEMPTS):
         p = start if start is not None else iet.locate(rng.random())
         status = kernels.code_orbit(iet.pack(), p.index, p.offset,
                                     alphabet_size, out)

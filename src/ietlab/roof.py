@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .iet import CountableIET, FiberPoint, partition_entropy
 
 #: Relative half-width of the refusal zone around each breakpoint.
 EXCLUSION_BAND = 1e-12
-
-TAG_NAMES = {1: "I1", 2: "I2", 3: "I3", 4: "I4", 5: "I5"}
 
 
 class RoofValue(tuple):
@@ -50,10 +48,6 @@ class RoofValue(tuple):
     @property
     def tag(self) -> int:
         return self[2]
-
-    @property
-    def tag_name(self) -> str:
-        return TAG_NAMES[self[2]]
 
 
 def smooth_step_alpha(t: float) -> tuple[float, float]:
@@ -187,10 +181,6 @@ class SummabilityReport:
     partial_sum: float
     tail_bound: float
     verdict: str
-
-    def as_dict(self) -> dict:
-        return {"partial_sum": self.partial_sum, "tail_bound": self.tail_bound,
-                "verdict": self.verdict}
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +360,6 @@ class RoofIntegral:
     @property
     def error_bound(self) -> float:
         return self.tail_bound + self.quad_error
-
-    def as_dict(self) -> dict:
-        return {"value": self.value, "tail_bound": self.tail_bound,
-                "quad_error": self.quad_error}
 
 
 def roof_integral(spec: RoofSpec, n_terms: int | None = None,

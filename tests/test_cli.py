@@ -182,6 +182,30 @@ def test_unknown_or_invalid_config_rejected():
         {"experiments": [{"kind": "measure", "output_path": "../up.csv"}]},
         {"experiments": [{"kind": "check", "whoops": 1}]},
         [1, 2, 3],
+        # a section or an entry that is not an object
+        {"iet": []},
+        {"b_policy": "default"},
+        {"experiments": [1]},
+        {"iet": {"family": "ExplicitTable", "tail": "identity",
+                 "pairs": [[0.0, 0.0]]}},
+        # integers must be JSON integers, numbers must not be booleans
+        {"iet": {"n_trunc": 64.0}},
+        {"experiments": [{"kind": "lyapunov", "n": 1000.7}]},
+        {"experiments": [{"kind": "lyapunov", "samples": True}]},
+        {"experiments": [{"kind": "lyapunov", "seed": "3"}]},
+        {"experiments": [{"kind": "entropy", "block_len": 12.0}]},
+        {"b_policy": {"kind": "default", "c": True}},
+        {"b_policy": {"kind": "explicit", "values": [True]}},
+        {"iet": {"theta": None}},
+        # ranges
+        {"experiments": [{"kind": "lyapunov", "seed": -1}]},
+        {"experiments": [{"kind": "measure", "output_path": ""}]},
+        {"experiments": [{"kind": "measure", "output_path": "."}]},
+        {"experiments": [{"kind": "entropy", "p_values": [1.5]}]},
+        {"experiments": [{"kind": "entropy", "p_values": [0.0]}]},
+        {"experiments": [{"kind": "entropy", "block_len": 0}]},
+        {"b_policy": {"kind": "default", "rho": 1.0}},
+        {"iet": {"theta": 1.5}},
     ]
     for raw in bad_configs:
         with pytest.raises(ConfigError):
@@ -266,6 +290,28 @@ def test_exit_code_one_for_config_and_usage_errors(tmp_path):
     assert main(["check"]) == 1
     # --help exits cleanly
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"iet": []}, "iet"),
+    (cfg_with({"kind": "check", "seed": -1}), "experiments[0].seed"),
+    (cfg_with({"kind": "check", "output_path": ""}),
+     "experiments[0].output_path"),
+    (cfg_with({"kind": "entropy", "p_values": [1.5]}),
+     "experiments[0].p_values[0]"),
+    (cfg_with({"kind": "entropy", "block_len": 0}),
+     "experiments[0].block_len"),
+    (cfg_with({"kind": "measure", "n": 2000, "output_path": "x"},
+              {"kind": "measure", "n": 2000, "output_path": "x/y.csv"}),
+     "cannot write output"),
+])
+def test_invalid_config_exits_one_naming_the_key(tmp_path, capsys, data, key):
+    kind = data.get("experiments", [{"kind": "check"}])[0]["kind"]
+    cfg = write_cfg(tmp_path, data)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
 
 
 def test_exit_code_two_for_insufficient_data(tmp_path):

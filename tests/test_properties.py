@@ -133,11 +133,18 @@ simple_policy = st.one_of(
 
 simple_iet = st.one_of(
     st.fixed_dictionaries({"family": st.just("BlockRotation"),
-                           "theta": st.floats(0.05, 0.95),
-                           "n_trunc": st.integers(2, 128)}),
+                           "n_trunc": st.integers(2, 128)},
+                          optional={"theta": st.floats(0.05, 0.95)}),
     st.fixed_dictionaries({"family": st.sampled_from(
                                ["BlockSwap", "VonNeumannKakutani"]),
                            "n_trunc": st.integers(2, 128)}),
+    st.fixed_dictionaries({"family": st.just("ExplicitTable"),
+                           "n_trunc": st.integers(2, 128),
+                           "pairs": st.lists(st.fixed_dictionaries(
+                               {"x": st.floats(0.0, 0.99),
+                                "a": st.floats(-1.0, 1.0)}),
+                               min_size=1, max_size=6),
+                           "tail": st.just("identity")}),
 )
 
 
@@ -155,8 +162,10 @@ def experiment_strategy():
                "h_base": st.lists(st.one_of(st.just("inf"),
                                             st.floats(0.0, 10.0)),
                                   max_size=3)}
-    return st.one_of(st.fixed_dictionaries(base),
-                     st.fixed_dictionaries(entropy))
+    optional = {"output_path": st.from_regex(
+        r"[a-z]{1,8}(/[a-z]{1,8}){0,2}\.csv", fullmatch=True)}
+    return st.one_of(st.fixed_dictionaries(base, optional=optional),
+                     st.fixed_dictionaries(entropy, optional=optional))
 
 
 @settings(max_examples=150, **COMMON)
