@@ -7,7 +7,8 @@ reproducibility bug.  ``parse_config(serialize_config(cfg)) == cfg`` holds
 for every valid config.
 
 Exit codes: 0 all passed, 1 config or usage error (including constraint
-violations while building the objects), 2 experiment or check failure.
+violations while building the objects and outputs that cannot be
+written), 2 experiment or check failure.
 CSV cells use shortest round-trip decimals; rerunning a command with the
 same config yields byte-identical CSV files, and a report.json identical
 except for the wall-clock field.
@@ -712,7 +713,6 @@ def main(argv=None) -> int:
     params = MetricParams(delta=cfg.delta)
     plot = args.plot or cfg.plot
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     selected = [e for e in cfg.experiments if e.kind == args.kind]
     if args.kind == "check" and not selected:
@@ -734,23 +734,23 @@ def main(argv=None) -> int:
                 plotter(spec, data, out_path.with_suffix(".svg"))
             results.append(result)
             exit_code = max(exit_code, code)
+        report = {
+            "command": args.kind,
+            "config": serialize_config(cfg),
+            "results": results,
+            "wall_clock_seconds": time.monotonic() - started,
+        }
+        with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except LabError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # e.g. one experiment's output_path is a directory of another's
+        # --out is a file, or an output_path is a directory of another
+        # output (report.json included)
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 1
-
-    report = {
-        "command": args.kind,
-        "config": serialize_config(cfg),
-        "results": results,
-        "wall_clock_seconds": time.monotonic() - started,
-    }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return exit_code
 
 

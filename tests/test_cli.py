@@ -196,11 +196,13 @@ def test_unknown_or_invalid_config_rejected():
         {"experiments": [{"kind": "entropy", "block_len": 12.0}]},
         {"b_policy": {"kind": "default", "c": True}},
         {"b_policy": {"kind": "explicit", "values": [True]}},
+        {"b_policy": {"kind": "default", "c": 10**400}},  # no float
         {"iet": {"theta": None}},
         # ranges
         {"experiments": [{"kind": "lyapunov", "seed": -1}]},
         {"experiments": [{"kind": "measure", "output_path": ""}]},
         {"experiments": [{"kind": "measure", "output_path": "."}]},
+        {"experiments": [{"kind": "measure", "output_path": "a\0b.csv"}]},
         {"experiments": [{"kind": "entropy", "p_values": [1.5]}]},
         {"experiments": [{"kind": "entropy", "p_values": [0.0]}]},
         {"experiments": [{"kind": "entropy", "block_len": 0}]},
@@ -285,6 +287,13 @@ def test_exit_code_one_for_config_and_usage_errors(tmp_path):
     only_check = write_cfg(tmp_path, cfg_with({"kind": "check"}), "oc.json")
     assert main(["lyapunov", "--config", only_check, "--out", out]) == 1
 
+    # an output that cannot be written: --out names a file
+    not_a_dir = tmp_path / "not_a_dir"
+    not_a_dir.write_text("")
+    small = write_cfg(tmp_path, cfg_with({"kind": "measure", "n": 2000}),
+                      "small.json")
+    assert main(["measure", "--config", small, "--out", str(not_a_dir)]) == 1
+
     # argparse failures: unknown kind, missing --config
     assert main(["frobnicate", "--config", only_check]) == 1
     assert main(["check"]) == 1
@@ -292,7 +301,7 @@ def test_exit_code_one_for_config_and_usage_errors(tmp_path):
     assert main(["--help"]) == 0
 
 
-@pytest.mark.parametrize("data, key", [
+@pytest.mark.parametrize("data, cause", [
     ({"iet": []}, "iet"),
     (cfg_with({"kind": "check", "seed": -1}), "experiments[0].seed"),
     (cfg_with({"kind": "check", "output_path": ""}),
@@ -304,14 +313,19 @@ def test_exit_code_one_for_config_and_usage_errors(tmp_path):
     (cfg_with({"kind": "measure", "n": 2000, "output_path": "x"},
               {"kind": "measure", "n": 2000, "output_path": "x/y.csv"}),
      "cannot write output"),
+    (cfg_with({"kind": "measure", "n": 2000,
+               "output_path": "report.json/m.csv"}),
+     "cannot write output"),
 ])
-def test_invalid_config_exits_one_naming_the_key(tmp_path, capsys, data, key):
+def test_invalid_config_exits_one_with_config_error(tmp_path, capsys, data,
+                                                    cause):
+    """The message names the key at fault, or the output it cannot write."""
     kind = data.get("experiments", [{"kind": "check"}])[0]["kind"]
     cfg = write_cfg(tmp_path, data)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert key in err
+    assert cause in err
 
 
 def test_exit_code_two_for_insufficient_data(tmp_path):
