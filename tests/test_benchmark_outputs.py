@@ -1,9 +1,9 @@
-"""The benchmark's orbit and measure workloads, run through `lab`, against
-their pinned CSVs.
+"""The benchmark's three workloads, run through `lab`, against their pinned
+CSVs.
 
 ``perfbench`` gates every benchmark run on these digests; running the same
-configs here keeps the experiments' and the measure check's outputs under
-the tier-1 tests.
+configs here keeps the experiments', the measure check's, the check suite's
+and the entropy estimators' outputs under the tier-1 tests.
 """
 
 import json
@@ -38,3 +38,8 @@ def test_orbit_workload_csvs_match_pinned_digests(tmp_path, kind):
 
 def test_measure_workload_csv_matches_pinned_digest(tmp_path):
     run_pinned(tmp_path, "measure", "measure")
+
+
+@pytest.mark.parametrize("kind", workloads.COMMANDS["diagnostics"])
+def test_diagnostics_workload_csvs_match_pinned_digests(tmp_path, kind):
+    run_pinned(tmp_path, "diagnostics", kind)
