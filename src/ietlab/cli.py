@@ -32,7 +32,6 @@ from .flow import (
     cocycle,
     aaronson_experiment,
     flow as flow_point,
-    jacobian_step,
     lyapunov_experiment,
 )
 from .measure import (
@@ -44,18 +43,7 @@ from .measure import (
     total_mass,
 )
 from .errors import ConfigError, ConstraintViolationError, LabError
-from .geometry import (
-    MetricParams,
-    SuspensionPoint,
-    TangentVec,
-    beta_factor,
-    canonicalize,
-    constant_C,
-    metric_form,
-    metric_norm,
-    op_norm_between,
-    op_norm_euclidean,
-)
+from .geometry import MetricParams, SuspensionPoint, canonicalize
 from .iet import DEFAULT_TRUNCATION, CountableIET, FiberPoint, validate
 from .roof import (
     DefaultPolicy,
@@ -165,18 +153,39 @@ def _random_canonical(spec: RoofSpec, rng) -> SuspensionPoint:
             continue
 
 
+# The sandwich and beta checks draw their points as ``_random_canonical``
+# does and evaluate them all with one call of each lane evaluator.  ``lanes``
+# is imported on first use, so that other commands do not load it.
+
+
+def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
+                     count: int):
+    """Points, vectors, both norms and C(z) of the sandwich check."""
+    from . import lanes
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
+    z, dx, dy = lanes.sandwich_draws(spec, rng, count)
+    ne = lanes.metric_norm(spec, params, z, dx, dy, kind="euclidean")
+    nd = lanes.metric_norm(spec, params, z, dx, dy, kind="delta")
+    return z, dx, dy, ne, nd, lanes.constant_C(spec, z)
+
+
+def _beta_values(spec: RoofSpec, params: MetricParams, seed: int,
+                 count: int):
+    """Points and the two sides of the beta check's bound."""
+    from . import lanes
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
+    z, jac, z1 = lanes.beta_draws(spec, rng, count)
+    lhs = lanes.op_norm_between(lanes.metric_form(spec, params, z), jac,
+                                lanes.metric_form(spec, params, z1))
+    rhs = lanes.beta_factor(spec, params, z) * lanes.op_norm_euclidean(jac)
+    return z, lhs, rhs
+
+
 def _check_sandwich(spec: RoofSpec, params: MetricParams, seed: int,
                     count: int = 10000) -> CheckOutcome:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
-    violations = 0
-    for _ in range(count):
-        z = _random_canonical(spec, rng)
-        v = TangentVec(rng.normal(), rng.normal())
-        ne = metric_norm(spec, params, z, v, kind="euclidean")
-        nd = metric_norm(spec, params, z, v, kind="delta")
-        c = constant_C(spec, z)
-        if not (ne / c <= nd * (1 + 1e-9) and nd <= c * ne * (1 + 1e-9)):
-            violations += 1
+    z, dx, dy, ne, nd, c = _sandwich_values(spec, params, seed, count)
+    held = (ne / c <= nd * (1 + 1e-9)) & (nd <= c * ne * (1 + 1e-9))
+    violations = count - int(np.count_nonzero(held))
     status = "PASS" if violations == 0 else "FAIL"
     return CheckOutcome("metric_sandwich", status,
                         f"violations={violations}/{count}")
@@ -184,24 +193,8 @@ def _check_sandwich(spec: RoofSpec, params: MetricParams, seed: int,
 
 def _check_beta_bound(spec: RoofSpec, params: MetricParams, seed: int,
                       count: int = 10000) -> CheckOutcome:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
-    violations = 0
-    tried = 0
-    while tried < count:
-        z = _random_canonical(spec, rng)
-        try:
-            jac = jacobian_step(spec, z)
-            z1 = flow_point(spec, z, 1.0)
-        except LabError:
-            continue
-        tried += 1
-        g0 = metric_form(spec, params, z)
-        g1 = metric_form(spec, params, z1)
-        lhs = op_norm_between(g0, jac.matrix, g1)
-        rhs = (beta_factor(spec, params, z)
-               * op_norm_euclidean(jac.matrix))
-        if lhs > rhs * (1 + 1e-9):
-            violations += 1
+    z, lhs, rhs = _beta_values(spec, params, seed, count)
+    violations = int(np.count_nonzero(lhs > rhs * (1 + 1e-9)))
     status = "PASS" if violations == 0 else "FAIL"
     return CheckOutcome("beta_bound", status, f"violations={violations}/{count}")
 

@@ -21,11 +21,16 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import geometry, kernels
+from .errors import ConstraintViolationError
+from .geometry import SuspensionPoint
+from .iet import FiberPoint
 from .kernels import (
+    FAM_EXPLICIT,
     FAM_ODOMETER,
     FAM_ROTATION,
     FAM_SWAP,
@@ -36,9 +41,10 @@ from .kernels import (
 )
 
 
-def _math(fn, x):
-    """``fn`` from ``math`` applied to every element of the float array x."""
-    return np.fromiter(map(fn, x.tolist()), np.float64, x.shape[0])
+def _math(fn, *xs):
+    """``fn`` from ``math`` applied elementwise to the float arrays ``xs``."""
+    return np.fromiter(map(fn, *(x.tolist() for x in xs)), np.float64,
+                       xs[0].shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +78,22 @@ def scaled_dyadic_block(x, start):
     return n, np.where(w < 0.0, 0.0, w)
 
 
+def _last_at_or_below(table, x):
+    """The table bisection's result: the last k with table[k] <= x, else 0."""
+    lo = np.searchsorted(table, x, side="right") - 1
+    return np.where(lo < 0, 0, lo)
+
+
+def _explicit_locate(xs, x):
+    """``kernels.explicit_locate`` on lanes: arrays ``(j, v)``."""
+    nfinite = xs.shape[0] - 1
+    tail_start = xs[nfinite]
+    m, w = scaled_dyadic_block(x, tail_start)
+    lo = _last_at_or_below(xs[:nfinite], x)
+    past = x >= tail_start
+    return np.where(past, nfinite + m, lo), np.where(past, w, x - xs[lo])
+
+
 def _explicit_step(xs, aa, i, u):
     """Forward step of an explicit table: arrays ``(j, v, inconsistent)``."""
     nfinite = xs.shape[0] - 1
@@ -81,16 +103,30 @@ def _explicit_step(xs, aa, i, u):
     k = np.where(tail, 0, i)
     x = xs[k] + aa[k] + u
     bad = ~tail & ((x < 0.0) | (x >= 1.0))
-    tail_start = xs[nfinite]
-    m, w = scaled_dyadic_block(x, tail_start)
-    # the table's bisection finds the last xs[lo] <= x among the finite part
-    lo = np.searchsorted(xs[:nfinite], x, side="right") - 1
-    lo = np.where(lo < 0, 0, lo)
-    past = x >= tail_start
-    j = np.where(past, nfinite + m, lo)
-    v = np.where(past, w, x - xs[lo])
+    j, v = _explicit_locate(xs, x)
     keep = tail | bad
     return np.where(keep, i, j), np.where(keep, u, v), bad
+
+
+def _explicit_step_inv(xs, ys, yl, yi, i, u):
+    """Backward step of an explicit table: arrays ``(j, v, inconsistent)``."""
+    nfinite = xs.shape[0] - 1
+    if nfinite == 0:
+        return i, u, np.zeros(i.shape[0], dtype=bool)
+    tail_start = xs[nfinite]
+    tail = i >= nfinite
+    x = np.where(tail, 1.0 - np.ldexp(1.0 - tail_start,
+                                      -np.where(tail, i - nfinite, 0)),
+                 xs[np.where(tail, 0, i)]) + u
+    up = x >= tail_start
+    m, w = scaled_dyadic_block(x, tail_start)
+    # ys holds the sorted image starts of the finite intervals
+    lo = _last_at_or_below(ys[:nfinite], x)
+    bad = ~up & ~((x >= ys[lo]) & (x < ys[lo] + yl[lo]))
+    stay = (up & tail) | bad
+    j = np.where(up, nfinite + m, yi[lo])
+    v = np.where(up, w, x - ys[lo])
+    return np.where(stay, i, j), np.where(stay, u, v), bad
 
 
 @functools.lru_cache(maxsize=16)
@@ -132,10 +168,70 @@ def iet_step(base, i, u):
         j, v = dyadic_block(_dyadic_tables(theta, ntr)[0][i] + u)
     else:
         j, v, bad = _explicit_step(xs, aa, i, u)
+    return j, v, _step_status(j, ntr, bad)
+
+
+def _step_status(j, ntr, bad=None):
+    """TRUNCATION where ``j`` reaches ``ntr``, INCONSISTENT where ``bad``."""
     status = np.where(j >= ntr, TRUNCATION, OK)
     if bad is not None:
         status[bad] = INCONSISTENT
-    return j, v, status
+    return status
+
+
+def iet_step_inv(base, i, u):
+    """``kernels.iet_step_inv`` on lanes: arrays ``(j, v, status)``.
+
+    The conventions of ``iet_step``: TRUNCATION lanes come back with the
+    index reached, INCONSISTENT lanes unchanged.
+    """
+    fam, theta, xs, aa, ys, yl, yi, ntr = base
+    bad = None
+    if fam == FAM_ROTATION:
+        n = i >> 1
+        block = np.ldexp(1.0, -n - 1)
+        cut = (1.0 - theta) * block
+        w = np.where((i & 1) == 0, u, cut + u) + cut
+        w = np.where(w >= block, w - block, w)
+        right = ~(w < cut)
+        j = (n << 1) + right
+        v = np.where(right, w - cut, w)
+    elif fam == FAM_SWAP:
+        j = i ^ 1
+        v = u
+    elif fam == FAM_ODOMETER:
+        # interval 0 maps back onto the blocks, the blocks onto [0.5, 1)
+        first = i == 0
+        e = np.frexp(u)[1].astype(np.int64)
+        bad = first & (u <= 0.0)
+        j = np.where(first & ~bad, -e, np.where(bad, i, 0))
+        v = np.where(bad, u, np.where(first, u - np.ldexp(1.0, e - 1),
+                                      (0.5 - np.ldexp(1.0, -i)) + u))
+    else:
+        j, v, bad = _explicit_step_inv(xs, ys, yl, yi, i, u)
+    return j, v, _step_status(j, ntr, bad)
+
+
+def locate(base, x):
+    """``CountableIET.locate`` on lanes, for x in [0, 1): arrays ``(i, u,
+    status)``, with TRUNCATION where the interval lies past the truncation."""
+    fam, theta, xs, aa, ys, yl, yi, ntr = base
+    if fam == FAM_EXPLICIT:
+        i, u = _explicit_locate(xs, x)
+    else:
+        n, w = dyadic_block(x)
+        if fam == FAM_ODOMETER:
+            i, u = n, w
+        else:
+            # the left piece of block n is (1 - theta) or 1/2 of its length
+            if fam == FAM_ROTATION:
+                piece = (1.0 - theta) * np.ldexp(1.0, -n - 1)
+            else:
+                piece = np.ldexp(1.0, -n - 2)
+            right = ~(w < piece)
+            i = 2 * n + right
+            u = np.where(right, w - piece, w)
+    return i, u, _step_status(i, ntr)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +244,14 @@ def _smooth_step(s):
     x = 1.0 - s
     rare = ~(s > 1e-6) | ~(x > 1e-6)
     if rare.any():
-        # saturated or nearly flat lanes are rare: the scalar kernel does them
-        a = np.empty(s.shape[0])
-        da = np.empty(s.shape[0])
+        # saturated lanes take the step's end values; nearly flat lanes are
+        # rare, and the scalar kernel does them
+        a = np.where(s <= 0.0, 1.0, 0.0)
+        da = np.zeros(s.shape[0])
         usual = ~rare
         a[usual], da[usual] = _smooth_step(s[usual])
-        for k in np.flatnonzero(rare).tolist():
+        flat = rare & ~(s <= 0.0) & ~(s >= 1.0)
+        for k in np.flatnonzero(flat).tolist():
             a[k], da[k] = kernels.smooth_step(float(s[k]))
         return a, da
     both = np.concatenate((x, s))
@@ -436,3 +534,356 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
         status[lo:hi] = st
         bad += int(np.count_nonzero(st != OK))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# canonical form and the suspension geometry
+# ---------------------------------------------------------------------------
+
+
+def canonicalize_k(base, roof, idx, off, hei, max_glue):
+    """``kernels.canonicalize_k`` on lanes: arrays ``(i, u, y, status)``.
+
+    Each round glues every live lane once, up or down, as one pass of the
+    scalar loop does.  A lane that fails keeps the point it had before the
+    failing step; lanes still gluing after ``max_glue`` rounds come back
+    INCONSISTENT.
+    """
+    lengths, bs, flat, band = roof
+    i = np.array(idx, dtype=np.int64)
+    u = np.array(off, dtype=np.float64)
+    y = np.array(hei, dtype=np.float64)
+    status = np.full(i.shape[0], INCONSISTENT)
+    live = np.arange(i.shape[0])
+    for _ in range(max_glue):
+        if not live.size:
+            break
+        li, lu, ly = i[live], u[live], y[live]
+        code = np.full(live.shape[0], -1)  # -1 while the lane glues on
+        l = lengths[li]
+        code[(lu < band * l) | (lu > l - band * l)] = SINGULARITY
+        ok = np.flatnonzero(code < 0)
+        r = roof_eval(lu[ok], bs[li[ok]], l[ok], flat)[0]
+        up = ly[ok] >= r
+        # up: (x, y) -> (Tx, y - 2 r(x))
+        at = ok[up]
+        j, v, st = iet_step(base, li[at], lu[at])
+        moved = st == OK
+        code[at[~moved]] = st[~moved]
+        at = at[moved]
+        li[at], lu[at], ly[at] = j[moved], v[moved], ly[at] - 2.0 * r[up][moved]
+        # down: (x, y) -> (T^-1 x, y + 2 r(T^-1 x)) while y < -r(T^-1 x)
+        at = ok[~up]
+        j, v, st = iet_step_inv(base, li[at], lu[at])
+        moved = st == OK
+        code[at[~moved]] = st[~moved]
+        at, j, v = at[moved], j[moved], v[moved]
+        lj = lengths[j]
+        near = (v < band * lj) | (v > lj - band * lj)
+        code[at[near]] = SINGULARITY
+        at, j, v, lj = at[~near], j[~near], v[~near], lj[~near]
+        rp = roof_eval(v, bs[j], lj, flat)[0]
+        glue = ly[at] < -rp
+        code[at[~glue]] = OK
+        at = at[glue]
+        li[at], lu[at], ly[at] = j[glue], v[glue], ly[at] + 2.0 * rp[glue]
+        i[live], u[live], y[live] = li, lu, ly
+        done = code >= 0
+        status[live[done]] = code[done]
+        live = live[~done]
+    return i, u, y, status
+
+
+class Points(NamedTuple):
+    """Points of the suspension space on lanes, in canonical coordinates."""
+
+    idx: np.ndarray
+    off: np.ndarray
+    hei: np.ndarray
+
+    def take(self, lanes) -> "Points":
+        return Points(self.idx[lanes], self.off[lanes], self.hei[lanes])
+
+    def point(self, k: int) -> SuspensionPoint:
+        return SuspensionPoint(FiberPoint(int(self.idx[k]),
+                                          float(self.off[k])),
+                               float(self.hei[k]))
+
+
+def _raise_first(bad, scalar) -> None:
+    """``scalar(k)`` for the first lane k in ``bad``: the scalar function
+    raises that lane's error, as a loop over the lanes in order would."""
+    if bad.any():
+        scalar(int(np.argmax(bad)))
+
+
+def _in_band(roof, i, u):
+    lengths, bs, flat, band = roof
+    l = lengths[i]
+    return (u < band * l) | (u > l - band * l)
+
+
+def _roof_at(roof, i, u):
+    """``RoofSpec.value`` on lanes: arrays ``(r, dr)``, no band check."""
+    lengths, bs, flat, band = roof
+    return roof_eval(u, bs[i], lengths[i], flat)
+
+
+def fiber_edges(spec, idx, off):
+    """``geometry.fiber_edges`` on lanes: arrays ``(r_below, dr_below,
+    r_here, dr_here)``, the roof at T^-1 x and at x."""
+    base, roof = spec.iet.pack(), spec.pack()
+    j, v, st = iet_step_inv(base, idx, off)
+    stepped = st == OK
+    j, v = np.where(stepped, j, idx), np.where(stepped, v, off)
+    _raise_first(~stepped | _in_band(roof, j, v) | _in_band(roof, idx, off),
+                 lambda k: geometry.fiber_edges(
+                     spec, FiberPoint(int(idx[k]), float(off[k]))))
+    return (*_roof_at(roof, j, v), *_roof_at(roof, idx, off))
+
+
+def _active_shear(spec, z: Points):
+    """``geometry._active_shear`` on lanes: arrays ``(s, d)``."""
+    r_below, dr_below, r_here, dr_here = fiber_edges(spec, z.idx, z.off)
+    d_top = r_here - z.hei
+    d_bot = z.hei + r_below
+    top = d_top <= d_bot
+    return np.where(top, -dr_here, dr_below), np.where(top, d_top, d_bot)
+
+
+def _blend(params, d):
+    """The blend weight rho at fiber distance d."""
+    return 1.0 - _smooth_step(d / params.delta)[0]
+
+
+def metric_form(spec, params, z: Points):
+    """``geometry.metric_form`` on lanes: Gram matrices, shape (n, 2, 2)."""
+    s, d = _active_shear(spec, z)
+    rho = _blend(params, d)
+    g = np.empty((s.shape[0], 2, 2))
+    g[:, 0, 0] = rho + (1.0 - rho) * (1.0 + s * s)
+    g[:, 0, 1] = g[:, 1, 0] = (1.0 - rho) * s
+    g[:, 1, 1] = 1.0
+    g[(rho == 1.0) | (s == 0.0)] = np.eye(2)
+    return g
+
+
+def metric_norm(spec, params, z: Points, dx, dy, kind: str = "delta"):
+    """``geometry.metric_norm`` on lanes, tangent vectors ``(dx, dy)``."""
+    euclidean = _math(math.hypot, dx, dy)
+    if kind == "euclidean":
+        return euclidean
+    if kind != "delta":
+        raise ConstraintViolationError(f"unknown norm kind {kind!r}")
+    s, d = _active_shear(spec, z)
+    rho = _blend(params, d)
+    e2 = dx * dx + dy * dy
+    sheared = s * dx + dy
+    delta = np.sqrt(rho * e2 + (1.0 - rho) * (dx * dx + sheared * sheared))
+    return np.where((rho == 1.0) | (s == 0.0), euclidean, delta)
+
+
+def constant_C(spec, z: Points):
+    """``geometry.constant_C`` on lanes."""
+    return 2.0 + 2.0 * np.abs(_active_shear(spec, z)[0])
+
+
+def _max(a, b):
+    """Python's ``max(a, b)``: ``b`` where ``b > a``, else ``a``."""
+    return np.where(b > a, b, a)
+
+
+def beta_factor(spec, params, z: Points):
+    """``geometry.beta_factor`` on lanes.
+
+    A near-top point outside the core sees the roof at Tx; where that step
+    or that roof fails, the first such lane raises the scalar error.
+    """
+    base, roof = spec.iet.pack(), spec.pack()
+    r_below, dr_below, r_here, dr_here = fiber_edges(spec, z.idx, z.off)
+    y = z.hei
+    core = (-r_below + params.delta < y) & (y < r_here - (1.0 + params.delta))
+    c_top = 2.0 + 2.0 * np.abs(dr_here)
+    c_bot = 2.0 + 2.0 * np.abs(dr_below)
+    top = ~core & (r_here - y <= y + r_below)
+    at = np.flatnonzero(top)
+    j, v, st = iet_step(base, z.idx[at], z.off[at])
+    stepped = st == OK
+    j, v = np.where(stepped, j, z.idx[at]), np.where(stepped, v, z.off[at])
+    _raise_first(~stepped | _in_band(roof, j, v),
+                 lambda k: geometry.beta_factor(spec, params, z.point(at[k])))
+    c_next = 2.0 + 2.0 * np.abs(_roof_at(roof, j, v)[1])
+    beta = np.where(core, 1.0, c_bot * _max(c_bot, c_top))
+    beta[at] = c_top[at] * _max(c_top[at], c_next)
+    return beta
+
+
+def jacobian_step(spec, z: Points):
+    """``flow.jacobian_step`` on lanes: ``(matrices (n, 2, 2), status)``,
+    SINGULARITY where the roof at the point is refused."""
+    roof = spec.pack()
+    r, dr = _roof_at(roof, z.idx, z.off)
+    m = np.zeros((r.shape[0], 2, 2))
+    m[:, 0, 0] = m[:, 1, 1] = 1.0
+    m[:, 1, 0] = np.where(z.hei + 1.0 < r, 0.0, -2.0 * dr)
+    status = np.where(_in_band(roof, z.idx, z.off), SINGULARITY, OK)
+    return m, status
+
+
+def flow(spec, z: Points, t: float):
+    """``flow.flow`` on lanes: ``(points, status)``."""
+    if not math.isfinite(t):
+        raise ConstraintViolationError("flow time must be finite")
+    i, u, y, status = canonicalize_k(spec.iet.pack(), spec.pack(), z.idx,
+                                     z.off, z.hei + t, geometry.MAX_GLUE)
+    return Points(i, u, y), status
+
+
+def _nonnegative(x):
+    """Python's ``max(0.0, x)``: 0.0 unless x > 0.0, so NaN gives 0.0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def op_norm_euclidean(m):
+    """``geometry.op_norm_euclidean`` of each matrix in ``m`` (n, 2, 2)."""
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    q = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    disc = _nonnegative(q * q - 4.0 * det * det)
+    return np.sqrt(0.5 * (q + np.sqrt(disc)))
+
+
+def op_norm_between(g_from, m, g_to):
+    """``geometry.op_norm_between`` on stacks of 2x2 matrices.
+
+    ``M^T g_to M`` is one stacked matmul, which rounds as the scalar
+    version's 2-D products do; written out by components it would not.
+    A ``g_from`` whose determinant rounds to 0.0 raises the scalar
+    version's ZeroDivisionError.
+    """
+    a = np.matmul(np.matmul(m.transpose(0, 2, 1), g_to), m)
+    a11, a12, a22 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+    b11, b12, b22 = g_from[:, 0, 0], g_from[:, 0, 1], g_from[:, 1, 1]
+    det_b = b11 * b22 - b12 * b12
+    _raise_first(det_b == 0.0,
+                 lambda k: geometry.op_norm_between(g_from[k], m[k], g_to[k]))
+    det_a = a11 * a22 - a12 * a12
+    p = a11 * b22 + a22 * b11 - 2.0 * a12 * b12
+    disc = _nonnegative(p * p - 4.0 * det_b * det_a)
+    lam = (p + np.sqrt(disc)) / (2.0 * det_b)
+    return np.sqrt(_nonnegative(lam))
+
+
+# ---------------------------------------------------------------------------
+# random canonical points of the check suite
+# ---------------------------------------------------------------------------
+#
+# ``cli._random_canonical`` draws x = random() and, if x locates, y =
+# uniform(-2, 2), which is -2 + 4 random(); a point that does not locate or
+# canonicalize is drawn again.  The draws below give its points bit for bit.
+
+
+def _canonical_draws(spec, x, y):
+    """``(points, fails, located)`` of the draws ``(x, y)``: where a draw
+    fails, its point is a placeholder."""
+    base = spec.iet.pack()
+    i, u, located = locate(base, x)
+    located = located == OK
+    at = np.flatnonzero(located)
+    i, u, y, status = canonicalize_k(base, spec.pack(), i[at], u[at],
+                                     -2.0 + 4.0 * y[at], geometry.MAX_GLUE)
+    z = Points(np.zeros(x.shape[0], dtype=np.int64), np.zeros(x.shape[0]),
+               np.zeros(x.shape[0]))
+    z.idx[at], z.off[at], z.hei[at] = i, u, y
+    fails = np.ones(x.shape[0], dtype=bool)
+    fails[at] = status != OK
+    return z, fails, located
+
+
+def _draw_ahead(rng, count: int) -> np.ndarray:
+    """``count`` points' doubles x, y and two standard normals, as rows."""
+    random, normal = rng.random, rng.standard_normal
+    rows = [(random(), random(), normal(), normal()) for _ in range(count)]
+    return np.array(rows).reshape(count, 4).T
+
+
+def sandwich_draws(spec, rng, count: int):
+    """The sandwich check's points and tangent vectors ``(z, dx, dy)``.
+
+    Each point draws (x, y) and then its vector (normal(), normal()), which
+    is ``0.0 + 1.0 * standard_normal()``, as ``Generator.normal`` computes
+    it.  A normal takes a varying number of raw outputs, so the draws are
+    a scalar loop that assumes no point fails.  At the first point that
+    does, the generator is rewound to before it, the failed attempt is
+    drawn again (x alone if it did not locate), and the drawing goes on.
+    """
+    bg = rng.bit_generator
+    parts = []
+    done = 0
+    ahead = count  # points drawn at once: about twice the last good run
+    while done < count:
+        state = bg.state
+        x, y, nx, ny = _draw_ahead(rng, min(ahead, count - done))
+        z, fails, located = _canonical_draws(spec, x, y)
+        good = int(np.argmax(fails)) if fails.any() else x.shape[0]
+        parts.append((z.take(slice(good)), nx[:good], ny[:good]))
+        done += good
+        if good < x.shape[0]:
+            bg.state = state
+            _draw_ahead(rng, good)
+            rng.random()
+            if located[good]:
+                rng.random()
+        ahead = 2 * good + 16
+    z = Points(*(np.concatenate([p[0][f] for p in parts]) for f in range(3)))
+    dx, dy = (0.0 + 1.0 * np.concatenate([p[f] for p in parts])
+              for f in (1, 2))
+    return z, dx, dy
+
+
+def _pair_starts(located):
+    """Where the draws (x, y) start in a stream of random() doubles.
+
+    An x that does not locate takes one double, and one that does takes
+    two.  Returns the positions of the x's that locate and have their y in
+    the stream, and the end of the last whole draw.
+    """
+    n = located.shape[0]
+    starts = []
+    p = 0
+    while True:
+        xs = np.arange(p, n - 1, 2)
+        miss = np.flatnonzero(~located[xs])
+        if not miss.size:
+            starts.append(xs)
+            return np.concatenate(starts), (int(xs[-1]) + 2 if xs.size else p)
+        starts.append(xs[:miss[0]])
+        p = int(xs[miss[0]]) + 1
+
+
+def beta_draws(spec, rng, count: int):
+    """The beta check's points, their time-one Jacobians and images.
+
+    The doubles are drawn as arrays and read as the scalar draws would
+    read them; a point whose Jacobian or time-one image fails is skipped.
+    Doubles left over when ``count`` points are found go unused.
+    """
+    base = spec.iet.pack()
+    parts = []
+    found = 0
+    rest = np.empty(0)
+    while found < count:
+        d = np.concatenate((rest, rng.random(2 * (count - found) + 2)))
+        starts, end = _pair_starts(locate(base, d)[2] == OK)
+        rest = d[end:]
+        z, fails, _ = _canonical_draws(spec, d[starts], d[starts + 1])
+        z = z.take(~fails)
+        jac, jac_status = jacobian_step(spec, z)
+        z1, flow_status = flow(spec, z, 1.0)
+        keep = np.flatnonzero((jac_status == OK)
+                              & (flow_status == OK))[:count - found]
+        parts.append((z.take(keep), jac[keep], z1.take(keep)))
+        found += keep.shape[0]
+    z, z1 = (Points(*(np.concatenate([p[k][f] for p in parts])
+                      for f in range(3))) for k in (0, 2))
+    return z, np.concatenate([p[1] for p in parts]), z1

@@ -5,7 +5,8 @@ were written before they moved onto lanes: one point at a time through the
 scalar geometry functions, recording what each point gives.  Their
 SHA-256 digests on eight specs (all four families, shallow truncations so
 that draws are retried, and one odometer whose beta check raises) were
-pinned from that code, and the lane checks must reproduce them.
+pinned from that code, and the lane checks must reproduce them: the same
+points in the same order, the same values bit for bit, the same error.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from ietlab import cli
 from ietlab.errors import LabError
 from ietlab.flow import flow as flow_point, jacobian_step
 from ietlab.geometry import (
@@ -97,6 +99,22 @@ def reference_beta(spec, params, seed, count):
     return rows, f"violations={violations}/{count}"
 
 
+def lane_sandwich(spec, params, seed, count):
+    """``reference_sandwich``'s rows and detail from the lane check."""
+    z, dx, dy, ne, nd, c = cli._sandwich_values(spec, params, seed, count)
+    columns = (z.idx, z.off, z.hei, dx, dy, ne, nd, c)
+    rows = [list(row) for row in zip(*(a.tolist() for a in columns))]
+    return rows, cli._check_sandwich(spec, params, seed, count).detail
+
+
+def lane_beta(spec, params, seed, count):
+    """``reference_beta``'s rows and detail from the lane check."""
+    z, lhs, rhs = cli._beta_values(spec, params, seed, count)
+    columns = (np.arange(1, count + 1), z.idx, z.off, z.hei, lhs, rhs)
+    rows = [list(row) for row in zip(*(a.tolist() for a in columns))]
+    return rows, cli._check_beta_bound(spec, params, seed, count).detail
+
+
 def outcome_digest(fn, *args):
     """SHA-256 of what ``fn`` returns, or of the error it raises."""
     try:
@@ -147,4 +165,12 @@ def test_scalar_reference_matches_pinned_digests(specs, name, seed):
     spec = specs[name]
     got = (outcome_digest(reference_sandwich, spec, PARAMS, seed, COUNT),
            outcome_digest(reference_beta, spec, PARAMS, seed, COUNT))
+    assert got == PINNED[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_lane_checks_match_pinned_digests(specs, name, seed):
+    spec = specs[name]
+    got = (outcome_digest(lane_sandwich, spec, PARAMS, seed, COUNT),
+           outcome_digest(lane_beta, spec, PARAMS, seed, COUNT))
     assert got == PINNED[name, seed]

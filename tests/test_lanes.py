@@ -10,6 +10,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ietlab import kernels, lanes
+from ietlab.errors import (
+    ConsistencyError,
+    LabError,
+    SingularityProximityError,
+    TruncationExceededError,
+)
+from ietlab.flow import flow, jacobian_step
+from ietlab.geometry import (
+    MetricParams,
+    TangentVec,
+    beta_factor,
+    constant_C,
+    fiber_edges,
+    metric_form,
+    metric_norm,
+    op_norm_between,
+    op_norm_euclidean,
+)
 from ietlab.iet import CountableIET
 from ietlab.measure import sample_mu
 from ietlab.roof import RoofSpec
@@ -259,6 +277,9 @@ def test_birkhoff_h_orbits_match_scalar_orbits(name, h_const):
 OVERFLOW = "ignore:overflow encountered in:RuntimeWarning"
 SPECS = {name: RoofSpec.build(iet) for name, iet in FAMILIES.items()}
 SPECS["flat"] = FLAT
+STATUS_CODES = {SingularityProximityError: kernels.SINGULARITY,
+                TruncationExceededError: kernels.TRUNCATION,
+                ConsistencyError: kernels.INCONSISTENT}
 
 
 def broken_table():
@@ -401,3 +422,315 @@ def test_per_point_lanes_take_empty_and_single_batches(count):
         assert runs[1][0] == 0
         if count:  # the last output was written
             assert not np.array_equal(runs[1][1][-1], arrays[-1])
+
+
+# ---------------------------------------------------------------------------
+# the check suite's pieces: locate, the backward step, canonical form and
+# the geometry evaluators against their scalar versions
+# ---------------------------------------------------------------------------
+
+
+def inverse_offsets(iet, i):
+    """Offsets at which a backward step of interval i changes branch."""
+    l = iet.length(i)
+    out = [0.0, 0.5 * l, np.nextafter(l, 0.0), 1e-300]
+    if iet.family == kernels.FAM_ROTATION:
+        block = float(np.ldexp(1.0, -(i >> 1) - 1))
+        cut = (1.0 - iet.theta) * block
+        # the wrap past the block's end, and the cut after it
+        edges = [block - cut, cut - (block - cut)] if i % 2 == 0 \
+            else [block - 2.0 * cut, 0.0]
+        out += [e + k * np.spacing(max(e, 1e-300)) for e in edges
+                for k in (-1, 0, 1)]
+    elif iet.family == kernels.FAM_ODOMETER and i == 0:
+        # the dyadic blocks that interval 0 maps back onto, past the
+        # truncation too, and u = 0 (INCONSISTENT)
+        for k in range(2, iet.n_trunc + 4):
+            e = float(np.ldexp(1.0, -k))
+            out += [e, np.nextafter(e, 0.0), np.nextafter(e, 1.0)]
+    elif iet.family == kernels.FAM_EXPLICIT and i < iet.n_finite:
+        # the image starts of the finite part and the tail start
+        left = float(iet.xs[i])
+        for e in [*iet.ys[:iet.n_finite].tolist(), float(iet.xs[-1])]:
+            out += [e - left, np.nextafter(e, 0.0) - left]
+    return [u for u in out if 0.0 <= u < l]
+
+
+@st.composite
+def inverse_lanes(draw):
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    iet = FAMILIES[name]
+    count = draw(st.integers(min_value=0, max_value=24))
+    idx, off = [], []
+    for _ in range(count):
+        i = draw(st.integers(min_value=0, max_value=iet.n_trunc - 1))
+        kind = draw(st.sampled_from(["uniform", "special", "wild"]))
+        if kind == "uniform":
+            u = draw(st.floats(0.0, 1.0, exclude_max=True)) * iet.length(i)
+        elif kind == "special":
+            u = draw(st.sampled_from(inverse_offsets(iet, i)))
+        else:
+            # negative offsets: the odometer's u <= 0 and a table's x below
+            # every image start are INCONSISTENT
+            u = draw(st.floats(-2.0, 2.0))
+        idx.append(i)
+        off.append(u)
+    return iet, np.array(idx, dtype=np.int64), np.array(off)
+
+
+def assert_same_steps(got, want):
+    j, v, status = got
+    assert j.tolist() == [w[0] for w in want]
+    assert_same_floats(v, [w[1] for w in want])
+    assert status.tolist() == [w[2] for w in want]
+
+
+@settings(max_examples=400, **COMMON)
+@given(case=inverse_lanes())
+def test_inverse_step_lanes_match_scalar_step(case):
+    iet, idx, off = case
+    base = iet.pack()
+    want = [kernels.iet_step_inv(base, int(i), float(u))
+            for i, u in zip(idx, off)]
+    assert_same_steps(lanes.iet_step_inv(base, idx, off), want)
+
+
+def test_inverse_step_lanes_reach_every_status():
+    cases = [
+        # interval 0 of the odometer: a deep block, u = 0 and a block past
+        # the truncation of nine intervals
+        ("odometer_shallow", [0, 0, 0, 3], [0.3, 0.0, 2.0 ** -12, 0.01]),
+        # a table's finite part, its tail, an image start and x < 0
+        ("table", [0, 1, 2, 5, 0], [0.1, 0.05, 0.0, 0.001, -0.5]),
+        # the last interval of an odd truncation maps back past it
+        ("rotation_odd", [6, 6], [0.0, 0.001]),
+    ]
+    seen = set()
+    for name, idx, off in cases:
+        base = FAMILIES[name].pack()
+        idx, off = np.array(idx, dtype=np.int64), np.array(off)
+        want = [kernels.iet_step_inv(base, int(i), float(u))
+                for i, u in zip(idx, off)]
+        assert_same_steps(lanes.iet_step_inv(base, idx, off), want)
+        seen.update(w[2] for w in want)
+    assert seen == {kernels.OK, kernels.TRUNCATION, kernels.INCONSISTENT}
+
+
+def locate_points(iet):
+    """Absolute points at interval ends, in the tail and past truncation."""
+    out = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+    for i in range(iet.n_trunc):
+        e = iet.left(i)
+        out += [e, np.nextafter(e, 0.0), np.nextafter(e, 1.0)]
+    return [x for x in out if 0.0 <= x < 1.0]
+
+
+@settings(max_examples=300, **COMMON)
+@given(data=st.data())
+def test_locate_lanes_match_scalar_locate(data):
+    iet = FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))]
+    x = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.sampled_from(locate_points(iet))), max_size=24)))
+    i, u, status = lanes.locate(iet.pack(), x)
+    for k, xk in enumerate(x.tolist()):
+        try:
+            p = iet.locate(xk)
+        except TruncationExceededError:
+            assert status[k] == kernels.TRUNCATION
+            continue
+        assert (status[k], i[k]) == (kernels.OK, p.index)
+        assert_same_floats(u[k], p.offset)
+
+
+@st.composite
+def canonical_lanes(draw):
+    name = draw(st.sampled_from(sorted(SPECS)))
+    spec = SPECS[name]
+    count = draw(st.integers(min_value=0, max_value=16))
+    idx, off, hei = [], [], []
+    for _ in range(count):
+        i = draw(st.integers(min_value=0, max_value=spec.iet.n_trunc - 1))
+        l = float(spec.lengths[i])
+        if draw(st.booleans()):
+            u = draw(st.floats(0.0, 1.0, exclude_max=True)) * l
+        else:
+            u = draw(st.sampled_from(time_one_offsets(spec, i)
+                                     + inverse_offsets(spec.iet, i)))
+        r = 1.0
+        if 0.0 < u < l:
+            r = kernels.roof_eval(u, float(spec.widths[i]), l,
+                                  1 if spec.flat else 0)[0]
+        # heights anywhere, and at the top and bottom edges of the fiber
+        y = draw(st.one_of(
+            st.floats(-6.0, 6.0),
+            st.sampled_from([r, np.nextafter(r, -1e9), -r,
+                             np.nextafter(-r, 1e9), -1.0,
+                             np.nextafter(-1.0, 1e9)])))
+        idx.append(i)
+        off.append(u)
+        hei.append(y)
+    # a small budget leaves some lanes still gluing (INCONSISTENT)
+    max_glue = draw(st.sampled_from([1, 2, 100000]))
+    return (spec, np.array(idx, dtype=np.int64), np.array(off),
+            np.array(hei), max_glue)
+
+
+@pytest.mark.filterwarnings(OVERFLOW)
+@settings(max_examples=400, **COMMON)
+@given(case=canonical_lanes())
+def test_canonicalize_lanes_match_scalar_canonicalize(case):
+    spec, idx, off, hei, max_glue = case
+    base, roof = spec.iet.pack(), spec.pack()
+    i, u, y, status = lanes.canonicalize_k(base, roof, idx, off, hei,
+                                           max_glue)
+    want = [kernels.canonicalize_k(base, roof, int(a), float(b), float(c),
+                                   max_glue)
+            for a, b, c in zip(idx, off, hei)]
+    assert i.tolist() == [w[0] for w in want]
+    assert_same_floats(u, [w[1] for w in want])
+    assert_same_floats(y, [w[2] for w in want])
+    assert status.tolist() == [w[3] for w in want]
+
+
+def test_canonicalize_lanes_reach_every_status():
+    spec = SPECS["odometer_shallow"]
+    base, roof = spec.iet.pack(), spec.pack()
+    l0 = float(spec.lengths[0])
+    # climbs over the roof, falls through the floor into a block past the
+    # truncation, sits in the band, and glues more often than allowed
+    idx = np.array([0, 0, 0, 1, 0], dtype=np.int64)
+    off = np.array([0.3, 0.7 * l0, 2.0 ** -12, 1e-20, 0.3])
+    hei = np.array([0.5, 5.0, -3.0, 0.0, 40.0])
+    i, u, y, status = lanes.canonicalize_k(base, roof, idx, off, hei, 4)
+    want = [kernels.canonicalize_k(base, roof, int(a), float(b), float(c), 4)
+            for a, b, c in zip(idx, off, hei)]
+    assert status.tolist() == [w[3] for w in want]
+    assert set(status.tolist()) == {kernels.OK, kernels.TRUNCATION,
+                                    kernels.SINGULARITY, kernels.INCONSISTENT}
+    assert i.tolist() == [w[0] for w in want]
+    assert_same_floats(u, [w[1] for w in want])
+    assert_same_floats(y, [w[2] for w in want])
+
+
+def canonical_points(spec, count, seed):
+    """Points of ``spec`` whose fiber edges exist (the checks' points), as
+    lanes and as scalar points."""
+    batch = sample_mu(spec, count, seed)
+    z = lanes.Points(batch.idx, batch.off, batch.hei)
+    keep = []
+    for k in range(count):
+        try:
+            fiber_edges(spec, z.point(k).base)
+        except LabError:
+            continue
+        keep.append(k)
+    z = z.take(np.array(keep, dtype=np.int64))
+    return z, [z.point(k) for k in range(len(keep))]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_geometry_lanes_match_scalar_geometry(name):
+    spec = SPECS[name]
+    params = MetricParams(delta=0.25)
+    z, pts = canonical_points(spec, 400, seed=21)
+    rng = np.random.default_rng(22)
+    dx, dy = (rng.normal(size=z.idx.shape[0]) for _ in range(2))
+    vecs = [TangentVec(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
+    edges = lanes.fiber_edges(spec, z.idx, z.off)
+    for k, p in enumerate(pts):
+        below, here = fiber_edges(spec, p.base)
+        assert_same_floats([e[k] for e in edges],
+                           [below.value, below.derivative, here.value,
+                            here.derivative])
+    for kind in ("euclidean", "delta"):
+        assert_same_floats(lanes.metric_norm(spec, params, z, dx, dy, kind),
+                           [metric_norm(spec, params, p, v, kind)
+                            for p, v in zip(pts, vecs)])
+    assert_same_floats(lanes.constant_C(spec, z),
+                       [constant_C(spec, p) for p in pts])
+    assert_same_floats(lanes.metric_form(spec, params, z),
+                       [metric_form(spec, params, p) for p in pts])
+    jac, status = lanes.jacobian_step(spec, z)
+    assert not status.any()
+    assert_same_floats(jac, [jacobian_step(spec, p).matrix for p in pts])
+    assert_same_floats(lanes.op_norm_euclidean(jac),
+                       [op_norm_euclidean(m) for m in jac])
+    z1, status = lanes.flow(spec, z, 1.0)
+    for k, p in enumerate(pts):
+        try:
+            q = flow(spec, p, 1.0)
+        except LabError as exc:
+            assert status[k] == STATUS_CODES[type(exc)]
+            continue
+        assert status[k] == kernels.OK
+        assert (z1.idx[k], *bits([z1.off[k], z1.hei[k]])) \
+            == (q.index, *bits([q.offset, q.height]))
+    try:
+        beta = lanes.beta_factor(spec, params, z)
+    except LabError as exc:
+        # the error of the first point whose scalar beta raises
+        for p in pts:
+            try:
+                beta_factor(spec, params, p)
+            except LabError as first:
+                assert (type(exc), str(exc)) == (type(first), str(first))
+                break
+        else:
+            raise
+    else:
+        assert_same_floats(beta, [beta_factor(spec, params, p) for p in pts])
+
+
+def test_beta_lanes_raise_the_first_failing_point():
+    # near the top of interval 0 of a five-interval odometer, Tx lies past
+    # the truncation for u > 1/2 - 2^-6: the lanes before it pass
+    spec = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=5))
+    params = MetricParams(delta=0.25)
+    u = np.array([0.1, 0.5 - 2.0 ** -8, 0.5 - 2.0 ** -9])
+    r = lanes.fiber_edges(spec, np.zeros(3, dtype=np.int64), u)[2]
+    z = lanes.Points(np.zeros(3, dtype=np.int64), u, r - 0.1)
+    with pytest.raises(TruncationExceededError) as lane_error:
+        lanes.beta_factor(spec, params, z)
+    assert beta_factor(spec, params, z.point(0)) > 1.0
+    with pytest.raises(TruncationExceededError) as scalar_error:
+        beta_factor(spec, params, z.point(1))
+    assert str(lane_error.value) == str(scalar_error.value)
+    with pytest.raises(SingularityProximityError):
+        lanes.fiber_edges(spec, np.array([1, 2]), np.array([0.1, 1e-30]))
+
+
+@st.composite
+def matrix_stacks(draw):
+    count = draw(st.integers(min_value=0, max_value=12))
+    entry = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, 1e154])
+    m = np.array([[[draw(entry) for _ in range(2)] for _ in range(2)]
+                  for _ in range(count)]).reshape(count, 2, 2)
+    grams = []
+    for _ in range(2):
+        # the blended norm's Gram matrices, SPD for rho in [0, 1]
+        rho = np.array([draw(st.floats(0.0, 1.0)) for _ in range(count)])
+        s = np.array([draw(entry) for _ in range(count)])
+        g = np.empty((count, 2, 2))
+        g[:, 0, 0] = rho + (1.0 - rho) * (1.0 + s * s)
+        g[:, 0, 1] = g[:, 1, 0] = (1.0 - rho) * s
+        g[:, 1, 1] = 1.0
+        grams.append(g)
+    return m, grams[0], grams[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, **COMMON)
+@given(case=matrix_stacks())
+def test_operator_norm_lanes_match_scalar_norms(case):
+    m, g_from, g_to = case
+    assert_same_floats(lanes.op_norm_euclidean(m),
+                       [op_norm_euclidean(a) for a in m])
+    try:
+        want = [op_norm_between(a, b, c) for a, b, c in zip(g_from, m, g_to)]
+    except ZeroDivisionError:
+        # a Gram matrix with 1 + s*s == s*s has determinant 0.0
+        with pytest.raises(ZeroDivisionError):
+            lanes.op_norm_between(g_from, m, g_to)
+        return
+    assert_same_floats(lanes.op_norm_between(g_from, m, g_to), want)
