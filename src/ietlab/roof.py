@@ -200,13 +200,13 @@ class RoofSpec:
     __slots__ = ("iet", "widths", "lengths", "flat", "band",
                  "sup_alpha_prime", "tail_width_sum", "summability")
 
-    def __init__(self, iet: CountableIET, widths: np.ndarray, flat: bool,
-                 band: float, tail_width_sum: float,
-                 summability: SummabilityReport):
+    def __init__(self, iet: CountableIET, lengths: np.ndarray,
+                 widths: np.ndarray, flat: bool, band: float,
+                 tail_width_sum: float, summability: SummabilityReport):
         self.iet = iet
         self.widths = np.ascontiguousarray(widths, dtype=np.float64)
-        self.lengths = np.array([iet.length(i) for i in range(iet.n_trunc)])
-        if self.widths.shape != self.lengths.shape:
+        self.lengths = np.ascontiguousarray(lengths, dtype=np.float64)
+        if not self.widths.shape == self.lengths.shape == (iet.n_trunc,):
             raise ConstraintViolationError("one width per truncated interval")
         bad = (self.widths <= 0.0) | (self.widths >= 0.5 * self.lengths)
         if np.any(bad):
@@ -225,25 +225,29 @@ class RoofSpec:
               band: float = EXCLUSION_BAND) -> "RoofSpec":
         policy = policy if policy is not None else DefaultPolicy()
         n = iet.n_trunc
-        lengths = [iet.length(i) for i in range(n)]
-        widths = np.array([policy.width(lengths[i], i) for i in range(n)])
-        bad = (widths <= 0.0) | (widths >= 0.5 * np.asarray(lengths))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            formula = _underflowing_width(policy, lengths[i], i)
-            if formula:
+        lengths, widths = [], []
+        # interval by interval, so that a deep truncation fails at its
+        # first bad width instead of after computing all of them
+        for i in range(n):
+            l = iet.length(i)
+            b = policy.width(l, i)
+            if b <= 0.0 or b >= 0.5 * l:
+                formula = _underflowing_width(policy, l, i)
+                if formula:
+                    raise ConstraintViolationError(
+                        f"policy width {formula} underflows to 0.0 on "
+                        f"interval {i}; the largest usable n_trunc is {i}")
                 raise ConstraintViolationError(
-                    f"policy width {formula} underflows to 0.0 on interval "
-                    f"{i}; the largest usable n_trunc is {i}")
-            raise ConstraintViolationError(
-                f"policy width {float(widths[i])!r} violates 0 < b < l/2 "
-                f"on interval {i}")
+                    f"policy width {b!r} violates 0 < b < l/2 on interval {i}")
+            lengths.append(l)
+            widths.append(b)
+        lengths, widths = np.array(lengths), np.array(widths)
         partial = float(np.sum(-widths * np.log(widths)))
         tail_l = max(0.0, 1.0 - iet.right(n - 1))
         tail_bound, verdict = policy.tail_blog_bound(iet, n)
         report = SummabilityReport(partial, tail_bound, verdict)
         tws = policy.tail_width_sum(iet, n, tail_l)
-        return cls(iet, widths, flat, band, tws, report)
+        return cls(iet, lengths, widths, flat, band, tws, report)
 
     def pack(self):
         """Positional arguments shared by the roof-aware kernels."""

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from canonical_points import draw_canonical
+from ietlab import lanes
 from ietlab.errors import LabError
 from ietlab.flow import (
     aaronson_experiment,
@@ -27,16 +28,7 @@ from ietlab.flow import (
     jacobian_step,
     lyapunov_experiment,
 )
-from ietlab.geometry import (
-    TangentVec,
-    beta_factor,
-    canonicalize,
-    constant_C,
-    metric_form,
-    metric_norm,
-    op_norm_between,
-    op_norm_euclidean,
-)
+from ietlab.geometry import op_norm_euclidean
 from ietlab.measure import (
     abramov,
     bernoulli_stream,
@@ -85,20 +77,29 @@ def test_criterion_02_log_derivative_integral_within_certificate(golden_spec):
     assert ok
 
 
+def lane_points(points):
+    """Scalar suspension points as lanes, for the lane evaluators."""
+    return lanes.Points(np.array([z.index for z in points], dtype=np.int64),
+                        np.array([z.offset for z in points]),
+                        np.array([z.height for z in points]))
+
+
 def test_criterion_03_metric_sandwich_zero_violations(
         golden_spec, params, warm_kernels):
     count = 100_000
     rng = np.random.default_rng(np.random.SeedSequence((2024, 3)))
     start = time.perf_counter()
-    violations = 0
+    points, vectors = [], []
     for _ in range(count):
-        z = draw_canonical(golden_spec, rng)
-        v = TangentVec(rng.normal(), rng.normal())
-        ne = metric_norm(golden_spec, params, z, v, kind="euclidean")
-        nd = metric_norm(golden_spec, params, z, v, kind="delta")
-        c = constant_C(golden_spec, z)
-        if not (ne / c <= nd * (1 + 1e-9) and nd <= c * ne * (1 + 1e-9)):
-            violations += 1
+        points.append(draw_canonical(golden_spec, rng))
+        vectors.append((rng.normal(), rng.normal()))
+    z = lane_points(points)
+    dx, dy = np.array(vectors).T
+    ne = lanes.metric_norm(golden_spec, params, z, dx, dy, kind="euclidean")
+    nd = lanes.metric_norm(golden_spec, params, z, dx, dy, kind="delta")
+    c = lanes.constant_C(golden_spec, z)
+    held = (ne / c <= nd * (1 + 1e-9)) & (nd <= c * ne * (1 + 1e-9))
+    violations = count - int(np.count_nonzero(held))
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 10.0
     emit("03", ok, f"violations={violations}/{count} elapsed={elapsed:.2f}s")
@@ -109,7 +110,7 @@ def test_criterion_04_time_one_jacobian_respects_beta(
         golden_spec, params, warm_kernels):
     count = 100_000
     rng = np.random.default_rng(np.random.SeedSequence((2024, 4)))
-    violations = 0
+    points, jacobians, images = [], [], []
     tried = 0
     while tried < count:
         z = draw_canonical(golden_spec, rng)
@@ -119,13 +120,16 @@ def test_criterion_04_time_one_jacobian_respects_beta(
         except LabError:
             continue
         tried += 1
-        lhs = op_norm_between(metric_form(golden_spec, params, z),
-                              jac.matrix,
-                              metric_form(golden_spec, params, z1))
-        rhs = (beta_factor(golden_spec, params, z)
-               * op_norm_euclidean(jac.matrix))
-        if lhs > rhs * (1 + 1e-9):
-            violations += 1
+        points.append(z)
+        jacobians.append(jac.matrix)
+        images.append(z1)
+    z, z1, jac = lane_points(points), lane_points(images), np.array(jacobians)
+    lhs = lanes.op_norm_between(lanes.metric_form(golden_spec, params, z),
+                                jac,
+                                lanes.metric_form(golden_spec, params, z1))
+    rhs = (lanes.beta_factor(golden_spec, params, z)
+           * lanes.op_norm_euclidean(jac))
+    violations = int(np.count_nonzero(lhs > rhs * (1 + 1e-9)))
     ok = violations == 0
     emit("04", ok, f"violations={violations}/{count}")
     assert ok

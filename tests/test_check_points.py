@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from ietlab import cli
+from ietlab import cli, lanes
 from ietlab.errors import LabError
 from ietlab.flow import flow as flow_point, jacobian_step
 from ietlab.geometry import (
@@ -174,3 +174,30 @@ def test_lane_checks_match_pinned_digests(specs, name, seed):
     got = (outcome_digest(lane_sandwich, spec, PARAMS, seed, COUNT),
            outcome_digest(lane_beta, spec, PARAMS, seed, COUNT))
     assert got == PINNED[name, seed]
+
+
+@pytest.mark.parametrize("make", [CountableIET.block_rotation,
+                                  CountableIET.von_neumann_kakutani],
+                         ids=["rotation", "odometer"])
+def test_sandwich_and_beta_gates_can_fail(make):
+    """Near the edges, the checks' own points separate the norms.
+
+    The blended norm stretches some vectors and shrinks others there, so
+    the sandwich gate with C = 1 would fail; and the time-one differential
+    expands the blended norm more than the euclidean one, so the beta gate
+    with beta = 1 would fail.
+    """
+    spec = RoofSpec.build(make())
+    z, dx, dy, ne, nd, c = cli._sandwich_values(spec, PARAMS, 0, 10000)
+    ratio = nd / ne
+    assert np.count_nonzero(ratio > 1.0 + 1e-9) >= 100
+    assert np.count_nonzero(ratio < 1.0 - 1e-9) >= 10
+    assert cli._check_sandwich(spec, PARAMS, 0).status == "PASS"
+
+    rng = np.random.default_rng(np.random.SeedSequence((0, 202)))
+    z, jac, z1 = lanes.beta_draws(spec, rng, 10000)
+    lhs = lanes.op_norm_between(lanes.metric_form(spec, PARAMS, z), jac,
+                                lanes.metric_form(spec, PARAMS, z1))
+    euclidean = lanes.op_norm_euclidean(jac)
+    assert np.count_nonzero(lhs > euclidean * (1 + 1e-9)) >= 100
+    assert cli._check_beta_bound(spec, PARAMS, 0).status == "PASS"

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -326,6 +327,18 @@ def test_invalid_config_exits_one_with_config_error(tmp_path, capsys, data,
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert cause in err
+
+
+def test_deep_truncation_fails_fast_with_underflow_message(tmp_path, capsys):
+    """The roof stops at its first underflowing width, not at n_trunc."""
+    cfg = write_cfg(tmp_path, {**BASE, "iet": {"n_trunc": 10**8}})
+    start = time.perf_counter()
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert err.startswith("config error: b_policy: policy width c*rho^i")
+    assert "underflows to 0.0 on interval 1072" in err
+    assert elapsed < 1.0
 
 
 def test_exit_code_two_for_insufficient_data(tmp_path):
