@@ -1,4 +1,4 @@
-"""The batch kernels on numpy lanes, for the pure-Python backend.
+"""Kernels and geometry on numpy lanes.
 
 Without numba every kernel in ``kernels`` runs in the interpreter at a few
 microseconds per orbit step or point.  ``lyap_orbits`` and
@@ -8,12 +8,23 @@ the whole batch (the lanes), so its cost is shared by every lane.  The
 measure command's per-point kernels, ``roof_eval_batch``,
 ``base_step_batch`` and ``flow_time_one_batch``, take one step per lane, in
 pieces of at most ``PIECE`` lanes so that their temporaries stay small.
+These are the pure-Python backend's batch kernels (``batch_kernels()``).
 
-Each lane gives the floats and status codes of the scalar kernel bit for
-bit.  Only IEEE-exact operations are vectorised: + - * /, comparisons, abs,
-``ldexp``, ``frexp`` and ``searchsorted``.  Every ``log`` and ``exp`` goes
-through ``math``, lane by lane, because numpy's versions round differently
-from ``math`` on some inputs.  The roof functions assume the invariant that
+The check suite uses this module on both backends.  Its sandwich and beta
+checks draw their points with ``sandwich_draws`` and ``beta_draws`` and
+evaluate them all at once with the lane twins of ``locate``,
+``iet_step_inv``, ``canonicalize_k`` and of the geometry functions
+(``fiber_edges``, ``metric_form``, ``metric_norm``, ``constant_C``,
+``beta_factor``, ``jacobian_step``, ``flow`` and the operator norms).
+Where a scalar geometry function raises, its twin raises the error of the
+first failing lane, through the scalar function.
+
+Each lane gives the floats and status codes of the scalar version bit for
+bit.  Only IEEE-exact operations are vectorised: + - * /, sqrt,
+comparisons, abs, ``ldexp``, ``frexp``, ``searchsorted`` and the stacked
+2x2 ``matmul``.  Every ``log``, ``exp`` and ``hypot`` goes through
+``math``, lane by lane, because numpy's versions round differently from
+``math`` on some inputs.  The roof functions assume the invariant that
 ``RoofSpec`` enforces, 0 < b < l/2 on every interval.
 """
 
