@@ -250,6 +250,11 @@ def locate(base, x):
 # ---------------------------------------------------------------------------
 
 
+def _in_band(u, l, band):
+    """The scalar band test ``u < band*l or u > l - band*l``, on lanes."""
+    return (u < band * l) | (u > l - band * l)
+
+
 def _smooth_step(s):
     """``kernels.smooth_step`` on lanes: arrays ``(a, da)``."""
     x = 1.0 - s
@@ -373,7 +378,7 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
         while step < target:
             if fresh.size:
                 l = lengths[fi]
-                bad = (fu < band * l) | (fu > l - band * l)
+                bad = _in_band(fu, l, band)
                 if bad.any():
                     retire(fresh[bad], SINGULARITY, step)
                     keep = ~bad
@@ -452,7 +457,7 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
                 h = np.full((span, count), h_const)
             else:
                 l = lengths[orbit_i]
-                bad = (orbit_u < band * l) | (orbit_u > l - band * l)
+                bad = _in_band(orbit_u, l, band)
                 if bad.any():
                     hit = bad.any(axis=0)
                     at = np.where(hit, np.argmax(bad, axis=0), span)
@@ -525,7 +530,7 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
     for lo, hi in _pieces(idx.shape[0]):
         i, u, y = idx[lo:hi], off[lo:hi], hei[lo:hi]
         l = lengths[i]
-        st = np.where((u < band * l) | (u > l - band * l), SINGULARITY, OK)
+        st = np.where(_in_band(u, l, band), SINGULARITY, OK)
         live = np.flatnonzero(st == OK)
         il = i[live]
         r = roof_eval(u[live], bs[il], l[live], flat)[0]
@@ -572,7 +577,7 @@ def canonicalize_k(base, roof, idx, off, hei, max_glue):
         li, lu, ly = i[live], u[live], y[live]
         code = np.full(live.shape[0], -1)  # -1 while the lane glues on
         l = lengths[li]
-        code[(lu < band * l) | (lu > l - band * l)] = SINGULARITY
+        code[_in_band(lu, l, band)] = SINGULARITY
         ok = np.flatnonzero(code < 0)
         r = roof_eval(lu[ok], bs[li[ok]], l[ok], flat)[0]
         up = ly[ok] >= r
@@ -590,7 +595,7 @@ def canonicalize_k(base, roof, idx, off, hei, max_glue):
         code[at[~moved]] = st[~moved]
         at, j, v = at[moved], j[moved], v[moved]
         lj = lengths[j]
-        near = (v < band * lj) | (v > lj - band * lj)
+        near = _in_band(v, lj, band)
         code[at[near]] = SINGULARITY
         at, j, v, lj = at[~near], j[~near], v[~near], lj[~near]
         rp = roof_eval(v, bs[j], lj, flat)[0]
@@ -628,29 +633,26 @@ def _raise_first(bad, scalar) -> None:
         scalar(int(np.argmax(bad)))
 
 
-def _in_band(roof, i, u):
-    lengths, bs, flat, band = roof
+def _roof_value(spec, i, u):
+    """``RoofSpec.value`` on lanes: arrays ``(r, dr, refused)``, refused
+    in the exclusion band, where the scalar version raises."""
+    lengths, bs, flat, band = spec.pack()
     l = lengths[i]
-    return (u < band * l) | (u > l - band * l)
-
-
-def _roof_at(roof, i, u):
-    """``RoofSpec.value`` on lanes: arrays ``(r, dr)``, no band check."""
-    lengths, bs, flat, band = roof
-    return roof_eval(u, bs[i], lengths[i], flat)
+    return (*roof_eval(u, bs[i], l, flat), _in_band(u, l, band))
 
 
 def fiber_edges(spec, idx, off):
     """``geometry.fiber_edges`` on lanes: arrays ``(r_below, dr_below,
     r_here, dr_here)``, the roof at T^-1 x and at x."""
-    base, roof = spec.iet.pack(), spec.pack()
-    j, v, st = iet_step_inv(base, idx, off)
+    j, v, st = iet_step_inv(spec.iet.pack(), idx, off)
     stepped = st == OK
     j, v = np.where(stepped, j, idx), np.where(stepped, v, off)
-    _raise_first(~stepped | _in_band(roof, j, v) | _in_band(roof, idx, off),
+    r_below, dr_below, below_refused = _roof_value(spec, j, v)
+    r_here, dr_here, here_refused = _roof_value(spec, idx, off)
+    _raise_first(~stepped | below_refused | here_refused,
                  lambda k: geometry.fiber_edges(
                      spec, FiberPoint(int(idx[k]), float(off[k]))))
-    return (*_roof_at(roof, j, v), *_roof_at(roof, idx, off))
+    return r_below, dr_below, r_here, dr_here
 
 
 def _active_shear(spec, z: Points):
@@ -710,7 +712,6 @@ def beta_factor(spec, params, z: Points):
     A near-top point outside the core sees the roof at Tx; where that step
     or that roof fails, the first such lane raises the scalar error.
     """
-    base, roof = spec.iet.pack(), spec.pack()
     r_below, dr_below, r_here, dr_here = fiber_edges(spec, z.idx, z.off)
     y = z.hei
     core = (-r_below + params.delta < y) & (y < r_here - (1.0 + params.delta))
@@ -718,12 +719,13 @@ def beta_factor(spec, params, z: Points):
     c_bot = 2.0 + 2.0 * np.abs(dr_below)
     top = ~core & (r_here - y <= y + r_below)
     at = np.flatnonzero(top)
-    j, v, st = iet_step(base, z.idx[at], z.off[at])
+    j, v, st = iet_step(spec.iet.pack(), z.idx[at], z.off[at])
     stepped = st == OK
     j, v = np.where(stepped, j, z.idx[at]), np.where(stepped, v, z.off[at])
-    _raise_first(~stepped | _in_band(roof, j, v),
+    _, dr_next, refused = _roof_value(spec, j, v)
+    _raise_first(~stepped | refused,
                  lambda k: geometry.beta_factor(spec, params, z.point(at[k])))
-    c_next = 2.0 + 2.0 * np.abs(_roof_at(roof, j, v)[1])
+    c_next = 2.0 + 2.0 * np.abs(dr_next)
     beta = np.where(core, 1.0, c_bot * _max(c_bot, c_top))
     beta[at] = c_top[at] * _max(c_top[at], c_next)
     return beta
@@ -732,13 +734,11 @@ def beta_factor(spec, params, z: Points):
 def jacobian_step(spec, z: Points):
     """``flow.jacobian_step`` on lanes: ``(matrices (n, 2, 2), status)``,
     SINGULARITY where the roof at the point is refused."""
-    roof = spec.pack()
-    r, dr = _roof_at(roof, z.idx, z.off)
+    r, dr, refused = _roof_value(spec, z.idx, z.off)
     m = np.zeros((r.shape[0], 2, 2))
     m[:, 0, 0] = m[:, 1, 1] = 1.0
     m[:, 1, 0] = np.where(z.hei + 1.0 < r, 0.0, -2.0 * dr)
-    status = np.where(_in_band(roof, z.idx, z.off), SINGULARITY, OK)
-    return m, status
+    return m, np.where(refused, SINGULARITY, OK)
 
 
 def flow(spec, z: Points, t: float):
