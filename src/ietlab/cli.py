@@ -154,14 +154,15 @@ def _random_canonical(spec: RoofSpec, rng) -> SuspensionPoint:
 
 
 # The sandwich and beta checks draw their points as ``_random_canonical``
-# does and evaluate them all with one call of each lane evaluator.  ``lanes``
-# is imported on first use, so that other commands do not load it.
+# does and evaluate them all with one call of each lane evaluator.
+# ``lane_geometry`` is imported on first use, so that other commands do not
+# load it.
 
 
 def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
                      count: int):
     """Points, vectors, both norms and C(z) of the sandwich check."""
-    from . import lanes
+    from . import lane_geometry as lanes
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
     z, dx, dy = lanes.sandwich_draws(spec, rng, count)
     ne = lanes.metric_norm(spec, params, z, dx, dy, kind="euclidean")
@@ -172,7 +173,7 @@ def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
 def _beta_values(spec: RoofSpec, params: MetricParams, seed: int,
                  count: int):
     """Points and the two sides of the beta check's bound."""
-    from . import lanes
+    from . import lane_geometry as lanes
     rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
     z, jac, z1 = lanes.beta_draws(spec, rng, count)
     lhs = lanes.op_norm_between(lanes.metric_form(spec, params, z), jac,

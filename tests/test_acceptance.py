@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from canonical_points import draw_canonical
-from ietlab import lanes
+from ietlab import lane_geometry as lanes
 from ietlab.errors import LabError
 from ietlab.flow import (
     aaronson_experiment,

@@ -15,7 +15,8 @@ import json
 import numpy as np
 import pytest
 
-from ietlab import cli, lanes
+from ietlab import cli
+from ietlab import lane_geometry as lanes
 from ietlab.errors import LabError
 from ietlab.flow import flow as flow_point, jacobian_step
 from ietlab.geometry import (

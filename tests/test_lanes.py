@@ -1,4 +1,5 @@
-"""The numpy lane kernels against the scalar kernels, bit for bit.
+"""The numpy lane kernels and lane geometry against their scalar versions,
+bit for bit.
 
 Every float is compared through its int64 bit pattern, so a difference in
 the last bit (or in the sign of a zero) fails.
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ietlab import kernels, lanes
+from ietlab import kernels, lane_geometry, lanes
 from ietlab.errors import (
     ConsistencyError,
     LabError,
@@ -617,7 +618,7 @@ def canonical_points(spec, count, seed):
     """Points of ``spec`` whose fiber edges exist (the checks' points), as
     lanes and as scalar points."""
     batch = sample_mu(spec, count, seed)
-    z = lanes.Points(batch.idx, batch.off, batch.hei)
+    z = lane_geometry.Points(batch.idx, batch.off, batch.hei)
     keep = []
     for k in range(count):
         try:
@@ -637,26 +638,27 @@ def test_geometry_lanes_match_scalar_geometry(name):
     rng = np.random.default_rng(22)
     dx, dy = (rng.normal(size=z.idx.shape[0]) for _ in range(2))
     vecs = [TangentVec(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
-    edges = lanes.fiber_edges(spec, z.idx, z.off)
+    edges = lane_geometry.fiber_edges(spec, z.idx, z.off)
     for k, p in enumerate(pts):
         below, here = fiber_edges(spec, p.base)
         assert_same_floats([e[k] for e in edges],
                            [below.value, below.derivative, here.value,
                             here.derivative])
     for kind in ("euclidean", "delta"):
-        assert_same_floats(lanes.metric_norm(spec, params, z, dx, dy, kind),
+        assert_same_floats(lane_geometry.metric_norm(spec, params, z, dx, dy,
+                                                     kind),
                            [metric_norm(spec, params, p, v, kind)
                             for p, v in zip(pts, vecs)])
-    assert_same_floats(lanes.constant_C(spec, z),
+    assert_same_floats(lane_geometry.constant_C(spec, z),
                        [constant_C(spec, p) for p in pts])
-    assert_same_floats(lanes.metric_form(spec, params, z),
+    assert_same_floats(lane_geometry.metric_form(spec, params, z),
                        [metric_form(spec, params, p) for p in pts])
-    jac, status = lanes.jacobian_step(spec, z)
+    jac, status = lane_geometry.jacobian_step(spec, z)
     assert not status.any()
     assert_same_floats(jac, [jacobian_step(spec, p).matrix for p in pts])
-    assert_same_floats(lanes.op_norm_euclidean(jac),
+    assert_same_floats(lane_geometry.op_norm_euclidean(jac),
                        [op_norm_euclidean(m) for m in jac])
-    z1, status = lanes.flow(spec, z, 1.0)
+    z1, status = lane_geometry.flow(spec, z, 1.0)
     for k, p in enumerate(pts):
         try:
             q = flow(spec, p, 1.0)
@@ -667,7 +669,7 @@ def test_geometry_lanes_match_scalar_geometry(name):
         assert (z1.idx[k], *bits([z1.off[k], z1.hei[k]])) \
             == (q.index, *bits([q.offset, q.height]))
     try:
-        beta = lanes.beta_factor(spec, params, z)
+        beta = lane_geometry.beta_factor(spec, params, z)
     except LabError as exc:
         # the error of the first point whose scalar beta raises
         for p in pts:
@@ -688,16 +690,17 @@ def test_beta_lanes_raise_the_first_failing_point():
     spec = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=5))
     params = MetricParams(delta=0.25)
     u = np.array([0.1, 0.5 - 2.0 ** -8, 0.5 - 2.0 ** -9])
-    r = lanes.fiber_edges(spec, np.zeros(3, dtype=np.int64), u)[2]
-    z = lanes.Points(np.zeros(3, dtype=np.int64), u, r - 0.1)
+    r = lane_geometry.fiber_edges(spec, np.zeros(3, dtype=np.int64), u)[2]
+    z = lane_geometry.Points(np.zeros(3, dtype=np.int64), u, r - 0.1)
     with pytest.raises(TruncationExceededError) as lane_error:
-        lanes.beta_factor(spec, params, z)
+        lane_geometry.beta_factor(spec, params, z)
     assert beta_factor(spec, params, z.point(0)) > 1.0
     with pytest.raises(TruncationExceededError) as scalar_error:
         beta_factor(spec, params, z.point(1))
     assert str(lane_error.value) == str(scalar_error.value)
     with pytest.raises(SingularityProximityError):
-        lanes.fiber_edges(spec, np.array([1, 2]), np.array([0.1, 1e-30]))
+        lane_geometry.fiber_edges(spec, np.array([1, 2]),
+                                  np.array([0.1, 1e-30]))
 
 
 @st.composite
@@ -724,13 +727,13 @@ def matrix_stacks(draw):
 @given(case=matrix_stacks())
 def test_operator_norm_lanes_match_scalar_norms(case):
     m, g_from, g_to = case
-    assert_same_floats(lanes.op_norm_euclidean(m),
+    assert_same_floats(lane_geometry.op_norm_euclidean(m),
                        [op_norm_euclidean(a) for a in m])
     try:
         want = [op_norm_between(a, b, c) for a, b, c in zip(g_from, m, g_to)]
     except ZeroDivisionError:
         # a Gram matrix with 1 + s*s == s*s has determinant 0.0
         with pytest.raises(ZeroDivisionError):
-            lanes.op_norm_between(g_from, m, g_to)
+            lane_geometry.op_norm_between(g_from, m, g_to)
         return
-    assert_same_floats(lanes.op_norm_between(g_from, m, g_to), want)
+    assert_same_floats(lane_geometry.op_norm_between(g_from, m, g_to), want)
