@@ -7,11 +7,12 @@ the twins here of ``geometry.fiber_edges``, ``metric_form``,
 and of ``flow.jacobian_step`` and ``flow.flow``.  Both backends use them.
 Points travel as ``Points``, three arrays.
 
-Each lane gives the scalar function's floats bit for bit, with the means
-``lanes`` uses, plus sqrt and the stacked 2x2 ``matmul``.  Where a scalar
-function raises, its twin raises the error of the first failing lane, by
-calling the scalar function on it.  The module is separate from ``lanes``
-so that the commands without checks do not compile it.
+Each lane gives the scalar function's floats bit for bit: the twins use
+only the operations ``lanes`` vectorises, plus sqrt and the stacked 2x2
+``matmul``.  Where a scalar function raises, its twin raises the error of
+the first failing lane, by calling the scalar function on it.  The module
+is separate from ``lanes`` so that commands without checks do not compile
+it.
 """
 
 from __future__ import annotations
