@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConstraintViolationError, raise_for_status
+from .errors import (ConsistencyError, ConstraintViolationError,
+                     raise_for_status)
 from .iet import FiberPoint
 from .roof import RoofSpec, RoofValue
 
@@ -216,11 +217,16 @@ def op_norm_between(g_from: np.ndarray, m: np.ndarray,
     """sup ||Mv||_{g_to} / ||v||_{g_from} for SPD Gram matrices.
 
     The square is the largest root of det(M^T g_to M - lambda g_from) = 0.
+    A ``g_from`` whose determinant rounds to 0.0 raises ConsistencyError.
     """
     a = m.T @ g_to @ m
     a11, a12, a22 = float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
     b11, b12, b22 = float(g_from[0, 0]), float(g_from[0, 1]), float(g_from[1, 1])
     det_b = b11 * b22 - b12 * b12
+    if det_b == 0.0:
+        raise ConsistencyError(
+            f"Gram matrix {[[b11, b12], [b12, b22]]} has determinant "
+            "0.0 in floating point, so the operator norm is undefined")
     det_a = a11 * a22 - a12 * a12
     p = a11 * b22 + a22 * b11 - 2.0 * a12 * b12
     disc = max(0.0, p * p - 4.0 * det_b * det_a)

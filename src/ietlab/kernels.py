@@ -551,7 +551,9 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
     Lane k starts at ``(idx[k], off[k], hei[k])`` and writes row k of each
     two-dimensional ``out_*`` array, its fail step to ``out_fail[k]`` and
     its status to ``status[k]``.  Returns the number of failed lanes.
-    ``lanes.lyap_orbits`` computes the same in lockstep with numpy.
+    ``lanes.lyap_orbits`` computes the same with numpy: the heights of all
+    lanes in lockstep, the base orbit, roof and cocycle in windows of
+    crossings.
     """
     bad = 0
     for k in range(idx.shape[0]):

@@ -199,7 +199,7 @@ def op_norm_between(g_from, m, g_to):
     ``M^T g_to M`` is one stacked matmul, which rounds as the scalar
     version's 2-D products do; written out by components it would not.
     A ``g_from`` whose determinant rounds to 0.0 raises the scalar
-    version's ZeroDivisionError.
+    version's ConsistencyError, for the first such matrix.
     """
     a = np.matmul(np.matmul(m.transpose(0, 2, 1), g_to), m)
     a11, a12, a22 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]

@@ -2,9 +2,13 @@
 
 Without numba every kernel in ``kernels`` runs in the interpreter at a few
 microseconds per orbit step or point.  ``lyap_orbits`` and
-``birkhoff_h_orbits`` here take a batch of starts and move all of them one
-step at a time in lockstep: each step is a fixed number of numpy calls over
-the whole batch (the lanes), so its cost is shared by every lane.  The
+``birkhoff_h_orbits`` here take a batch of starts and move all of them in
+lockstep, with numpy calls over the whole batch (the lanes), so that each
+call's cost is shared by every lane.  What depends only on the base orbit
+is computed ahead, for many steps per call: ``birkhoff_h_orbits`` takes
+its base steps in blocks of ``BLOCK`` and evaluates h on a whole block, and
+``lyap_orbits`` reads the roof and the cocycle from windows of ``WINDOW``
+crossings, so that its time step only moves the heights.  The
 measure command's per-point kernels, ``roof_eval_batch``,
 ``base_step_batch`` and ``flow_time_one_batch``, take one step per lane, in
 pieces of at most ``PIECE`` lanes so that their temporaries stay small.
@@ -13,7 +17,8 @@ sandwich and beta checks, on both backends, through ``lane_geometry``.
 
 Each lane gives the floats and status codes of the scalar kernel bit for
 bit.  Only IEEE-exact operations are vectorised: + - * /, comparisons, abs,
-``ldexp``, ``frexp`` and ``searchsorted``.  Every ``log``, ``exp`` and
+``ldexp``, ``frexp`` and ``searchsorted``, and sums taken in the scalar
+loop's order (``np.add.accumulate``).  Every ``log``, ``exp`` and
 ``hypot`` goes through ``math``, lane by lane, because numpy's versions
 round differently from ``math`` on some inputs.  The roof functions assume
 the invariant that ``RoofSpec`` enforces, 0 < b < l/2 on every interval.
@@ -325,80 +330,153 @@ def roof_eval(u, b, l, flat, value=True):
 
 #: Base steps per block of ``birkhoff_h_orbits``.
 BLOCK = 32
+#: Base points per look-ahead window of ``lyap_orbits``.
+WINDOW = 32
+
+
+def _walk(base, i, u, span):
+    """``span`` base steps from each lane's point ``(i, u)``.
+
+    Returns ``(orbit_i, orbit_u, first, code)``: the points visited, of
+    shape ``(span + 1, lanes)`` with the start in row 0, and each lane's
+    first failed step (``span`` if none) with its status.  A failed lane
+    stays put, inside the truncation, so its later rows repeat its point.
+    """
+    count = i.shape[0]
+    orbit_i = np.empty((span + 1, count), dtype=np.int64)
+    orbit_u = np.empty((span + 1, count))
+    orbit_i[0] = i
+    orbit_u[0] = u
+    first = np.full(count, span)
+    code = np.zeros(count, dtype=np.int64)
+    for s in range(span):
+        j, v, st = iet_step(base, i, u)
+        if st.any():
+            failed = st != OK
+            new = failed & (first == span)
+            first[new] = s
+            code[new] = st[new]
+            j = np.where(failed, i, j)
+            v = np.where(failed, u, v)
+        orbit_i[s + 1] = i = j
+        orbit_u[s + 1] = u = v
+    return orbit_i, orbit_u, first, code
+
+
+def _window(base, roof, i, u, c, d):
+    """The next ``WINDOW`` crossings of cocycle lanes at base points
+    ``(i, u)`` whose cocycle's lower row is ``(c, d)``.
+
+    Entry m of a lane's window is its state after m more crossings: the base
+    point, the roof there, and c and d.  Returns these as flat arrays, lane
+    after lane (``WINDOW + 1`` entries each; the last entry's roof is never
+    read), then each lane's event: the entry at which it stops and what
+    happens there.  That is SINGULARITY for an entry in the exclusion band,
+    the status of a failed base step for the entry past it, and OK for the
+    window's end.
+    """
+    lengths, bs, flat, band = roof
+    orbit_i, orbit_u, first, code = _walk(base, i, u, WINDOW)
+    pi, pu = orbit_i[:WINDOW], orbit_u[:WINDOW]
+    l = lengths[pi]
+    r, dr = roof_eval(pu.ravel(), bs[pi].ravel(), l.ravel(), flat)
+    s = -2.0 * dr.reshape(WINDOW, -1)
+    # the scalar loop's c = s*a + c and d = s*b + d, with a = 1.0, b = 0.0
+    c = np.add.accumulate(np.vstack((c, s)), axis=0)
+    d = np.add.accumulate(np.vstack((d, s * 0.0)), axis=0)
+    r = np.vstack((r.reshape(WINDOW, -1), np.zeros(i.shape[0])))
+    bad = _in_band(pu, l, band)
+    at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), WINDOW)
+    # the band check comes before the base step of its entry
+    stop = np.where(at <= first, at, first + 1)
+    event = np.where(at <= first, np.where(at < WINDOW, SINGULARITY, OK), code)
+    return (*(a.T.ravel() for a in (orbit_i, orbit_u, r, c, d)), stop, event)
 
 
 def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
                 out_k, out_i, out_u, out_y, out_fail, status):
     """``kernels.lyap_orbits``, all lanes stepped in lockstep.
 
-    The roof is evaluated again only on lanes that crossed on the previous
-    step, since ``(i, u)`` is unchanged on the others.  A failed lane
-    retires: its roof is set to +inf so that it never crosses again, and its
-    checkpoints are no longer written.
+    Only the heights depend on time.  The base orbit, the roof along it and
+    the cocycle come from windows of ``WINDOW`` crossings (``_window``), so
+    a time step moves the heights and each crossing lane's pointer into its
+    window.  The cocycle there is exact: every factor (1, 0; -2 r', 1) is
+    lower unipotent, so the scalar loop's a and b stay 1.0 and 0.0, and its
+    c and d are running sums, which ``np.add.accumulate`` takes in the same
+    order.  When one lane reaches its window's end, every live lane gets a
+    new window from the entry it is at.  A lane moves at most one entry per
+    step, so steps run in rounds that end before any lane can reach its
+    event.  A failed lane retires, and its checkpoints are no longer
+    written: at the step of its failed crossing, or at the first step after
+    it reached a point in the exclusion band.
     """
-    lengths, bs, flat, band = roof
-    n = idx.shape[0]
-    i = np.array(idx, dtype=np.int64)
-    u = np.array(off, dtype=np.float64)
-    y = np.array(hei, dtype=np.float64)
-    a = 1.0
-    bb = 0.0
-    c = np.zeros(n)
-    d = np.ones(n)
-    k = np.zeros(n, dtype=np.int64)
-    r = np.empty(n)
-    dr = np.empty(n)
-    live = np.ones(n, dtype=bool)
+    count = idx.shape[0]
     status[:] = OK
     out_fail[:] = -1
+    lane = np.arange(count)
+    y = np.array(hei, dtype=np.float64)
+    k0 = np.zeros(count, dtype=np.int64)  # crossings before entry 0
+    win = row0 = pos = stop = event = None
 
-    def retire(lanes, codes, step):
-        status[lanes] = codes
-        out_fail[lanes] = step
-        live[lanes] = False
-        r[lanes] = math.inf
+    def refill(i, u, c, d):
+        """New windows for the live lanes, from their states."""
+        nonlocal win, row0, pos, stop, event
+        *win, stop, event = _window(base, roof, i, u, c, d)
+        row0 = np.arange(i.shape[0]) * (WINDOW + 1)
+        pos = row0.copy()
+        stop = row0 + stop
 
-    fresh, fi, fu = np.arange(n), i, u  # lanes due for band check and roof
+    def retire(gone, codes, at):
+        nonlocal lane, y, k0, row0, pos, stop, event
+        status[lane[gone]] = codes
+        out_fail[lane[gone]] = at
+        keep = ~gone
+        lane, y, k0, row0, pos, stop, event = (
+            a[keep] for a in (lane, y, k0, row0, pos, stop, event))
+
+    refill(np.array(idx, dtype=np.int64), np.array(off, dtype=np.float64),
+           np.zeros(count), np.ones(count))
     step = 0
     for ci in range(cps.shape[0]):
         target = cps[ci]
-        while step < target:
-            if fresh.size:
-                l = lengths[fi]
-                bad = _in_band(fu, l, band)
-                if bad.any():
-                    retire(fresh[bad], SINGULARITY, step)
-                    keep = ~bad
-                    fresh, fi, fu, l = fresh[keep], fi[keep], fu[keep], l[keep]
-                r[fresh], dr[fresh] = roof_eval(fu, bs[fi], l, flat)
-            y1 = y + 1.0
-            under = y1 < r
-            y = np.where(under, y1, y1 - 2.0 * r)
-            cross = np.flatnonzero(~under)
-            if cross.size:
-                fi, fu, st = iet_step(base, i[cross], u[cross])
-                bad = st != OK
-                if bad.any():
-                    retire(cross[bad], st[bad], step)
-                    keep = ~bad
-                    cross, fi, fu = cross[keep], fi[keep], fu[keep]
-                s = -2.0 * dr[cross]
-                c[cross] = s * a + c[cross]
-                d[cross] = s * bb + d[cross]
-                k[cross] += 1
-                i[cross] = fi
-                u[cross] = fu
-            fresh = cross
-            step += 1
-        out_a[live, ci] = a
-        out_b[live, ci] = bb
-        out_c[live, ci] = c[live]
-        out_d[live, ci] = d[live]
-        out_k[live, ci] = k[live]
-        out_i[live, ci] = i[live]
-        out_u[live, ci] = u[live]
-        out_y[live, ci] = y[live]
-    return n - int(np.count_nonzero(live))
+        while step < target and lane.size:
+            due = pos == stop
+            if due.any():
+                if np.any(due & (event == OK)):
+                    wi, wu, wr, wc, wd = win
+                    k0 = k0 + (pos - row0)
+                    refill(wi[pos], wu[pos], wc[pos], wd[pos])
+                    due = pos == stop
+                gone = due & (event == SINGULARITY)
+                if gone.any():
+                    retire(gone, SINGULARITY, step)
+                    if not lane.size:
+                        break
+            span = min(int(target) - step, int((stop - pos).min()))
+            wr = win[2]
+            for _ in range(span):
+                r = wr[pos]
+                y1 = y + 1.0
+                under = y1 < r
+                y = np.where(under, y1, y1 - 2.0 * r)
+                pos += ~under
+            step += span
+            due = pos == stop
+            if due.any():
+                # a failed base step retires its lane at the step that crossed
+                gone = due & (event != OK) & (event != SINGULARITY)
+                if gone.any():
+                    retire(gone, event[gone], step - 1)
+        wi, wu, wr, wc, wd = win
+        out_a[lane, ci] = 1.0
+        out_b[lane, ci] = 0.0
+        out_c[lane, ci] = wc[pos]
+        out_d[lane, ci] = wd[pos]
+        out_k[lane, ci] = k0 + (pos - row0)
+        out_i[lane, ci] = wi[pos]
+        out_u[lane, ci] = wu[pos]
+        out_y[lane, ci] = y
+    return count - lane.shape[0]
 
 
 def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
@@ -422,24 +500,9 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
         while step < cps[ci] and lane.size:
             span = min(BLOCK, int(cps[ci]) - step)
             count = lane.shape[0]
-            orbit_i = np.empty((span, count), dtype=np.int64)
-            orbit_u = np.empty((span, count))
-            first = np.full(count, span)  # the step at which a lane fails
-            code = np.zeros(count, dtype=np.int64)
-            for s in range(span):
-                orbit_i[s] = i
-                orbit_u[s] = u
-                j, v, st = iet_step(base, i, u)
-                if st.any():
-                    failed = st != OK
-                    new = failed & (first == span)
-                    first[new] = s
-                    code[new] = st[new]
-                    # a failed lane stays put, inside the truncation
-                    j = np.where(failed, i, j)
-                    v = np.where(failed, u, v)
-                i = j
-                u = v
+            orbit_i, orbit_u, first, code = _walk(base, i, u, span)
+            i, u = orbit_i[span], orbit_u[span]
+            orbit_i, orbit_u = orbit_i[:span], orbit_u[:span]
             if h_const > 0.0:
                 h = np.full((span, count), h_const)
             else:

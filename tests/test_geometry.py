@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ietlab.errors import ConstraintViolationError
+from ietlab import lane_geometry
+from ietlab.errors import (ConsistencyError, ConstraintViolationError,
+                           LabError)
 from ietlab.geometry import (
     SuspensionPoint,
     TangentVec,
@@ -225,3 +227,18 @@ def test_op_norm_between_euclidean_reduces():
         m = rng.normal(size=(2, 2))
         assert op_norm_between(eye, m, eye) == pytest.approx(
             op_norm_euclidean(m), rel=1e-12)
+
+
+def test_op_norm_between_names_a_zero_gram_determinant():
+    # the blended norm's Gram matrix at rho = 0 with shear s = 2^27: its
+    # determinant (1 + s*s) - s*s rounds to 0.0
+    s = 2.0 ** 27
+    g = np.array([[1.0 + s * s, s], [s, 1.0]])
+    with pytest.raises(ConsistencyError, match="determinant 0.0") as scalar:
+        op_norm_between(g, np.eye(2), np.eye(2))
+    assert isinstance(scalar.value, LabError)  # the CLI exits 2 on it
+    stack = np.stack([np.eye(2), g])
+    with pytest.raises(ConsistencyError) as lane:
+        lane_geometry.op_norm_between(stack, np.stack([np.eye(2)] * 2),
+                                      np.stack([np.eye(2)] * 2))
+    assert str(lane.value) == str(scalar.value)

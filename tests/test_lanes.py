@@ -191,9 +191,9 @@ def batch_starts(spec, count, seed):
     return idx, off, hei
 
 
-def lyap_outputs(count):
+def lyap_outputs(count, cps=CPS):
     """``out_a`` to ``out_y``, ``out_fail`` and ``status``, all sentinels."""
-    shape = (count, CPS.shape[0])
+    shape = (count, cps.shape[0])
     rows = [np.full(shape, -7.5) for _ in range(4)]
     rows += [np.full(shape, -7, dtype=np.int64) for _ in range(2)]
     rows += [np.full(shape, -7.5) for _ in range(2)]
@@ -201,12 +201,12 @@ def lyap_outputs(count):
             np.full(count, -9, dtype=np.int64))
 
 
-def scalar_lyap(base, roof, idx, off, hei):
-    outs = lyap_outputs(idx.shape[0])
+def scalar_lyap(base, roof, idx, off, hei, cps=CPS):
+    outs = lyap_outputs(idx.shape[0], cps)
     *rows, out_fail, status = outs
     for k in range(idx.shape[0]):
         status[k] = kernels.lyap_orbit(
-            base, roof, int(idx[k]), float(off[k]), float(hei[k]), CPS,
+            base, roof, int(idx[k]), float(off[k]), float(hei[k]), cps,
             *(a[k] for a in rows), out_fail[k:k + 1])
     return outs
 
@@ -219,25 +219,136 @@ def assert_same_outputs(got, want):
             assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("name", ["rotation", "swap", "odometer_shallow",
-                                  "table"])
-def test_lyap_orbits_match_scalar_orbits(name):
-    spec = RoofSpec.build(FAMILIES[name])
+def assert_lyap_lanes_match_scalar(spec, idx, off, hei, cps):
+    """Both batch kernels give the scalar loop's outputs; returns those."""
     base, roof = spec.iet.pack(), spec.pack()
-    idx, off, hei = batch_starts(spec, 40, seed=8)
-    want = scalar_lyap(base, roof, idx, off, hei)
+    want = scalar_lyap(base, roof, idx, off, hei, cps)
     for impl in (lanes, kernels):
-        got = lyap_outputs(idx.shape[0])
-        bad = impl.lyap_orbits(base, roof, idx, off, hei, CPS, *got)
+        got = lyap_outputs(idx.shape[0], cps)
+        bad = impl.lyap_orbits(base, roof, idx, off, hei, cps, *got)
         assert_same_outputs(got, want)
         assert bad == int(np.count_nonzero(want[-1]))
+    return want
+
+
+def spike_starts(spec):
+    """Lanes on both spikes of interval 0, far below their roof: they stay
+    at one window entry while the other lanes move through theirs."""
+    l0 = float(spec.lengths[0])
+    near = 2.0 * spec.band * l0
+    return (np.zeros(2, dtype=np.int64), np.array([near, l0 - near]),
+            np.array([-150.0, -90.0]))
+
+
+# a checkpoint after each of the first two steps, then about 40 windows
+LONG_CPS = np.array([1, 2, 2500], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name, cps", [
+    pytest.param(name, cps, id=name + suffix)
+    for cps, suffix in ((CPS, ""), (LONG_CPS, "-long_cps"))
+    for name in ("rotation", "swap", "odometer_shallow", "table")])
+def test_lyap_orbits_match_scalar_orbits(name, cps):
+    spec = RoofSpec.build(FAMILIES[name])
+    starts = zip(spike_starts(spec), batch_starts(spec, 40, seed=8))
+    idx, off, hei = (np.concatenate(pair) for pair in starts)
+    want = assert_lyap_lanes_match_scalar(spec, idx, off, hei, cps)
     status, fail = want[-1], want[-2]
     assert status[-2:].tolist() == [kernels.SINGULARITY] * 2
     assert fail[-2:].tolist() == [0, 0]
-    if name == "odometer_shallow":
+    if name != "odometer_shallow":
+        # at step 150 the first spike lane has not crossed yet, while some
+        # other lane has passed the end of two windows
+        probe = scalar_lyap(spec.iet.pack(), spec.pack(), idx, off, hei,
+                            np.array([150]))[4][:, 0]
+        assert probe[0] == 0 and probe[2:-2].max() >= 2 * lanes.WINDOW
+    elif cps is CPS:
         # lanes leave the truncation at many different steps
         assert np.count_nonzero(status == kernels.TRUNCATION) > 5
         assert len(set(fail[status == kernels.TRUNCATION].tolist())) > 5
+
+
+def orbit_to(spec, j, v, m):
+    """A start whose base orbit reaches ``(j, v)`` at its m-th step."""
+    base = spec.iet.pack()
+    for _ in range(m):
+        j, v, st = kernels.iet_step_inv(base, j, v)
+        assert st == kernels.OK
+    return j, v
+
+
+def first_event(spec, i, u, steps):
+    """(step, status) of the first band point or failed step of the base
+    orbit from ``(i, u)``, in the order of the scalar loop."""
+    base, (lengths, _, _, band) = spec.iet.pack(), spec.pack()
+    for m in range(steps):
+        l = lengths[i]
+        if u < band * l or u > l - band * l:
+            return m, kernels.SINGULARITY
+        i, u, st = kernels.iet_step(base, i, u)
+        if st != kernels.OK:
+            return m, st
+    return steps, kernels.OK
+
+
+@pytest.mark.parametrize("code", [kernels.SINGULARITY, kernels.TRUNCATION],
+                         ids=["band", "truncation"])
+@pytest.mark.parametrize("m", [lanes.WINDOW - 1, lanes.WINDOW,
+                               lanes.WINDOW + 1, 2 * lanes.WINDOW - 1],
+                         ids=lambda m: f"step{m}")
+def test_lyap_orbits_fail_at_window_edges(code, m):
+    """A lane alone in its batch, so that its windows hold crossings
+    [0, WINDOW), [WINDOW, 2 WINDOW), ...: its base orbit fails at step m,
+    next to a window's edge."""
+    if code == kernels.SINGULARITY:
+        spec = SPECS["rotation"]
+        j, v = 5, 0.5 * spec.band * float(spec.lengths[5])
+    else:
+        # 0.5 + v lies in interval n_trunc of the odometer
+        spec = SPECS["odometer_shallow"]
+        j, v = 0, 0.5 - 0.5 ** (spec.iet.n_trunc + 1)
+        assert kernels.iet_step(spec.iet.pack(), j, v)[2] == code
+    i, u = orbit_to(spec, j, v, m)
+    assert first_event(spec, i, u, m + 2) == (m, code)
+    idx, off, hei = np.array([i]), np.array([u]), np.array([0.25])
+    cps = np.array([3 * m, 12 * m], dtype=np.int64)
+    want = assert_lyap_lanes_match_scalar(spec, idx, off, hei, cps)
+    assert want[-1].tolist() == [code]
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_lyap_orbits_write_a_band_crossing_at_its_checkpoint(last):
+    """A lane that crosses into the band on the last step before a
+    checkpoint is written there; it fails at the next step, or never if
+    that was the final step."""
+    spec = SPECS["rotation"]
+    j, v = 5, 0.5 * spec.band * float(spec.lengths[5])
+    i, u = orbit_to(spec, j, v, 1)
+    s = 20  # the step of the crossing
+    r = kernels.roof_eval(u, float(spec.widths[i]), float(spec.lengths[i]),
+                          0)[0]
+    cps = np.array([10, s + 1] if last else [s + 1, s + 40], dtype=np.int64)
+    starts = zip((np.array([i]), np.array([u]), np.array([r - s - 0.5])),
+                 batch_starts(spec, 6, seed=3))
+    idx, off, hei = (np.concatenate(pair) for pair in starts)
+    want = assert_lyap_lanes_match_scalar(spec, idx, off, hei, cps)
+    at = 1 if last else 0
+    # one crossing, onto a point in the band
+    assert (want[4][0, at], want[5][0, at]) == (1, j)
+    assert want[6][0, at] < spec.band * float(spec.lengths[j])
+    if last:
+        assert (want[-1][0], want[-2][0]) == (kernels.OK, -1)
+    else:
+        assert (want[-1][0], want[-2][0]) == (kernels.SINGULARITY, s + 1)
+        assert want[4][0, 1] == -7  # not written after the failure
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_lyap_orbits_take_empty_and_single_batches(count):
+    spec = SPECS["rotation"]
+    idx, off, hei = (a[:count] for a in batch_starts(spec, 4, seed=5))
+    want = assert_lyap_lanes_match_scalar(spec, idx, off, hei, CPS)
+    assert want[-1].tolist() == [kernels.OK] * count
 
 
 @pytest.mark.parametrize("name", ["rotation", "swap", "odometer_shallow",
@@ -731,9 +842,11 @@ def test_operator_norm_lanes_match_scalar_norms(case):
                        [op_norm_euclidean(a) for a in m])
     try:
         want = [op_norm_between(a, b, c) for a, b, c in zip(g_from, m, g_to)]
-    except ZeroDivisionError:
+    except ConsistencyError as scalar_error:
         # a Gram matrix with 1 + s*s == s*s has determinant 0.0
-        with pytest.raises(ZeroDivisionError):
+        assert "determinant 0.0" in str(scalar_error)
+        with pytest.raises(ConsistencyError) as lane_error:
             lane_geometry.op_norm_between(g_from, m, g_to)
+        assert str(lane_error.value) == str(scalar_error)
         return
     assert_same_floats(lane_geometry.op_norm_between(g_from, m, g_to), want)
