@@ -1,10 +1,12 @@
-"""The points and per-point values of ``lab check``'s sandwich and beta checks.
+"""The points and per-point values of ``lab check``'s sandwich, beta and
+cocycle-algebra checks.
 
-``reference_sandwich`` and ``reference_beta`` are the two checks as they
-were written before they moved onto lanes: one point at a time through the
-scalar geometry functions, recording what each point gives.  Their
-SHA-256 digests on eight specs (all four families, shallow truncations so
-that draws are retried, and one odometer whose beta check raises) were
+``reference_sandwich``, ``reference_beta`` and ``reference_cocycle`` are the
+three checks as they were written before they moved onto lanes: one point
+at a time through the scalar geometry and flow functions, recording what
+each point gives.  Their SHA-256 digests on specs of all four families,
+with shallow truncations so that draws are retried (and, for the cocycle
+check, tries are skipped), and one odometer whose beta check raises, were
 pinned from that code, and the lane checks must reproduce them: the same
 points in the same order, the same values bit for bit, the same error.
 """
@@ -18,7 +20,7 @@ import pytest
 from ietlab import cli
 from ietlab import lane_geometry as lanes
 from ietlab.errors import LabError
-from ietlab.flow import flow as flow_point, jacobian_step
+from ietlab.flow import cocycle, flow as flow_point, jacobian_step
 from ietlab.geometry import (
     MetricParams,
     TangentVec,
@@ -100,6 +102,43 @@ def reference_beta(spec, params, seed, count):
     return rows, f"violations={violations}/{count}"
 
 
+def _entries(c):
+    return [c.m11, c.m12, c.m21, c.m22, c.crossings]
+
+
+def reference_cocycle(spec, seed, count):
+    """The cocycle-algebra check try by try: rows (i, u, y, n, m) followed
+    by the entries of the whole cocycle and of the product of its two
+    parts, or by "skipped" for a try whose cocycles or flow failed."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
+    bad = 0
+    tried = 0
+    rows = []
+    while tried < count:
+        z = _random_canonical(spec, rng)
+        n = int(rng.integers(2, 200))
+        m = int(rng.integers(1, 100))
+        row = [z.index, z.offset, z.height, n, m]
+        try:
+            whole = cocycle(spec, z, n + m)
+            first = cocycle(spec, z, n)
+            z_n = flow_point(spec, z, float(n))
+            second = cocycle(spec, z_n, m)
+        except LabError:
+            rows.append(row + ["skipped"])
+            continue
+        tried += 1
+        prod = second.compose(first)
+        rows.append(row + _entries(whole) + _entries(prod))
+        if (whole.m11, whole.m12, whole.m22) != (1.0, 0.0, 1.0):
+            bad += 1
+            continue
+        tol = 1e-9 * max(1.0, abs(whole.m21))
+        if abs(prod.m21 - whole.m21) > tol or prod.crossings != whole.crossings:
+            bad += 1
+    return rows, f"violations={bad}/{count}"
+
+
 def lane_sandwich(spec, params, seed, count):
     """``reference_sandwich``'s rows and detail from the lane check."""
     z, dx, dy, ne, nd, c = cli._sandwich_values(spec, params, seed, count)
@@ -175,6 +214,61 @@ def test_lane_checks_match_pinned_digests(specs, name, seed):
     got = (outcome_digest(lane_sandwich, spec, PARAMS, seed, COUNT),
            outcome_digest(lane_beta, spec, PARAMS, seed, COUNT))
     assert got == PINNED[name, seed]
+
+
+# The cocycle check's specs: tries on the rotation and swap are redrawn
+# (points beyond the truncation, orbits that leave it while they are
+# canonicalized), and most odometer tries are skipped (orbits that leave
+# the truncation within n + m steps).  "odometer64" is the diagnostics
+# workload's spec.
+COCYCLE_SPECS = {
+    "rotation": lambda: CountableIET.block_rotation(n_trunc=3),
+    "swap": lambda: CountableIET.block_swap(n_trunc=5),
+    "odometer": lambda: CountableIET.von_neumann_kakutani(n_trunc=6),
+    "table": lambda: CountableIET.explicit_table(TABLE, n_trunc=5),
+    "odometer64": lambda: CountableIET.von_neumann_kakutani(n_trunc=64),
+}
+COCYCLE_COUNT = 100
+
+#: (family, seed) -> digest of the cocycle check's tries, from the scalar
+#: check.
+COCYCLE_PINNED = {
+    ("rotation", 0):
+        "573b9cd2f9c63954b47a3f8aa187c50a75fdc1f175c0de3f87fa35624126ddbf",
+    ("rotation", 1):
+        "f4c8043588260dfc69c2a11f2e9b0860bd3b5ccf6f506cda541b72f407fc7179",
+    ("swap", 0):
+        "7e837efdc90561c69cda0c2e935528df155fa99dff66bccc1b905ebcc4445b5e",
+    ("swap", 1):
+        "853d4cd3c4886daaef4a42ef38a5fb14fc5ad97640c92f1e2da4cec9e5a27e70",
+    ("odometer", 0):
+        "cdda4d432dd61269515b0adac3a047990bb12d260bd1339ba8c4e2de13fd23f9",
+    ("odometer", 1):
+        "3ad9fbf72c2473926e010f2155afc532f8dd321b2dd9657b8bae5e67f20e871e",
+    ("table", 0):
+        "13b4ece4d4efabb964bead91066f5762a2579e9cbdcbe9e8d7afaa9b47be6756",
+    ("table", 1):
+        "4aa5cf2f2df9987faaffb2952d88a43a5bb8ad0e9446a80aab6fb3686ddb78f4",
+    ("odometer64", 0):
+        "914d6f7c1f9594b5f0a2abb70539b16ed0d58b5bec11a9732ccc90df3edb33d3",
+    ("odometer64", 1):
+        "8e6f466ea293ff696763b50ad66d8432b06aef865531effe85d713a3c998aa7c",
+}
+
+COCYCLE_CASES = [(name, seed) for name in COCYCLE_SPECS for seed in SEEDS]
+
+
+@pytest.fixture(scope="module")
+def cocycle_specs():
+    return {name: RoofSpec.build(make()) for name, make in COCYCLE_SPECS.items()}
+
+
+@pytest.mark.parametrize("name,seed", COCYCLE_CASES)
+def test_scalar_cocycle_reference_matches_pinned_digests(cocycle_specs, name,
+                                                         seed):
+    got = outcome_digest(reference_cocycle, cocycle_specs[name], seed,
+                         COCYCLE_COUNT)
+    assert got == COCYCLE_PINNED[name, seed]
 
 
 @pytest.mark.parametrize("make", [CountableIET.block_rotation,

@@ -359,6 +359,37 @@ def test_lz78_rate_brackets_iid_and_periodic():
     assert lz78_rate(periodic) < 0.1
 
 
+def tuple_key_lz78(symbols, alphabet_size):
+    """LZ78 with its trie keyed by (node, symbol): the rate, and whether
+    the stream ends inside a phrase."""
+    table = {}
+    node = 0
+    phrases = 0
+    for s in symbols.tolist():
+        nxt = table.get((node, s))
+        if nxt is None:
+            table[node, s] = len(table) + 1
+            phrases += 1
+            node = 0
+        else:
+            node = nxt
+    mid_phrase = node != 0
+    phrases += mid_phrase
+    return phrases * math.log(phrases) / symbols.size, mid_phrase
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 16])
+def test_lz78_rate_matches_tuple_keyed_trie(alphabet):
+    rng = np.random.default_rng(alphabet)
+    ends = []
+    for length in range(2000, 2016):
+        sym = rng.integers(0, alphabet, length)
+        want, mid_phrase = tuple_key_lz78(sym, alphabet)
+        assert lz78_rate(SymbolStream(alphabet, sym)) == want
+        ends.append(mid_phrase)
+    assert any(ends) and not all(ends)
+
+
 def test_entropy_estimate_wrapper():
     s = bernoulli_stream(0.5, 5000, seed=2)
     est = entropy_estimate(s, "plugin", block_len=8)
