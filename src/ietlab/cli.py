@@ -22,18 +22,14 @@ import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from . import svgplot
-from .flow import (
-    cocycle,
-    aaronson_experiment,
-    flow as flow_point,
-    lyapunov_experiment,
-)
+from .flow import aaronson_experiment, lyapunov_experiment
 from .measure import (
     abramov,
     bernoulli_stream,
@@ -43,7 +39,7 @@ from .measure import (
     total_mass,
 )
 from .errors import ConfigError, ConstraintViolationError, LabError
-from .geometry import MetricParams, SuspensionPoint, canonicalize
+from .geometry import MetricParams
 from .iet import DEFAULT_TRUNCATION, CountableIET, FiberPoint, validate
 from .roof import (
     DefaultPolicy,
@@ -97,8 +93,15 @@ class CheckOutcome:
         return (self.name, self.status, self.detail)
 
 
-def _check_validation(iet: CountableIET) -> CheckOutcome:
-    report = validate(iet)
+# The validation, roof smoothness, summability and measure-identity checks
+# depend on the spec alone, not on the seed: each is computed once per spec
+# (a RoofSpec hashes by identity), however many check experiments a
+# command runs.
+
+
+@lru_cache(maxsize=1)
+def _check_validation(spec: RoofSpec) -> CheckOutcome:
+    report = validate(spec.iet)
     detail = (f"partition={report.cond_partition} "
               f"isolation={report.cond_isolation} "
               f"covering={report.cond_covering} "
@@ -106,6 +109,7 @@ def _check_validation(iet: CountableIET) -> CheckOutcome:
     return CheckOutcome("iet_validation", report.overall, detail)
 
 
+@lru_cache(maxsize=1)
 def _check_roof_fd(spec: RoofSpec) -> CheckOutcome:
     """Central finite differences of the roof against its derivative."""
     worst = 0.0
@@ -129,10 +133,11 @@ def _check_roof_fd(spec: RoofSpec) -> CheckOutcome:
     return CheckOutcome("roof_smoothness_fd", status, f"max_rel_err={worst:.3e}")
 
 
-def _check_summability(spec: RoofSpec, summability) -> CheckOutcome:
+@lru_cache(maxsize=1)
+def _check_summability(spec: RoofSpec) -> CheckOutcome:
     value, bound = log_derivative_integral(spec)
     ok = value <= bound * (1.0 + 1e-12)
-    verdict = summability.verdict
+    verdict = spec.summability.verdict
     if not ok or verdict == "DIVERGENT":
         status = "FAIL"
     elif verdict == "UNKNOWN":
@@ -144,19 +149,9 @@ def _check_summability(spec: RoofSpec, summability) -> CheckOutcome:
         f"verdict={verdict} log_deriv_integral={value:.6f} bound={bound:.6f}")
 
 
-def _random_canonical(spec: RoofSpec, rng) -> SuspensionPoint:
-    while True:
-        try:
-            base = spec.iet.locate(rng.random())
-            return canonicalize(spec, base, rng.uniform(-2.0, 2.0))
-        except LabError:
-            continue
-
-
-# The sandwich and beta checks draw their points as ``_random_canonical``
-# does and evaluate them all with one call of each lane evaluator.
-# ``lane_geometry`` is imported on first use, so that other commands do not
-# load it.
+# The sandwich, beta and cocycle-algebra checks draw their points and
+# evaluate them on lanes, with ``lane_geometry``, which is imported on first
+# use, so that other commands do not load it.
 
 
 def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
@@ -200,27 +195,25 @@ def _check_beta_bound(spec: RoofSpec, params: MetricParams, seed: int,
     return CheckOutcome("beta_bound", status, f"violations={violations}/{count}")
 
 
+def _cocycle_values(spec: RoofSpec, seed: int, count: int):
+    """The cocycle-algebra check's tries (``lane_geometry.CocycleTries``)."""
+    from . import lane_geometry as lanes
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
+    return lanes.cocycle_tries(spec, rng, count)
+
+
 def _check_cocycle_algebra(spec: RoofSpec, seed: int,
                            count: int = 100) -> CheckOutcome:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
+    """The cocycle of n + m steps against the product of those of n steps
+    and of m more, on ``count`` tries whose three cocycles exist."""
+    tries = _cocycle_values(spec, seed, count)
     bad = 0
-    tried = 0
-    while tried < count:
-        z = _random_canonical(spec, rng)
-        n = int(rng.integers(2, 200))
-        m = int(rng.integers(1, 100))
-        try:
-            whole = cocycle(spec, z, n + m)
-            first = cocycle(spec, z, n)
-            z_n = flow_point(spec, z, float(n))
-            second = cocycle(spec, z_n, m)
-        except LabError:
-            continue
-        tried += 1
+    for k in np.flatnonzero(~tries.skipped).tolist():
+        whole = tries.whole.at(k)
         if (whole.m11, whole.m12, whole.m22) != (1.0, 0.0, 1.0):
             bad += 1
             continue
-        prod = second.compose(first)
+        prod = tries.second.at(k).compose(tries.first.at(k))
         tol = 1e-9 * max(1.0, abs(whole.m21))
         if abs(prod.m21 - whole.m21) > tol or prod.crossings != whole.crossings:
             bad += 1
@@ -228,6 +221,7 @@ def _check_cocycle_algebra(spec: RoofSpec, seed: int,
     return CheckOutcome("cocycle_algebra", status, f"violations={bad}/{count}")
 
 
+@lru_cache(maxsize=1)
 def _check_measure_identity(spec: RoofSpec) -> CheckOutcome:
     report = total_mass(spec)
     ok = report.identity_gap <= 1e-8
@@ -236,12 +230,12 @@ def _check_measure_identity(spec: RoofSpec) -> CheckOutcome:
         f"total_mass={report.total_mass:.9f} gap={report.identity_gap:.3e}")
 
 
-def run_check_suite(iet: CountableIET, spec: RoofSpec, summability,
-                    params: MetricParams, seed: int = 0) -> list[CheckOutcome]:
+def run_check_suite(spec: RoofSpec, params: MetricParams,
+                    seed: int = 0) -> list[CheckOutcome]:
     return [
-        _check_validation(iet),
+        _check_validation(spec),
         _check_roof_fd(spec),
-        _check_summability(spec, summability),
+        _check_summability(spec),
         _check_sandwich(spec, params, seed),
         _check_beta_bound(spec, params, seed),
         _check_cocycle_algebra(spec, seed),
@@ -266,7 +260,7 @@ def _quantiles(values: np.ndarray) -> dict:
 
 def run_check(iet, spec, summability, params, exp: ExperimentSpec,
               out_path: Path) -> tuple[int, dict, None]:
-    outcomes = run_check_suite(iet, spec, summability, params, seed=exp.seed)
+    outcomes = run_check_suite(spec, params, seed=exp.seed)
     write_csv(out_path, ["check", "status", "detail"],
               [o.as_row() for o in outcomes])
     failed = [o.name for o in outcomes if o.status == "FAIL"]

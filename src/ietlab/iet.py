@@ -501,7 +501,9 @@ def partition_entropy(iet: CountableIET, n_terms: int | None = None) -> Partitio
         piece = kernels.iet_length(base, i)
         return -piece * math.log(piece)
 
-    partial = sum(term(i) for i in range(n_terms))
+    partial = 0.0
+    for i in range(n_terms):
+        partial += term(i)
     tail = 0.0
     for i in range(n_terms, n_terms + 4096):
         t = term(i)

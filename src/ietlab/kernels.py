@@ -71,9 +71,8 @@ def batch_kernels():
     """The module holding the batch kernels of this backend.
 
     Under numba, this one: compiled loops over the scalar kernels.
-    Otherwise ``lanes``: numpy lanes with the same bits.  ``lanes`` is
-    imported on first use, so that commands without batch work do not load
-    it.
+    Otherwise ``lanes``: numpy lanes with the same bits, imported on first
+    use.
     """
     if NUMBA_ENABLED:
         return sys.modules[__name__]

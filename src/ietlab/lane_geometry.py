@@ -4,8 +4,11 @@
 ``sandwich_draws`` and ``beta_draws`` and evaluate them all at once with
 the twins here of ``geometry.fiber_edges``, ``metric_form``,
 ``metric_norm``, ``constant_C``, ``beta_factor`` and the operator norms,
-and of ``flow.jacobian_step`` and ``flow.flow``.  Both backends use them.
-Points travel as ``Points``, three arrays.
+and of ``flow.jacobian_step`` and ``flow.flow``.  Its cocycle-algebra
+check draws its tries with ``cocycle_tries``, which takes the cocycles of
+all tries from ``lanes.lyap_orbits`` (``cocycles``, the twin of
+``flow.cocycle``).  Both backends use them.  Points travel as ``Points``,
+three arrays, and cocycles as ``Cocycles``.
 
 Each lane gives the scalar function's floats bit for bit: the twins use
 only the operations ``lanes`` vectorises, plus sqrt and the stacked 2x2
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConstraintViolationError
+from .flow import Cocycle2x2
 from .geometry import SuspensionPoint
 from .iet import FiberPoint
 from .kernels import OK, SINGULARITY
@@ -35,6 +39,7 @@ from .lanes import (
     iet_step,
     iet_step_inv,
     locate,
+    lyap_orbits,
     roof_eval,
 )
 
@@ -170,9 +175,10 @@ def jacobian_step(spec, z: Points):
     return m, np.where(refused, SINGULARITY, OK)
 
 
-def flow(spec, z: Points, t: float):
-    """``flow.flow`` on lanes: ``(points, status)``."""
-    if not math.isfinite(t):
+def flow(spec, z: Points, t):
+    """``flow.flow`` on lanes, by a time ``t`` or by a time per lane:
+    ``(points, status)``."""
+    if not np.isfinite(t).all():
         raise ConstraintViolationError("flow time must be finite")
     i, u, y, status = canonicalize_k(spec.iet.pack(), spec.pack(), z.idx,
                                      z.off, z.hei + t, geometry.MAX_GLUE)
@@ -214,13 +220,53 @@ def op_norm_between(g_from, m, g_to):
     return np.sqrt(_nonnegative(lam))
 
 
+class Cocycles(NamedTuple):
+    """Cocycles of lanes, ``flow.Cocycle2x2`` entry by entry."""
+
+    m11: np.ndarray
+    m12: np.ndarray
+    m21: np.ndarray
+    m22: np.ndarray
+    crossings: np.ndarray
+
+    def at(self, k: int) -> Cocycle2x2:
+        return Cocycle2x2(float(self.m11[k]), float(self.m12[k]),
+                          float(self.m21[k]), float(self.m22[k]),
+                          int(self.crossings[k]))
+
+
+def cocycles(spec, z: Points, *steps):
+    """``flow.cocycle`` of each lane after each of its step counts.
+
+    ``steps`` holds arrays of step counts, one count per lane each.  All
+    are read from one ``lyap_orbits`` run with a checkpoint at every count
+    that occurs.  Returns a list of ``(Cocycles, fails)``, one per array,
+    with ``fails`` where the scalar version raises: the lane failed before
+    that step count.
+    """
+    cps, col = np.unique(np.concatenate(steps), return_inverse=True)
+    col = col.reshape(len(steps), -1)
+    count = z.idx.shape[0]
+    shape = (count, cps.shape[0])
+    a, b, c, d, u, y = (np.empty(shape) for _ in range(6))
+    k, i = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
+    fail = np.empty(count, dtype=np.int64)
+    status = np.empty(count, dtype=np.int64)
+    lyap_orbits(spec.iet.pack(), spec.pack(), z.idx, z.off, z.hei, cps,
+                a, b, c, d, k, i, u, y, fail, status)
+    lane = np.arange(count)
+    return [(Cocycles(*(m[lane, at] for m in (a, b, c, d, k))),
+             (status != OK) & (fail < n)) for at, n in zip(col, steps)]
+
+
 # ---------------------------------------------------------------------------
 # random canonical points of the check suite
 # ---------------------------------------------------------------------------
 #
-# ``cli._random_canonical`` draws x = random() and, if x locates, y =
-# uniform(-2, 2), which is -2 + 4 random(); a point that does not locate or
-# canonicalize is drawn again.  The draws below give its points bit for bit.
+# The scalar checks drew a random canonical point thus: x = random(); if x
+# locates, y = uniform(-2, 2), which is -2 + 4 random(), and the point is
+# canonicalized; a point that does not locate or canonicalize is drawn
+# again.  The draws below give its points bit for bit.
 
 
 def _canonical_draws(spec, x, y):
@@ -240,11 +286,53 @@ def _canonical_draws(spec, x, y):
     return z, fails, located
 
 
-def _draw_ahead(rng, count: int) -> np.ndarray:
-    """``count`` points' doubles x, y and two standard normals, as rows."""
-    random, normal = rng.random, rng.standard_normal
-    rows = [(random(), random(), normal(), normal()) for _ in range(count)]
-    return np.array(rows).reshape(count, 4).T
+def _good_tries(spec, rng, draw, ahead: int):
+    """The tries before the first whose point fails, of ``ahead`` drawn.
+
+    ``draw()`` takes one try's draws from ``rng`` as the scalar loop does,
+    x and y of its point first.  Some draws take a varying number of raw
+    outputs, so the tries are drawn with a scalar loop that assumes no
+    point fails.  At the first point that does, the generator is rewound
+    to before the tries, those before it are drawn again, and then the
+    failed point's x (and its y, if x located), as the scalar loop left the
+    generator.  Returns the points and the other draws, as columns.
+    """
+    bg = rng.bit_generator
+    state = bg.state
+    cols = np.array([draw() for _ in range(ahead)]).reshape(ahead, -1).T
+    z, fails, located = _canonical_draws(spec, cols[0], cols[1])
+    good = int(np.argmax(fails)) if fails.any() else ahead
+    if good < ahead:
+        bg.state = state
+        for _ in range(good):
+            draw()
+        rng.random()
+        if located[good]:
+            rng.random()
+    return z.take(slice(good)), tuple(cols[2:, :good])
+
+
+def _joined(parts):
+    """``parts``, arrays or tuples of them (nested), joined field by field."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    fields = [_joined(f) for f in zip(*parts)]
+    return type(first)(*fields) if hasattr(first, "_fields") else fields
+
+
+def _tries(spec, rng, draw, count: int):
+    """``count`` tries whose points canonicalize, drawn with ``draw`` as
+    the scalar loop draws them: ``(points, other draws)``."""
+    parts = []
+    done = 0
+    ahead = count  # tries drawn at once: about twice the last good run
+    while done < count:
+        z, rest = _good_tries(spec, rng, draw, min(ahead, count - done))
+        parts.append((z, rest))
+        done += z.idx.shape[0]
+        ahead = 2 * z.idx.shape[0] + 16
+    return _joined(parts)
 
 
 def sandwich_draws(spec, rng, count: int):
@@ -252,33 +340,56 @@ def sandwich_draws(spec, rng, count: int):
 
     Each point draws (x, y) and then its vector (normal(), normal()), which
     is ``0.0 + 1.0 * standard_normal()``, as ``Generator.normal`` computes
-    it.  A normal takes a varying number of raw outputs, so the draws are
-    a scalar loop that assumes no point fails.  At the first point that
-    does, the generator is rewound to before it, the failed attempt is
-    drawn again (x alone if it did not locate), and the drawing goes on.
+    it.
     """
-    bg = rng.bit_generator
+    random, normal = rng.random, rng.standard_normal
+
+    def draw():
+        return random(), random(), normal(), normal()
+
+    z, (nx, ny) = _tries(spec, rng, draw, count)
+    return z, 0.0 + 1.0 * nx, 0.0 + 1.0 * ny
+
+
+class CocycleTries(NamedTuple):
+    """The cocycle-algebra check's tries, skipped ones included."""
+
+    z: Points
+    n: np.ndarray
+    m: np.ndarray
+    skipped: np.ndarray
+    whole: Cocycles  # n + m steps from z
+    first: Cocycles  # n steps from z
+    second: Cocycles  # m steps from the flow of z by n
+
+
+def cocycle_tries(spec, rng, count: int) -> CocycleTries:
+    """The cocycle-algebra check's tries, until ``count`` are not skipped.
+
+    Each try draws a point z, then n = integers(2, 200) and m =
+    integers(1, 100).  It is skipped where one of its three cocycles, or
+    the flow of z by n, fails; the cocycles of a skipped try are
+    placeholders.
+    """
+    random, integers = rng.random, rng.integers
+
+    def draw():
+        return random(), random(), integers(2, 200), integers(1, 100)
+
     parts = []
     done = 0
-    ahead = count  # points drawn at once: about twice the last good run
     while done < count:
-        state = bg.state
-        x, y, nx, ny = _draw_ahead(rng, min(ahead, count - done))
-        z, fails, located = _canonical_draws(spec, x, y)
-        good = int(np.argmax(fails)) if fails.any() else x.shape[0]
-        parts.append((z.take(slice(good)), nx[:good], ny[:good]))
-        done += good
-        if good < x.shape[0]:
-            bg.state = state
-            _draw_ahead(rng, good)
-            rng.random()
-            if located[good]:
-                rng.random()
-        ahead = 2 * good + 16
-    z = Points(*(np.concatenate([p[0][f] for p in parts]) for f in range(3)))
-    dx, dy = (0.0 + 1.0 * np.concatenate([p[f] for p in parts])
-              for f in (1, 2))
-    return z, dx, dy
+        z, steps = _tries(spec, rng, draw, count - done)
+        n, m = (a.astype(np.int64) for a in steps)
+        (whole, broken), (first, _) = cocycles(spec, z, n + m, n)
+        z_n, flowed = flow(spec, z, n)
+        # a failed flow leaves a point inside the truncation, whose
+        # cocycle is computed and not read
+        (second, lost), = cocycles(spec, z_n, m)
+        skipped = broken | (flowed != OK) | lost
+        parts.append(CocycleTries(z, n, m, skipped, whole, first, second))
+        done += n.shape[0] - int(np.count_nonzero(skipped))
+    return _joined(parts)
 
 
 def _pair_starts(located):
@@ -324,6 +435,4 @@ def beta_draws(spec, rng, count: int):
                               & (flow_status == OK))[:count - found]
         parts.append((z.take(keep), jac[keep], z1.take(keep)))
         found += keep.shape[0]
-    z, z1 = (Points(*(np.concatenate([p[k][f] for p in parts])
-                      for f in range(3))) for k in (0, 2))
-    return z, np.concatenate([p[1] for p in parts]), z1
+    return tuple(_joined(parts))

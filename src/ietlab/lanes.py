@@ -12,8 +12,12 @@ crossings, so that its time step only moves the heights.  The
 measure command's per-point kernels, ``roof_eval_batch``,
 ``base_step_batch`` and ``flow_time_one_batch``, take one step per lane, in
 pieces of at most ``PIECE`` lanes so that their temporaries stay small.
-``locate``, ``iet_step_inv`` and ``canonicalize_k`` serve the check suite's
-sandwich and beta checks, on both backends, through ``lane_geometry``.
+On both backends, ``lab check``'s sandwich, beta and cocycle-algebra
+checks use ``locate``, ``iet_step_inv``, ``canonicalize_k`` and
+``lyap_orbits`` through ``lane_geometry``, and the quadrature of
+``roof.roof_integral`` and ``roof.log_derivative_integral`` (hence every
+command that integrates the roof) evaluates ``roof_eval`` on all blend
+pieces at once.
 
 Each lane gives the floats and status codes of the scalar kernel bit for
 bit.  Only IEEE-exact operations are vectorised: + - * /, comparisons, abs,

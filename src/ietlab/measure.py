@@ -505,12 +505,14 @@ def lz78_rate(stream: SymbolStream) -> float:
     n = int(sym.size)
     if n < 2:
         raise InsufficientDataError("LZ parsing needs at least 2 symbols")
-    table: dict[tuple[int, int], int] = {}
+    # the trie's edge (node, symbol) is keyed node * alphabet + symbol
+    alphabet = stream.alphabet_size
+    table: dict[int, int] = {}
     node = 0
     next_id = 1
     phrases = 0
     for s in sym.tolist():
-        key = (node, s)
+        key = node * alphabet + s
         nxt = table.get(key)
         if nxt is None:
             table[key] = next_id

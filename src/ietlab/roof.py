@@ -140,8 +140,10 @@ class ProportionalPolicy:
         if ent.status != "CONVERGENT":
             return math.inf, ent.status
         k = self.kappa
-        tail_entropy = max(0.0, ent.value - sum(
-            -iet.length(i) * math.log(iet.length(i)) for i in range(start)))
+        head = 0.0
+        for i in range(start):
+            head += -iet.length(i) * math.log(iet.length(i))
+        tail_entropy = max(0.0, ent.value - head)
         tail_l = max(0.0, 1.0 - iet.right(start - 1)) if start else 1.0
         return k * tail_entropy + k * math.log(1.0 / k) * tail_l, "CONVERGENT"
 
@@ -289,63 +291,131 @@ def choose_b_and_check(iet: CountableIET, policy=None,
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
+#
+# Both rules take all blend pieces of a spec at once: each round of nodes
+# goes through one call of the lane roof evaluator.  A piece's result has
+# the bits of the rule applied to that piece alone, one node at a time:
+# the nodes are the same floats, and every sum is taken in the order the
+# one-piece loop takes it, left to right from 0.0 (``_in_order``).
+
+#: Most nodes expanded in one round of ``adaptive_simpson``.
+SIMPSON_ROUND = 4096
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-12, max_depth: int = 48) -> float:
-    """Adaptive Simpson with an explicit interval stack."""
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` summed left to right from 0.0, as a loop adds."""
+    zero = np.zeros((terms.shape[0], 1))
+    return np.add.accumulate(np.hstack((zero, terms)), axis=1)[:, -1]
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
 
+def _simpson(x0, x2, f0, f1, f2):
+    return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
+
+
+def adaptive_simpson(f: Callable, a: np.ndarray, b: np.ndarray,
+                     tol: float = 1e-12, max_depth: int = 48) -> np.ndarray:
+    """Adaptive Simpson on each piece [a[k], b[k]]; ``f(x, k)`` evaluates
+    the integrand of the pieces ``k`` at the points ``x``.
+
+    Per piece, this is the rule that refines a node [x0, x2] with estimate
+    ``est`` and tolerance ``eps`` until ``err = left + right - est`` has
+    |err| <= 15 eps, halving eps at each depth, and then adds the leaf's
+    ``left + right + err / 15``.  Run depth first with a stack, right half
+    first, that loop adds each piece's leaves in descending x0; here the
+    nodes of all pieces are expanded breadth first, in rounds of at most
+    ``SIMPSON_ROUND``, and each piece's leaves are added in that same
+    order.  A leaf at ``max_depth`` that misses its tolerance stalls the
+    quadrature, and the error names the one the stack would reach first:
+    in the first piece that stalls, the one with the largest x0.
+    """
+    pieces = np.arange(a.shape[0])
     m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
+    fa, fm, fb = np.split(f(np.concatenate((a, m, b)), np.tile(pieces, 3)), 3)
+    # each round's nodes are in the stack's order: by piece, and within a
+    # piece right before left, so the first round pushed is popped first
+    stack = [(0, (pieces, a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb),
+                  np.full(a.shape[0], tol)))]
+    leaves = []
     while stack:
-        x0, x2, f0, f1, f2, est, eps, depth = stack.pop()
+        depth, (k, x0, x2, f0, f1, f2, est, eps) = stack.pop()
         xm = 0.5 * (x0 + x2)
         lm = 0.5 * (x0 + xm)
         rm = 0.5 * (xm + x2)
-        fl = f(lm)
-        fr = f(rm)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
+        fl, fr = np.split(f(np.concatenate((lm, rm)), np.tile(k, 2)), 2)
+        left = _simpson(x0, xm, f0, fl, f1)
+        right = _simpson(xm, x2, f1, fr, f2)
         err = left + right - est
-        if abs(err) <= 15.0 * eps or depth >= max_depth:
-            if depth >= max_depth and abs(err) > 15.0 * eps:
+        if depth >= max_depth:
+            stalled = np.abs(err) > 15.0 * eps
+            if stalled.any():
+                j = int(np.argmax(stalled))
                 raise LabError(
-                    f"adaptive quadrature stalled on [{x0}, {x2}] (err {err:g})")
-            total += left + right + err / 15.0
+                    f"adaptive quadrature stalled on [{float(x0[j])}, "
+                    f"{float(x2[j])}] (err {float(err[j]):g})")
+            leaf = np.ones(k.shape[0], dtype=bool)
         else:
-            stack.append((x0, xm, f0, fl, f1, left, 0.5 * eps, depth + 1))
-            stack.append((xm, x2, f1, fr, f2, right, 0.5 * eps, depth + 1))
-    return total
+            leaf = np.abs(err) <= 15.0 * eps
+        leaves.append((k[leaf], x0[leaf], (left + right + err / 15.0)[leaf]))
+        split = ~leaf
+        if split.any():
+            halves = [np.column_stack(pair)[split].ravel() for pair in (
+                (k, k), (xm, x0), (x2, xm), (f1, f0), (fr, fl), (f2, f1),
+                (right, left), (0.5 * eps, 0.5 * eps))]
+            count = halves[0].shape[0]
+            for lo in reversed(range(0, count, SIMPSON_ROUND)):
+                stack.append((depth + 1, [h[lo:lo + SIMPSON_ROUND]
+                                          for h in halves]))
+    k, x0, c = (np.concatenate(col) for col in zip(*leaves))
+    order = np.lexsort((-x0, k))
+    k, c = k[order], c[order]
+    per_piece = np.bincount(k, minlength=a.shape[0])
+    table = np.zeros((a.shape[0], int(per_piece.max())))
+    table[k, np.arange(k.shape[0]) - (np.cumsum(per_piece) - per_piece)[k]] = c
+    return _in_order(table)
 
 
 @lru_cache(maxsize=8)
 def _gl_nodes(n: int) -> tuple:
     x, w = np.polynomial.legendre.leggauss(n)
-    return tuple(x), tuple(w)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
-def gauss_legendre(f: Callable[[float], float], a: float, b: float,
-                   n: int = 64) -> float:
-    """Fixed-order Gauss-Legendre rule on [a, b]."""
+def gauss_legendre(f: Callable, a: np.ndarray, b: np.ndarray,
+                   n: int = 64) -> np.ndarray:
+    """Fixed-order Gauss-Legendre rule on each piece [a[k], b[k]]; ``f`` as
+    in ``adaptive_simpson``.  The n weighted values are added in node
+    order."""
     x, w = _gl_nodes(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+    nodes = mid[:, None] + half[:, None] * x
+    values = f(nodes.ravel(), np.repeat(np.arange(a.shape[0]), n))
+    return half * _in_order(w * values.reshape(a.shape[0], n))
 
 
-def _blend_quadrature(f: Callable[[float], float], a: float, b: float,
-                      scheme: str, tol: float) -> float:
+def _blend_integrals(spec: RoofSpec, n: int, derivative: bool, scheme: str,
+                     tol: float) -> np.ndarray:
+    """Integrals over the two blend pieces of each of the first ``n``
+    intervals, shape (n, 2): of the roof, or of log(1 + |r'|)."""
+    if scheme not in ("simpson", "gauss"):
+        raise ConstraintViolationError(f"unknown quadrature scheme {scheme!r}")
+    from . import lanes
+    b = spec.widths[:n]
+    l = spec.lengths[:n]
+    half = 0.5 * b
+    lo = np.column_stack((half, l - b)).ravel()
+    hi = np.column_stack((b, l - half)).ravel()
+    bs, ls = np.repeat(b, 2), np.repeat(l, 2)
+
+    def f(u, k):
+        r, dr = lanes.roof_eval(u, bs[k], ls[k], 0, value=not derivative)
+        return lanes._math(math.log1p, np.abs(dr)) if derivative else r
+
     if scheme == "simpson":
-        return adaptive_simpson(f, a, b, tol)
-    if scheme == "gauss":
-        return gauss_legendre(f, a, b)
-    raise ConstraintViolationError(f"unknown quadrature scheme {scheme!r}")
+        return adaptive_simpson(f, lo, hi, tol).reshape(n, 2)
+    return gauss_legendre(f, lo, hi).reshape(n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +452,12 @@ def roof_integral(spec: RoofSpec, n_terms: int | None = None,
         value = float(np.sum(spec.lengths[:n]))
         return RoofIntegral(value, tail_l, 0.0)
 
-    total = 0.0
-    quad_err = 0.0
-    for i in range(n):
-        l = float(spec.lengths[i])
-        b = float(spec.widths[i])
-
-        def rv(u: float, _b=b, _l=l) -> float:
-            return kernels.roof_eval(u, _b, _l, 0)[0]
-
-        total += b * (2.0 + math.log(2.0)) + (l - 2.0 * b)
-        total += _blend_quadrature(rv, 0.5 * b, b, scheme, quad_tol)
-        total += _blend_quadrature(rv, l - b, l - 0.5 * b, scheme, quad_tol)
-        quad_err += 2.0 * quad_tol
+    b = spec.widths[:n]
+    l = spec.lengths[:n]
+    closed = b * (2.0 + math.log(2.0)) + (l - 2.0 * b)
+    blends = _blend_integrals(spec, n, False, scheme, quad_tol)
+    total = _in_order(np.column_stack((closed, blends)).reshape(1, -1))[0]
+    quad_err = _in_order(np.full((1, n), 2.0 * quad_tol))[0]
     tail = tail_l + 4.0 * spec.tail_width_sum
     return RoofIntegral(float(total), float(tail), float(quad_err))
 
@@ -417,17 +480,11 @@ def log_derivative_integral(spec: RoofSpec, n_terms: int | None = None,
     if spec.flat:
         return 0.0, bound
 
-    total = 0.0
-    for i in range(n):
-        l = float(spec.lengths[i])
-        b = float(spec.widths[i])
-
-        def g(u: float, _b=b, _l=l) -> float:
-            return math.log1p(abs(kernels.roof_eval(u, _b, _l, 0)[1]))
-
-        half = 0.5 * b
-        spike = half * math.log1p(2.0 / b) + math.log1p(half)
-        total += 2.0 * spike
-        total += _blend_quadrature(g, half, b, scheme, quad_tol)
-        total += _blend_quadrature(g, l - b, l - half, scheme, quad_tol)
+    from . import lanes
+    b = spec.widths[:n]
+    half = 0.5 * b
+    spike = half * lanes._math(math.log1p, 2.0 / b) \
+        + lanes._math(math.log1p, half)
+    blends = _blend_integrals(spec, n, True, scheme, quad_tol)
+    total = _in_order(np.column_stack((2.0 * spike, blends)).reshape(1, -1))[0]
     return float(total), float(bound)

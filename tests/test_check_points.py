@@ -139,6 +139,21 @@ def reference_cocycle(spec, seed, count):
     return rows, f"violations={bad}/{count}"
 
 
+def lane_cocycle(spec, seed, count):
+    """``reference_cocycle``'s rows and detail from the lane check."""
+    tries = cli._cocycle_values(spec, seed, count)
+    starts = zip(*(a.tolist() for a in (*tries.z, tries.n, tries.m)))
+    rows = []
+    for k, row in enumerate(starts):
+        if tries.skipped[k]:
+            rows.append([*row, "skipped"])
+            continue
+        whole = tries.whole.at(k)
+        prod = tries.second.at(k).compose(tries.first.at(k))
+        rows.append([*row, *_entries(whole), *_entries(prod)])
+    return rows, cli._check_cocycle_algebra(spec, seed, count).detail
+
+
 def lane_sandwich(spec, params, seed, count):
     """``reference_sandwich``'s rows and detail from the lane check."""
     z, dx, dy, ne, nd, c = cli._sandwich_values(spec, params, seed, count)
@@ -269,6 +284,37 @@ def test_scalar_cocycle_reference_matches_pinned_digests(cocycle_specs, name,
     got = outcome_digest(reference_cocycle, cocycle_specs[name], seed,
                          COCYCLE_COUNT)
     assert got == COCYCLE_PINNED[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", COCYCLE_CASES)
+def test_lane_cocycle_check_matches_pinned_digests(cocycle_specs, name, seed):
+    got = outcome_digest(lane_cocycle, cocycle_specs[name], seed,
+                         COCYCLE_COUNT)
+    assert got == COCYCLE_PINNED[name, seed]
+
+
+@pytest.mark.parametrize("name", ["rotation", "odometer"])
+def test_lane_cocycles_match_scalar_cocycle(cocycle_specs, name):
+    """Each lane's cocycle after each of its own step counts, and where the
+    scalar cocycle raises, from one lane orbit run."""
+    spec = cocycle_specs[name]
+    rng = np.random.default_rng(5)
+    starts = [_random_canonical(spec, rng) for _ in range(60)]
+    z = lanes.Points(*(np.array(col) for col in zip(
+        *((p.index, p.offset, p.height) for p in starts))))
+    steps = [rng.integers(1, 300, 60), rng.integers(1, 40, 60)]
+    raised = 0
+    for (mats, fails), counts in zip(lanes.cocycles(spec, z, *steps), steps):
+        for k, start in enumerate(starts):
+            try:
+                want = cocycle(spec, start, int(counts[k]))
+            except LabError:
+                assert fails[k]
+                raised += 1
+                continue
+            assert not fails[k]
+            assert mats.at(k) == want
+    assert raised > 0 if name == "odometer" else raised == 0
 
 
 @pytest.mark.parametrize("make", [CountableIET.block_rotation,

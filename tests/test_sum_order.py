@@ -8,6 +8,9 @@ were taken from the scalar quadrature, which evaluated one node at a time,
 and from the partial sums as builtin ``sum`` took them on Python 3.11.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from ietlab.errors import LabError
@@ -15,6 +18,7 @@ from ietlab.iet import CountableIET, partition_entropy
 from ietlab.roof import (
     ProportionalPolicy,
     RoofSpec,
+    _blend_integrals,
     log_derivative_integral,
     roof_integral,
 )
@@ -88,6 +92,48 @@ def test_quadrature_bits(name, policy):
            log_derivative_integral(spec, scheme="gauss")[0].hex(),
            roof_integral(spec, n_terms=20, quad_tol=1e-6).value.hex())
     assert got == QUADRATURE[name, policy]
+
+
+#: (family, integrand is log(1 + |r'|), scheme) -> SHA-256 of the list, by
+#: interval, of [left blend, right blend] integrals as ``float.hex``, with
+#: the default policy.  A piece's last bits are lost in the totals above,
+#: so the order of each piece's own sum shows only here.
+PIECES = {
+    ("rotation", False, "simpson"):
+        "3c0363097d649f0de804640e705d5332a872220bbca2d2a15d9309f342794276",
+    ("rotation", False, "gauss"):
+        "178374549367dceaaa49276917a0c82b0c5c94ff121baa016e2b5eebe40756a6",
+    ("rotation", True, "simpson"):
+        "dc1f1ee6c33093c993ee36862abf4e8c284cbb8c8a344cca6b0c6edb064ae133",
+    ("rotation", True, "gauss"):
+        "0aff32a1c18a286a153fc6b6fcd265774b72c30869d657939f462efcd1720faf",
+    ("odometer", False, "simpson"):
+        "427547463da6d57acb1b98f0711251429ef43c1f30cd1d0a9352df96fdd11dc1",
+    ("odometer", False, "gauss"):
+        "0e9eb68a3294addfea45d5809bb767837d35366f37df02d14985768ae058a6b4",
+    ("odometer", True, "simpson"):
+        "a0762526202fa29e82b18f0345c15cda899c346e907617a390bff78d3d1379fb",
+    ("odometer", True, "gauss"):
+        "e649fc865e2e6d5f494072510fa1084a383a21f5235016304d081da464c7659f",
+    ("table", False, "simpson"):
+        "4fe3a81854ee13a7003fee6fffbb277b8bd0b3841359ba8f024a430019bec17a",
+    ("table", False, "gauss"):
+        "78a50a09bb209ff41e602f994abc2122709feec613b97a7d6667ef7b9ca09354",
+    ("table", True, "simpson"):
+        "ef92ad8edb510c4f0ee2860dd1e1f3afe173a8c571475ac013f66e05dd373506",
+    ("table", True, "gauss"):
+        "aca3ab2eb4b7591e0215b3553126b2c3dce6b97f4c9c1ef6c1ca79d22bdaa1da",
+}
+
+
+@pytest.mark.parametrize("name,derivative,scheme", PIECES)
+def test_blend_piece_bits(name, derivative, scheme):
+    spec = RoofSpec.build(IETS[name]())
+    pieces = _blend_integrals(spec, spec.iet.n_trunc, derivative, scheme,
+                              1e-12)
+    got = [[v.hex() for v in row] for row in pieces.tolist()]
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == PIECES[name, derivative, scheme]
 
 
 def test_stalled_quadrature_names_the_first_stalled_interval():
