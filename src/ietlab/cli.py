@@ -318,8 +318,10 @@ def run_aaronson(iet, spec, summability, params, exp: ExperimentSpec,
 
 def run_measure(iet, spec, summability, params, exp: ExperimentSpec,
                 out_path: Path) -> tuple[int, dict, None]:
-    mass = total_mass(spec)
+    # the sampler sets the command's peak memory, and arrays the
+    # quadrature leaves on the heap before it make the heap grow further
     inv = invariance_check(spec, count=exp.n, seed=exp.seed)
+    mass = total_mass(spec)
     rows = [(r.region.name, r.region.x_lo, r.region.x_hi, r.region.y_lo,
              r.region.y_hi, r.freq_pre, r.freq_post, r.deviation)
             for r in inv.rows]
