@@ -18,7 +18,7 @@ from ietlab.errors import (
     ConstraintViolationError,
     InsufficientDataError,
 )
-from ietlab.iet import FiberPoint
+from ietlab.iet import CountableIET, FiberPoint
 from ietlab.measure import (
     MIN_EFFICIENCY,
     Region,
@@ -378,7 +378,7 @@ def tuple_key_lz78(symbols, alphabet_size):
     return phrases * math.log(phrases) / symbols.size, mid_phrase
 
 
-@pytest.mark.parametrize("alphabet", [2, 3, 16])
+@pytest.mark.parametrize("alphabet", [2, 3, 16, 64])
 def test_lz78_rate_matches_tuple_keyed_trie(alphabet):
     rng = np.random.default_rng(alphabet)
     ends = []
@@ -388,6 +388,50 @@ def test_lz78_rate_matches_tuple_keyed_trie(alphabet):
         assert lz78_rate(SymbolStream(alphabet, sym)) == want
         ends.append(mid_phrase)
     assert any(ends) and not all(ends)
+
+
+#: The diagnostics workload's entropy seed at workload seed 0.
+DIAGNOSTICS_SEED = 1854105804
+
+#: stream -> plug-in estimate at block length 12, as ``float.hex``: the
+#: four streams of the diagnostics workload's `lab entropy`.
+PLUGIN_PINS = {
+    "bernoulli(p=0.1)": "0x1.4b132f959a860p-2",
+    "bernoulli(p=0.3)": "0x1.37370d06d37e8p-1",
+    "bernoulli(p=0.5)": "0x1.618ebb53e8908p-1",
+    "orbit(VonNeumannKakutani)": "0x1.62bbb93816da0p-4",
+}
+
+#: (alphabet, block length, stream length) -> plug-in estimate on uniform
+#: symbols seeded by the stream length.  The lengths put the number of
+#: blocks on either side of a quarter of the number of possible keys: for
+#: the 7-blocks over 3 symbols (546 and 547 of 2187), and for the 6-blocks
+#: over 4 symbols (1023 and 1024 of 4096).
+PLUGIN_EDGE_PINS = {
+    (3, 7, 552): "0x1.4665b85e8b4e0p-2",
+    (3, 7, 553): "0x1.25993dc2bead0p-2",
+    (4, 7, 1028): "0x1.eb4daef7c8600p-4",
+    (4, 7, 1029): "0x1.ee496ef6d5a80p-4",
+}
+
+
+def test_plugin_block_entropy_bits_on_the_diagnostics_streams():
+    streams = [bernoulli_stream(p, 400_000, DIAGNOSTICS_SEED)
+               for p in (0.1, 0.3, 0.5)]
+    streams.append(coded_orbit_stream(
+        CountableIET.von_neumann_kakutani(n_trunc=64), 400_000,
+        seed=DIAGNOSTICS_SEED))
+    got = {s.provenance: plugin_block_entropy(s, 12).hex() for s in streams}
+    assert got == PLUGIN_PINS
+
+
+def test_plugin_block_entropy_bits_around_the_counting_switch():
+    got = {}
+    for alphabet, block_len, n in PLUGIN_EDGE_PINS:
+        sym = np.random.default_rng(n).integers(0, alphabet, n)
+        got[alphabet, block_len, n] = plugin_block_entropy(
+            SymbolStream(alphabet, sym), block_len).hex()
+    assert got == PLUGIN_EDGE_PINS
 
 
 def test_entropy_estimate_wrapper():
