@@ -358,7 +358,7 @@ def validate(iet: CountableIET, n_check: int | None = None) -> CheckReport:
     # i.e. both ends of every image interval, exactly as the condition states.
     # Endpoints within 1e-14 are one mathematical point seen through two
     # float rounding paths (shared edges of abutting images); merge them.
-    raw = np.unique(np.concatenate([imgs, imgs + lengths]))
+    raw = np.sort(np.concatenate([imgs, imgs + lengths]))
     merged = [raw[0]]
     for y in raw[1:]:
         if y - merged[-1] > 1e-14:

@@ -34,8 +34,11 @@ the interval sits to the accumulation point at 1.
 
 Orbit kernels report integer status codes (see ``errors``):
 0 ok, 1 singularity band, 2 truncation exceeded, 3 inconsistent data.
-Only ``iet_step`` and ``iet_step_inv`` detect truncation; every orbit
-kernel passes their status on.
+Only ``iet_step`` and ``iet_step_inv`` detect truncation, and the orbit
+kernels pass their status on, with one exception: ``code_orbit`` takes the
+rotation, swap and odometer steps inline and tests ``j >= ntr`` itself.
+Without numba it is a long scalar loop (no lane twin: one orbit is one
+lane), and a call of ``iet_step`` per symbol was most of its time.
 """
 
 import math
@@ -606,12 +609,74 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
 
 @kernel
 def code_orbit(base, i, u, alphabet, out):
-    """Symbolic coding of the base orbit: symbol = min(index, alphabet - 1)."""
+    """Symbolic coding of the base orbit: symbol = min(index, alphabet - 1).
+
+    Each step writes its symbol, then takes ``iet_step``'s step with the
+    same float operations in the same order, one loop per family: a
+    rotation orbit stays in its block pair, a swap orbit alternates with
+    its partner, the odometer's step is inlined and a table loops over
+    ``iet_step``.  Returns ``iet_step``'s first status other than OK, at
+    the same step.
+    """
+    fam, theta, xs, aa, ys, yl, yi, ntr = base
+    top = alphabet - 1
+    if fam == FAM_ROTATION:
+        lo = (i >> 1) << 1
+        hi = lo + 1
+        block = math.ldexp(1.0, int(-(i >> 1) - 1))
+        cut = (1.0 - theta) * block
+        shift = block - cut
+        sym_lo = lo if lo < top else top
+        sym_hi = hi if hi < top else top
+        for step in range(out.shape[0]):
+            if i == lo:
+                out[step] = sym_lo
+                w = u + shift
+                if w < cut:
+                    u = w
+                else:
+                    i = hi
+                    u = w - cut
+            else:
+                out[step] = sym_hi
+                if u < cut:
+                    i = lo
+                else:
+                    u = u - cut
+            if i >= ntr:
+                return TRUNCATION
+        return OK
+    if fam == FAM_SWAP:
+        j = i + 1 if (i & 1) == 0 else i - 1
+        for step in range(out.shape[0]):
+            out[step] = i if i < top else top
+            i, j = j, i
+            if i >= ntr:
+                return TRUNCATION
+        return OK
+    if fam == FAM_ODOMETER:
+        for step in range(out.shape[0]):
+            out[step] = i if i < top else top
+            if i == 0:
+                x = 0.5 + u
+            else:
+                x = math.ldexp(1.0, -i - 1) + u
+            if x < 0.5:
+                i = 0
+                u = x
+            else:
+                g = 1.0 - x
+                m, e = math.frexp(g)
+                if m == 0.5:
+                    i = 1 - e
+                else:
+                    i = -e
+                u = math.ldexp(1.0, -i) - g
+            if i >= ntr:
+                return TRUNCATION
+        return OK
     for step in range(out.shape[0]):
-        if i < alphabet - 1:
-            out[step] = i
-        else:
-            out[step] = alphabet - 1
+        out[step] = i if i < top else top
         j, v, st = iet_step(base, i, u)
         if st != OK:
             return st

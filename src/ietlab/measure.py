@@ -26,6 +26,7 @@ from .errors import (
     ConsistencyError,
     ConstraintViolationError,
     InsufficientDataError,
+    TruncationExceededError,
     raise_for_status,
 )
 from .geometry import SuspensionPoint
@@ -40,6 +41,12 @@ SAMPLE_CHUNK = 65536
 SAMPLE_MAX_ROUNDS = 512
 CODED_ORBIT_ATTEMPTS = 100
 MIN_EFFICIENCY = 0.25
+#: Widest alphabet whose LZ78 trie is a flat list with a slot per symbol
+#: for every node; wider alphabets key a dict by edge instead.
+LZ78_LIST_ALPHABET = 16
+#: The plug-in estimator counts blocks with ``np.bincount`` while there are
+#: at most this many possible keys per block, and sorts them otherwise.
+BINCOUNT_KEYS_PER_BLOCK = 4
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +427,19 @@ def coded_orbit_stream(iet: CountableIET, length: int, seed: int = 0,
                        alphabet_size: int = 16) -> SymbolStream:
     """Symbolic coding of a base orbit: symbol = min(interval index, A - 1).
 
-    A random start is redrawn if the orbit leaves the representable index
-    range before ``length`` steps.
+    A random start is redrawn if it lies beyond the truncation or its orbit
+    leaves the representable index range before ``length`` steps.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     out = np.empty(length, dtype=np.int64)
     for _ in range(CODED_ORBIT_ATTEMPTS):
-        p = start if start is not None else iet.locate(rng.random())
+        if start is not None:
+            p = start
+        else:
+            try:
+                p = iet.locate(rng.random())
+            except TruncationExceededError:
+                continue  # mass beyond the truncation, skipped as in sample_mu
         status = kernels.code_orbit(iet.pack(), p.index, p.offset,
                                     alphabet_size, out)
         if status == kernels.OK:
@@ -459,31 +472,56 @@ def read_symbols(path, alphabet_size: int | None = None) -> SymbolStream:
 # ---------------------------------------------------------------------------
 
 
+def _block_keys(sym: np.ndarray, a: int, block_len: int, m: int) -> np.ndarray:
+    """Base-``a`` keys of the first ``m`` blocks of length ``block_len >= 1``."""
+    keys = sym[:m]
+    for j in range(1, block_len):
+        keys = keys * a + sym[j:j + m]
+    return keys
+
+
+def _key_entropy(keys: np.ndarray, size: int) -> float:
+    """Empirical entropy (nats) of block keys that lie in [0, size).
+
+    The counts come out in ascending key order either way, so the sum
+    takes the same terms in the same order.
+    """
+    m = keys.size
+    if size <= BINCOUNT_KEYS_PER_BLOCK * m:
+        counts = np.bincount(keys)
+        counts = counts[counts > 0]
+    else:
+        keys = np.sort(keys)
+        ends = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        counts = np.diff(np.concatenate(([0], ends, [m])))
+    p = counts / m
+    return float(-np.sum(p * np.log(p)))
+
+
+def _check_key_width(a: int, block_len: int) -> None:
+    if block_len * math.log2(a) >= 62:
+        raise ConstraintViolationError("block keys exceed int64 range")
+
+
 def block_entropy(stream: SymbolStream, block_len: int) -> float:
     """Empirical entropy (nats) of overlapping blocks of the given length."""
     if block_len == 0:
         return 0.0
-    sym = stream.symbols
     a = stream.alphabet_size
-    n = sym.size
-    m = n - block_len + 1
+    m = len(stream) - block_len + 1
     if m <= 0:
         raise InsufficientDataError("stream shorter than the block length")
-    if block_len * math.log2(a) >= 62:
-        raise ConstraintViolationError("block keys exceed int64 range")
-    keys = np.zeros(m, dtype=np.int64)
-    for j in range(block_len):
-        keys = keys * a + sym[j:j + m]
-    counts = np.unique(keys, return_counts=True)[1]
-    p = counts / m
-    return float(-np.sum(p * np.log(p)))
+    _check_key_width(a, block_len)
+    keys = _block_keys(stream.symbols, a, block_len, m)
+    return _key_entropy(keys, a ** block_len)
 
 
 def plugin_block_entropy(stream: SymbolStream, block_len: int = 12) -> float:
     """Conditional block estimator: H(block_len) - H(block_len - 1), nats.
 
     Requires length >= alphabet_size * 2**block_len so the longest blocks
-    are not hopelessly undersampled.
+    are not hopelessly undersampled.  The keys of the shorter blocks are
+    built once and extended to the longer ones.
     """
     if block_len < 1:
         raise ConstraintViolationError("block length must be >= 1")
@@ -492,7 +530,16 @@ def plugin_block_entropy(stream: SymbolStream, block_len: int = 12) -> float:
         raise InsufficientDataError(
             f"plug-in block estimator needs >= {need} symbols, "
             f"got {len(stream)}")
-    return block_entropy(stream, block_len) - block_entropy(stream, block_len - 1)
+    a = stream.alphabet_size
+    _check_key_width(a, block_len)
+    sym = stream.symbols
+    m = len(stream) - block_len + 1
+    if block_len == 1:
+        return _key_entropy(sym, a)
+    short = _block_keys(sym, a, block_len - 1, m + 1)
+    keys = short[:m] * a + sym[block_len - 1:]
+    return (_key_entropy(keys, a ** block_len)
+            - _key_entropy(short, a ** (block_len - 1)))
 
 
 def lz78_rate(stream: SymbolStream) -> float:
@@ -505,22 +552,37 @@ def lz78_rate(stream: SymbolStream) -> float:
     n = int(sym.size)
     if n < 2:
         raise InsufficientDataError("LZ parsing needs at least 2 symbols")
-    # the trie's edge (node, symbol) is keyed node * alphabet + symbol
     alphabet = stream.alphabet_size
-    table: dict[int, int] = {}
-    node = 0
-    next_id = 1
     phrases = 0
-    for s in sym.tolist():
-        key = node * alphabet + s
-        nxt = table.get(key)
-        if nxt is None:
-            table[key] = next_id
-            next_id += 1
-            phrases += 1
-            node = 0
-        else:
-            node = nxt
+    if alphabet <= LZ78_LIST_ALPHABET:
+        # node k of the trie is its offset k * alphabet in one flat list,
+        # whose slot k * alphabet + s holds the offset of its child for
+        # symbol s, or 0 (the root, never a child) when there is none
+        children = [0] * alphabet
+        blank = children[:]
+        node = 0
+        for s in sym.tolist():
+            nxt = children[node + s]
+            if nxt:
+                node = nxt
+            else:
+                children[node + s] = len(children)
+                children += blank
+                phrases += 1
+                node = 0
+    else:
+        # the trie's edge (node, symbol) is keyed node * alphabet + symbol
+        table: dict[int, int] = {}
+        node = 0
+        for s in sym.tolist():
+            key = node * alphabet + s
+            nxt = table.get(key)
+            if nxt is None:
+                phrases += 1
+                table[key] = phrases
+                node = 0
+            else:
+                node = nxt
     if node != 0:
         phrases += 1
     return phrases * math.log(phrases) / n

@@ -8,6 +8,8 @@ import filecmp
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
@@ -255,6 +257,22 @@ def test_check_command_outputs(tmp_path, warm_kernels):
     assert report["results"][0]["failed"] == []
     assert report["results"][0]["warned"] == []
     assert set(report["results"][0]["verdicts"]) == set(names)
+
+
+def test_check_process_does_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma on a first np.unique, which costs a fresh
+    # process 15-35 ms
+    cfg = write_cfg(tmp_path, workloads.make_config("diagnostics", 0))
+    script = ("import sys\n"
+              "from ietlab.cli import main\n"
+              f"code = main(['check', '--config', {cfg!r}, '--out', "
+              f"{str(tmp_path / 'out')!r}])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300, check=True)
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_vnk_validation_warns_but_passes(tmp_path, warm_kernels):

@@ -17,6 +17,7 @@ from ietlab.errors import (
     ConsistencyError,
     ConstraintViolationError,
     InsufficientDataError,
+    TruncationExceededError,
 )
 from ietlab.iet import CountableIET, FiberPoint
 from ietlab.measure import (
@@ -304,6 +305,19 @@ def test_coded_orbit_random_start_deterministic(golden_iet):
     a = coded_orbit_stream(golden_iet, 200, seed=5)
     b = coded_orbit_stream(golden_iet, 200, seed=5)
     assert np.array_equal(a.symbols, b.symbols)
+
+
+def test_coded_orbit_redraws_starts_beyond_the_truncation():
+    shallow = CountableIET.von_neumann_kakutani(n_trunc=6)
+    # the orbits of seed 6's first four starts leave the truncation within
+    # 50 steps, and its fifth draw, 0.98744..., lies in interval 6
+    draws = np.random.default_rng(np.random.SeedSequence((6, 0))).random(5)
+    with pytest.raises(TruncationExceededError):
+        shallow.locate(float(draws[4]))
+    for seed in range(40):
+        s = coded_orbit_stream(shallow, 50, seed=seed)
+        assert len(s) == 50
+        assert s.symbols.max() < 6
 
 
 def test_symbol_file_round_trip(tmp_path):
