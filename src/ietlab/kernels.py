@@ -621,9 +621,10 @@ def code_orbit(base, i, u, alphabet, out):
     fam, theta, xs, aa, ys, yl, yi, ntr = base
     top = alphabet - 1
     if fam == FAM_ROTATION:
-        lo = (i >> 1) << 1
+        n = i >> 1
+        lo = n << 1
         hi = lo + 1
-        block = math.ldexp(1.0, int(-(i >> 1) - 1))
+        block = math.ldexp(1.0, int(-n - 1))
         cut = (1.0 - theta) * block
         shift = block - cut
         sym_lo = lo if lo < top else top

@@ -473,25 +473,27 @@ def read_symbols(path, alphabet_size: int | None = None) -> SymbolStream:
 
 
 def _block_keys(sym: np.ndarray, a: int, block_len: int, m: int) -> np.ndarray:
-    """Base-``a`` keys of the first ``m`` blocks of length ``block_len >= 1``."""
-    keys = sym[:m]
+    """Base-``a`` keys of the first ``m`` blocks of length ``block_len >= 1``,
+    in a new array."""
+    keys = sym[:m].copy()
     for j in range(1, block_len):
-        keys = keys * a + sym[j:j + m]
+        keys *= a
+        keys += sym[j:j + m]
     return keys
 
 
 def _key_entropy(keys: np.ndarray, size: int) -> float:
     """Empirical entropy (nats) of block keys that lie in [0, size).
 
-    The counts come out in ascending key order either way, so the sum
-    takes the same terms in the same order.
+    May sort ``keys`` in place.  The counts come out in ascending key order
+    either way, so the sum takes the same terms in the same order.
     """
     m = keys.size
     if size <= BINCOUNT_KEYS_PER_BLOCK * m:
         counts = np.bincount(keys)
         counts = counts[counts > 0]
     else:
-        keys = np.sort(keys)
+        keys.sort()
         ends = np.flatnonzero(keys[1:] != keys[:-1]) + 1
         counts = np.diff(np.concatenate(([0], ends, [m])))
     p = counts / m
@@ -535,9 +537,10 @@ def plugin_block_entropy(stream: SymbolStream, block_len: int = 12) -> float:
     sym = stream.symbols
     m = len(stream) - block_len + 1
     if block_len == 1:
-        return _key_entropy(sym, a)
+        return _key_entropy(sym.copy(), a)
     short = _block_keys(sym, a, block_len - 1, m + 1)
-    keys = short[:m] * a + sym[block_len - 1:]
+    keys = short[:m] * a
+    keys += sym[block_len - 1:]
     return (_key_entropy(keys, a ** block_len)
             - _key_entropy(short, a ** (block_len - 1)))
 
