@@ -8,12 +8,15 @@ Every output is hashed byte-for-byte and compared with the committed
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ietlab import kernels
 from ietlab.iet import CountableIET
@@ -112,6 +115,84 @@ def test_code_orbit_reports_truncation():
     assert status == kernels.TRUNCATION
 
 
+def reference_code_orbit(base, i, u, alphabet, out):
+    """``code_orbit`` as one loop over ``iet_step``, whatever the family."""
+    for step in range(out.shape[0]):
+        if i < alphabet - 1:
+            out[step] = i
+        else:
+            out[step] = alphabet - 1
+        j, v, st = kernels.iet_step(base, i, u)
+        if st != kernels.OK:
+            return st
+        i = j
+        u = v
+    return kernels.OK
+
+
+def _raised(table):
+    """A table with every translation raised by 0.5: its orbits reach the
+    tail (TRUNCATION at a shallow truncation) or map past 1 (INCONSISTENT)."""
+    base = table.pack()
+    return base[:3] + (base[3] + 0.5,) + base[4:7] + (6,)
+
+
+TABLE = [(0.0, 0.3), (0.2, 0.3), (0.5, -0.5), (0.8, 0.0)]
+CODED_BASES = {
+    "rotation": CountableIET.block_rotation().pack(),
+    "rotation_shallow": CountableIET.block_rotation(n_trunc=7).pack(),
+    # 1 - (1 - 0.1) is not 0.1 in floats, and the left piece, 0.9 of its
+    # block, keeps most orbits in it for a step
+    "rotation_theta": CountableIET.block_rotation(theta=0.1,
+                                                  n_trunc=9).pack(),
+    "swap": CountableIET.block_swap().pack(),
+    "swap_shallow": CountableIET.block_swap(n_trunc=5).pack(),
+    "odometer": CountableIET.von_neumann_kakutani().pack(),
+    "odometer_shallow": CountableIET.von_neumann_kakutani(n_trunc=6).pack(),
+    "table": CountableIET.explicit_table(TABLE, n_trunc=16).pack(),
+    "table_raised": _raised(CountableIET.explicit_table(TABLE, n_trunc=16)),
+}
+
+
+@st.composite
+def coded_orbits(draw):
+    base = CODED_BASES[draw(st.sampled_from(sorted(CODED_BASES)))]
+    ntr = base[-1]
+    # a few starts lie at or past the truncation, which only a caller's
+    # own start can do
+    i = draw(st.integers(min_value=0, max_value=ntr + 1))
+    l = kernels.iet_length(base, i)
+    kind = draw(st.sampled_from(["uniform", "edge", "wild"]))
+    if kind == "uniform":
+        u = draw(st.floats(0.0, 1.0, exclude_max=True)) * l
+    elif kind == "edge":
+        offs = [0.0, 0.5 * l, float(np.nextafter(l, 0.0))]
+        if base[0] == kernels.FAM_ROTATION:
+            block = math.ldexp(1.0, -(i >> 1) - 1)
+            cut = (1.0 - base[1]) * block
+            edge = cut - (block - cut) if i % 2 == 0 else cut
+            offs += [edge, float(np.nextafter(edge, 0.0)),
+                     float(np.nextafter(edge, 1.0))]
+        u = draw(st.sampled_from(offs))
+    else:
+        u = draw(st.floats(-2.0, 2.0))
+    alphabet = draw(st.sampled_from([2, 3, 16, 64]))
+    length = draw(st.integers(min_value=0, max_value=300))
+    return base, i, u, alphabet, length
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=coded_orbits())
+def test_code_orbit_matches_a_loop_over_iet_step(case):
+    base, i, u, alphabet, length = case
+    got = np.full(length, -1, dtype=np.int64)
+    want = np.full(length, -1, dtype=np.int64)
+    st_got = kernels.code_orbit(base, i, u, alphabet, got)
+    assert st_got == reference_code_orbit(base, i, u, alphabet, want)
+    assert np.array_equal(got, want)
+
+
 def test_base_steps_report_truncation():
     # the base steps report leaving the truncation, with the index reached
     odometer = CountableIET.von_neumann_kakutani(n_trunc=6).pack()
@@ -144,8 +225,9 @@ def test_base_step_batch_matches_python_steps(golden_iet):
 # golden digests and JIT vs pure-python parity
 # ---------------------------------------------------------------------------
 
-# The script drives the kernels through the public API only, so it does not
-# depend on kernel signatures.  Each entry is a SHA-256 over exact bytes
+# The script drives the kernels through the public API and through the
+# kernel signatures other modules rely on (``code_orbit``, the batch
+# kernels).  Each entry is a SHA-256 over exact bytes
 # (arrays) or over JSON with shortest round-trip floats, so any change in
 # the last bit of any output changes the digest.
 DIGEST_SCRIPT = r"""
@@ -278,6 +360,44 @@ out["coded"] = digest([
     array_digest(coded_orbit_stream(base, 20000, seed=2).symbols)
     for base in (iet, families["odometer"])])
 
+# code_orbit itself on every family, from the ends and branch edges of the
+# first intervals (the odometer's interval 0 among them), with alphabets 2
+# and 16; the shallow truncations are left at known steps, the rotation by
+# 0.1 rounds 1 - theta, and the table with its translations raised by 0.5
+# maps into its tail or past 1
+raised = families["table"].pack()
+raised = raised[:3] + (raised[3] + 0.5,) + raised[4:]
+coded_bases = [b.pack() for b in families.values()] + [
+    CountableIET.block_rotation(n_trunc=7).pack(),
+    CountableIET.block_rotation(theta=0.1, n_trunc=9).pack(),
+    CountableIET.block_swap(n_trunc=5).pack(),
+    shallow.pack(),
+    raised[:7] + (6,)]
+
+
+def coded_starts(base, i):
+    l = kernels.iet_length(base, i)
+    offs = [0.0, 0.5 * l, float(np.nextafter(l, 0.0))]
+    if base[0] == kernels.FAM_ROTATION:
+        block = float(np.ldexp(1.0, -(i >> 1) - 1))
+        cut = (1.0 - base[1]) * block
+        edge = cut - (block - cut) if i % 2 == 0 else cut
+        offs += [edge, float(np.nextafter(edge, 0.0))]
+    return [u for u in offs if 0.0 <= u < l]
+
+
+coded, coded_codes = [], set()
+for base in coded_bases:
+    for i in range(min(base[-1], 8)):
+        for u in coded_starts(base, i):
+            for alphabet in (2, 16):
+                sym = np.full(400, -1, dtype=np.int64)
+                st = kernels.code_orbit(base, i, u, alphabet, sym)
+                coded.append(array_digest(sym) + f":{st}")
+                coded_codes.add(int(st))
+out["coded_kernel"] = digest(coded)
+out["coded_kernel_statuses"] = sorted(coded_codes)
+
 rng = np.random.default_rng(17)
 canon = []
 for _ in range(300):
@@ -365,6 +485,8 @@ GOLDEN = {
         "e3ea4274052b32cad703b00a8f476f4f764c4b7e02fe12eaf3ccad5eb9558d72:433",
     "coded":
         "83b1411dddea375f1600f71e17bd0708a2d78760b1ec414744948807c9d142c9",
+    "coded_kernel":
+        "af1953ac0b40d2262dfe979a1f4f9b25d77783f8c9d7aaab0c2e4c690b16c931",
     "canonicalize":
         "bc904d5a51734bc9513a2f3131a4dadb1c064a819a2a7e5a97e990744ef1a952",
     "truncation":
@@ -394,6 +516,8 @@ def _assert_golden(got: dict) -> None:
     # the stepped points reach every status a consistent base map allows
     assert set(got["time_one_statuses"]) == {
         kernels.OK, kernels.SINGULARITY, kernels.TRUNCATION}
+    assert set(got["coded_kernel_statuses"]) == {
+        kernels.OK, kernels.TRUNCATION, kernels.INCONSISTENT}
     for key, want in GOLDEN.items():
         assert got[key] == want, key
 
