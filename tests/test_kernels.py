@@ -356,6 +356,22 @@ for name, s in (("samples", spec), ("samples_shallow", shallow_spec)):
     out[name] = array_digest(batch.idx, batch.off, batch.hei) \
         + f":{batch.step_discards}"
 
+# the starts of the Lyapunov experiment, one per (seed, sample, attempt),
+# on every family, a flat roof and the six-interval odometer, where some
+# lower-side steps leave the truncation and are drawn again
+starts, start_discards = [], 0
+start_specs = [RoofSpec.build(base) for base in families.values()] + [
+    RoofSpec.build(iet, flat=True), shallow_spec]
+for s, start_spec in enumerate(start_specs):
+    for k in range(30):
+        for a in range(10):
+            batch = sample_mu(start_spec, 1, (s, k, a))
+            start_discards += batch.step_discards
+            z = batch.point(0)
+            starts.append([z.index, z.offset, z.height])
+out["starts"] = digest(starts)
+out["starts_step_discards"] = start_discards
+
 out["coded"] = digest([
     array_digest(coded_orbit_stream(base, 20000, seed=2).symbols)
     for base in (iet, families["odometer"])])
@@ -483,6 +499,8 @@ GOLDEN = {
         "fba9a091db3906a1ace82790f7f901f1d7245aad90677735744258de44fdcac6:0",
     "samples_shallow":
         "e3ea4274052b32cad703b00a8f476f4f764c4b7e02fe12eaf3ccad5eb9558d72:433",
+    "starts":
+        "34e296bbb3c77da467dfac0e0a5cde19f96e6160a905ec756c15590192aacd43",
     "coded":
         "83b1411dddea375f1600f71e17bd0708a2d78760b1ec414744948807c9d142c9",
     "coded_kernel":
@@ -513,6 +531,8 @@ def _assert_golden(got: dict) -> None:
     # the shallow experiments redraw some starts, and threads change nothing
     assert min(got["experiments_discards"]) > 0
     assert got["experiments_threads_agree"] is True
+    # some starts on the six-interval odometer are drawn again
+    assert got["starts_step_discards"] > 0
     # the stepped points reach every status a consistent base map allows
     assert set(got["time_one_statuses"]) == {
         kernels.OK, kernels.SINGULARITY, kernels.TRUNCATION}

@@ -381,6 +381,74 @@ def test_birkhoff_h_orbits_match_scalar_orbits(name, h_const):
         assert np.count_nonzero(want_status == kernels.TRUNCATION) > 5
 
 
+def reference_walk(base, i, u, span):
+    """``lanes._walk`` as a loop over ``lanes.iet_step``, one step per row."""
+    orbit_i, orbit_u = [i], [u]
+    first = np.full(i.shape[0], span)
+    code = np.zeros(i.shape[0], dtype=np.int64)
+    for s in range(span):
+        j, v, status = lanes.iet_step(base, i, u)
+        failed = status != kernels.OK
+        new = failed & (first == span)
+        first[new] = s
+        code[new] = status[new]
+        i, u = np.where(failed, i, j), np.where(failed, u, v)
+        orbit_i.append(i)
+        orbit_u.append(u)
+    return np.array(orbit_i), np.array(orbit_u), first, code
+
+
+# rotations whose 1 - theta is exact and one where it rounds, each with an
+# even truncation and an odd one, whose last interval's pair reaches it
+WALK_ROTATIONS = [CountableIET.block_rotation(theta=theta, n_trunc=ntr)
+                  for theta in (CountableIET.block_rotation().theta, 0.1, 0.25)
+                  for ntr in (10, 11)]
+
+
+@st.composite
+def walk_lanes(draw):
+    iet = draw(st.sampled_from(WALK_ROTATIONS))
+    ntr = iet.n_trunc
+    count = draw(st.integers(min_value=1, max_value=12))
+    idx, off = [], []
+    for _ in range(count):
+        i = draw(st.one_of(st.just(ntr - 1),
+                           st.integers(min_value=0, max_value=ntr - 1)))
+        if draw(st.booleans()):
+            u = draw(st.floats(0.0, 1.0, exclude_max=True)) * iet.length(i)
+        else:
+            # 0, the cut and just below it, for both pieces of the block
+            u = draw(st.sampled_from(special_offsets(iet, i)))
+        idx.append(i)
+        off.append(u)
+    span = draw(st.integers(min_value=1, max_value=40))
+    return iet, np.array(idx, dtype=np.int64), np.array(off), span
+
+
+@settings(max_examples=300, **COMMON)
+@given(case=walk_lanes())
+def test_rotation_walk_matches_a_loop_over_iet_step(case):
+    iet, idx, off, span = case
+    got = lanes._walk(iet.pack(), idx, off, span)
+    want = reference_walk(iet.pack(), idx, off, span)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        if g.dtype == np.float64:
+            assert_same_floats(g, w)
+        else:
+            assert np.array_equal(g, w)
+
+
+def test_rotation_walk_leaves_an_odd_truncation_from_its_last_pair():
+    iet = CountableIET.block_rotation(n_trunc=11)
+    idx = np.array([10, 4], dtype=np.int64)
+    off = np.array([0.5 * iet.length(10), 0.0])
+    orbit_i, orbit_u, first, code = lanes._walk(iet.pack(), idx, off, 8)
+    assert code.tolist() == [kernels.TRUNCATION, kernels.OK]
+    assert first.tolist() == [0, 8]
+    assert set(orbit_i[:, 0].tolist()) == {10}
+
+
 # ---------------------------------------------------------------------------
 # per-point batch kernels: one call on lanes against the scalar loop
 # ---------------------------------------------------------------------------
