@@ -8,10 +8,12 @@ call's cost is shared by every lane.  What depends only on the base orbit
 is computed ahead, for many steps per call: ``birkhoff_h_orbits`` takes
 its base steps in blocks of ``BLOCK`` and evaluates h on a whole block, and
 ``lyap_orbits`` reads the roof and the cocycle from windows of ``WINDOW``
-crossings, so that its time step only moves the heights.  The
-measure command's per-point kernels, ``roof_eval_batch``,
-``base_step_batch`` and ``flow_time_one_batch``, take one step per lane, in
-pieces of at most ``PIECE`` lanes so that their temporaries stay small.
+crossings, so that its time step only moves the heights.  Both take their
+base steps through ``_walk``, which moves a rotation lane inside its block
+pair as one running sum.  The measure command's per-point kernels,
+``roof_eval_batch``, ``base_step_batch`` and ``flow_time_one_batch``, take
+one step per lane, in pieces of at most ``PIECE`` lanes so that their
+temporaries stay small.
 On both backends, ``lab check``'s sandwich, beta and cocycle-algebra
 checks use ``locate``, ``iet_step_inv``, ``canonicalize_k`` and
 ``lyap_orbits`` through ``lane_geometry``, and the quadrature of
@@ -345,6 +347,12 @@ def _walk(base, i, u, span):
     shape ``(span + 1, lanes)`` with the start in row 0, and each lane's
     first failed step (``span`` if none) with its status.  A failed lane
     stays put, inside the truncation, so its later rows repeat its point.
+
+    A rotation lane never leaves its block pair, whose cut and gap it
+    gathers once.  The walk then iterates ``iet_step``'s sum before the
+    split, x' = x + gap below the cut and x - cut above it, and splits every
+    row at the end: the same operations as ``iet_step``, so the same bits.
+    Lanes whose pair reaches the truncation take the loop over ``iet_step``.
     """
     count = i.shape[0]
     orbit_i = np.empty((span + 1, count), dtype=np.int64)
@@ -353,6 +361,19 @@ def _walk(base, i, u, span):
     orbit_u[0] = u
     first = np.full(count, span)
     code = np.zeros(count, dtype=np.int64)
+    fam, theta, ntr = base[0], base[1], base[-1]
+    if fam == FAM_ROTATION and not np.any((i | 1) >= ntr):
+        _, cuts, gaps = _dyadic_tables(theta, ntr)
+        cut, gap = cuts[i], gaps[i]
+        x = orbit_u[1:]  # the sums before the split, split in place below
+        x[0] = np.where((i & 1) == 0, u + gap, u)
+        for s in range(1, span):
+            prev = x[s - 1]
+            x[s] = np.where(prev < cut, prev + gap, prev - cut)
+        below = x < cut
+        np.add(i & -2, ~below, out=orbit_i[1:])
+        np.subtract(x, cut, out=x, where=~below)
+        return orbit_i, orbit_u, first, code
     for s in range(span):
         j, v, st = iet_step(base, i, u)
         if st.any():

@@ -425,7 +425,7 @@ def walk_lanes(draw):
     return iet, np.array(idx, dtype=np.int64), np.array(off), span
 
 
-@settings(max_examples=300, **COMMON)
+@settings(max_examples=200, **COMMON)
 @given(case=walk_lanes())
 def test_rotation_walk_matches_a_loop_over_iet_step(case):
     iet, idx, off, span = case
