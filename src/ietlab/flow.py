@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .geometry import (
     op_norm_euclidean,
 )
 from .iet import FiberPoint
-from .measure import sample_mu
+from .measure import sample_starts
 from .roof import RoofSpec
 
 
@@ -168,15 +167,17 @@ def ftle(spec: RoofSpec, params: MetricParams, z: SuspensionPoint, n: int,
     log C(flow^n z)).
     """
     mats, pts = cocycle_checkpoints(spec, z, [n])
-    return _ftle_record(spec, params, z, n, mats[0], pts[0], seed)
+    return _ftle_record(spec, z, math.log(constant_C(spec, z)), n, mats[0],
+                        pts[0], seed)
 
 
-def _ftle_record(spec: RoofSpec, params: MetricParams, z: SuspensionPoint,
+def _ftle_record(spec: RoofSpec, z: SuspensionPoint, log_c_start: float,
                  n: int, mat: Cocycle2x2, endpoint: SuspensionPoint,
                  seed: int) -> FTLERecord:
+    """The record at ``n`` steps; ``log_c_start`` is log C(z), which every
+    checkpoint of a trajectory shares."""
     value_e = max(0.0, math.log(op_norm_euclidean(mat.matrix))) / n
-    correction = (math.log(constant_C(spec, z))
-                  + math.log(constant_C(spec, endpoint))) / n
+    correction = (log_c_start + math.log(constant_C(spec, endpoint))) / n
     return FTLERecord(n=n, value_e=value_e, value_delta=value_e + correction,
                       start=z, seed=seed, crossings=mat.crossings)
 
@@ -293,10 +294,12 @@ def _in_chunks(run, count: int, threads: int) -> None:
     results do not depend on the chunking or the schedule.
     """
     parts = max(1, min(threads, count))
-    bounds = [count * t // parts for t in range(parts + 1)]
     if parts == 1:
         run(0, count)
         return
+    # only the numba backend runs more than one chunk
+    from concurrent.futures import ThreadPoolExecutor
+    bounds = [count * t // parts for t in range(parts + 1)]
     with ThreadPoolExecutor(max_workers=parts) as pool:
         list(pool.map(run, bounds[:-1], bounds[1:]))
 
@@ -305,15 +308,16 @@ def _attempt_rounds(samples: int, what: str, draw,
                     run_batch) -> tuple[list, int]:
     """Rows of every sample, drawn and run in rounds of attempts.
 
-    Round ``a`` draws ``draw(k, a)`` for every pending sample ``k`` and runs
-    them all in one ``run_batch(starts)`` call.  That returns
-    ``rows_of(lane, k)``: the lane's rows, or None for a discarded attempt.
-    A draw of None (no representable start) is a discarded attempt too.
-    Discarded samples are drawn again in the next round.  A sample whose
-    draw or rows raise, or that has no clean attempt in ``MAX_ATTEMPTS``
-    rounds, fails, and the first failed sample raises, as it would when
-    the samples ran one after the other.  Returns the rows in sample order
-    and the number of discarded attempts.
+    Round ``a`` calls ``draw(pending, a)`` once for the pending samples,
+    which gives one entry per sample: its start, None when it has no
+    representable start (a discarded attempt), or the ``LabError`` its draw
+    raised.  The starts all run in one ``run_batch(starts)`` call.  That
+    returns ``rows_of(lane, k)``: the lane's rows, or None for a discarded
+    attempt.  Discarded samples are drawn again in the next round.  A
+    sample whose draw or rows raise, or that has no clean attempt in
+    ``MAX_ATTEMPTS`` rounds, fails, and the first failed sample raises, as
+    it would when the samples ran one after the other.  Returns the rows in
+    sample order and the number of discarded attempts.
     """
     rows: list = [None] * samples
     failed: dict[int, LabError] = {}
@@ -321,13 +325,10 @@ def _attempt_rounds(samples: int, what: str, draw,
     pending = list(range(samples))
     for attempt in range(MAX_ATTEMPTS):
         drawn, starts = [], []
-        for k in pending:
-            try:
-                start = draw(k, attempt)
-            except LabError as exc:
-                failed[k] = exc
-                continue
-            if start is None:
+        for k, start in zip(pending, draw(pending, attempt)):
+            if isinstance(start, LabError):
+                failed[k] = start
+            elif start is None:
                 discarded += 1
             else:
                 starts.append(start)
@@ -379,8 +380,8 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
     base, roof = spec.iet.pack(), spec.pack()
     cps_arr = np.asarray(cps, dtype=np.int64)
 
-    def draw(k: int, attempt: int) -> SuspensionPoint:
-        return sample_mu(spec, 1, (seed, k, attempt)).point(0)
+    def draw(pending: list[int], attempt: int) -> list:
+        return sample_starts(spec, [(seed, k, attempt) for k in pending])
 
     def run_batch(starts: list[SuspensionPoint]):
         count, m = len(starts), len(cps)
@@ -405,8 +406,10 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
                 return None
             raise_for_status(st, f"cocycle at step {int(out_fail[lane])}")
             a, b, c, d = (mat[lane] for mat in mats)
+            z = starts[lane]
+            log_c_start = math.log(constant_C(spec, z))
             return [_ftle_record(
-                spec, params, starts[lane], nj,
+                spec, z, log_c_start, nj,
                 Cocycle2x2(float(a[j]), float(b[j]), float(c[j]),
                            float(d[j]), int(out_k[lane, j])),
                 SuspensionPoint(FiberPoint(int(out_i[lane, j]),
@@ -439,11 +442,14 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, k)))
             for k in range(samples)]
 
-    def draw(k: int, attempt: int) -> FiberPoint | None:
+    def locate(k: int) -> FiberPoint | None:
         try:
             return spec.iet.locate(rngs[k].random())
         except TruncationExceededError:
             return None  # mass beyond the truncation, skipped as in sample_mu
+
+    def draw(pending: list[int], attempt: int) -> list:
+        return [locate(k) for k in pending]
 
     def run_batch(starts: list[FiberPoint]):
         count = len(starts)

@@ -5,7 +5,9 @@ Lebesgue measure in the fiber; its total mass is twice the roof integral.
 ``sample_mu`` draws exact (not approximate) samples by envelope rejection:
 the envelope is flat over the middle of each interval and matches the
 logarithmic spike profile near the ends, so one proposal is accepted with
-probability r/env <= 1.
+probability r/env <= 1.  ``sample_starts`` gives the orbit experiments one
+sample per seed, as ``sample_mu(spec, 1, seed)`` would, for all seeds in
+one batch.
 
 Entropy estimators operate on integer symbol streams and know nothing about
 where the stream came from; ``abramov`` converts a base-map entropy rate to
@@ -39,6 +41,8 @@ log = logging.getLogger(__name__)
 #: fixes the sampler's seed layout.
 SAMPLE_CHUNK = 65536
 SAMPLE_MAX_ROUNDS = 512
+#: Uniforms per proposal in a round of the sampler.
+DRAWS_PER_ROUND = 8
 CODED_ORBIT_ATTEMPTS = 100
 MIN_EFFICIENCY = 0.25
 #: Widest alphabet whose LZ78 trie is a flat list with a slot per symbol
@@ -142,17 +146,120 @@ def interval_lefts(iet: CountableIET) -> np.ndarray:
     return np.asarray([iet.left(i) for i in range(iet.n_trunc)], dtype=np.float64)
 
 
-def _spike_fraction(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Draw V on (0, 1] with density (1 - log v) / 2.
+def _spike_fraction(u1: np.ndarray, u2: np.ndarray,
+                    coin: np.ndarray) -> np.ndarray:
+    """V on (0, 1] with density (1 - log v) / 2, from three uniforms.
 
     Mixture: with probability 1/2 take U, otherwise U1 * U2 (whose density
     is -log v).  Zero draws are nudged away from the singular endpoint.
     """
-    u1 = rng.random(k)
-    u2 = rng.random(k)
-    coin = rng.random(k) < 0.5
-    v = np.where(coin, u1, u1 * u2)
+    v = np.where(coin < 0.5, u1, u1 * u2)
     return np.maximum(v, 1e-300)
+
+
+def _envelope_error(ratio: float) -> ConsistencyError:
+    return ConsistencyError(f"envelope violated: acceptance ratio {ratio} > 1")
+
+
+def _stall_error() -> ConsistencyError:
+    return ConsistencyError("rejection sampler stalled; check roof")
+
+
+def _sampler_round(spec: RoofSpec, backend, draws: Iterator[np.ndarray],
+                   k: int, stats: PointBatch):
+    """One round of envelope rejection on ``k`` independent proposals.
+
+    ``draws`` yields the round's uniforms as ``k``-arrays, one row at a
+    time, in the order sel, q, u1, u2, coin, accept, upper, frac.  Every
+    operation is elementwise, so proposal j depends on column j alone.
+    Returns ``(ratio, over, kept, idx, off, hei)``: the acceptance ratios,
+    the proposals whose ratio exceeds 1 (never accepted), the mask of the
+    accepted proposals whose lower-side step succeeded, and those samples
+    in proposal order.  ``stats`` counts proposals, band rejects and step
+    discards.
+    """
+    roof = spec.pack()
+    lengths, bs, flat, band = roof
+    cum = np.cumsum(lengths + (0.0 if flat else 2.0 * bs))
+    stats.proposals += k
+    sel = np.searchsorted(cum, next(draws) * float(cum[-1]), side="right")
+    sel = np.minimum(sel, lengths.shape[0] - 1).astype(np.int64)
+    l = lengths[sel]
+    b = bs[sel]
+    q = next(draws) * (l + (0.0 if flat else 2.0 * b))
+    v = _spike_fraction(next(draws), next(draws), next(draws))
+    if flat:
+        u = q
+        env = np.ones(k)
+    else:
+        left_spike = q < 2.0 * b
+        right_spike = (~left_spike) & (q < 4.0 * b)
+        u = np.where(left_spike, b * v,
+                     np.where(right_spike, l - b * v, b + (q - 4.0 * b)))
+        # evaluate the envelope at the stored offset with the same
+        # expressions the roof kernel uses, so rounding of u cannot
+        # push the acceptance ratio past 1
+        t_eff = np.where(left_spike, u / b,
+                         np.where(right_spike, (l - u) / b, 1.0))
+        env = 1.0 - np.log(np.maximum(t_eff, 5e-324))
+    ok = (u > band * l) & (u < l * (1.0 - band))
+    stats.band_rejects += int(k - np.count_nonzero(ok))
+
+    r = np.empty(k)
+    dr = np.empty(k)
+    backend.roof_eval_batch(roof, sel, u, r, dr)
+    ratio = np.where(ok, r / env, 0.0)
+    over = ratio > 1.0 + 1e-12
+    kept = (next(draws) < ratio) & ~over
+
+    # fiber side: upper keeps the base point, lower pushes it forward
+    upper = next(draws) < 0.5
+    frac = next(draws)
+    y = np.where(upper, frac * r, -(1.0 - frac) * r)
+
+    idx_a = sel[kept]
+    off_a = u[kept]
+    y_a = y[kept]
+    up_a = upper[kept]
+    lower = ~up_a
+    if np.any(lower):
+        li = idx_a[lower].copy()
+        lo = off_a[lower].copy()
+        st = np.empty(li.shape[0], dtype=np.int64)
+        bad = backend.base_step_batch(spec.iet.pack(), li, lo, st)
+        if bad:
+            keep_st = st == kernels.OK
+            stats.step_discards += int(np.count_nonzero(~keep_st))
+            sel_keep = up_a.copy()
+            sel_keep[np.flatnonzero(lower)[keep_st]] = True
+            kept[np.flatnonzero(kept)[~sel_keep]] = False
+            idx_a[lower] = li
+            off_a[lower] = lo
+            idx_a = idx_a[sel_keep]
+            off_a = off_a[sel_keep]
+            y_a = y_a[sel_keep]
+        else:
+            idx_a[lower] = li
+            off_a[lower] = lo
+    return ratio, over, kept, idx_a, off_a, y_a
+
+
+def _log_efficiency(stats: PointBatch) -> None:
+    if stats.efficiency < MIN_EFFICIENCY:
+        log.warning("sampler efficiency %.3f below %.2f",
+                    stats.efficiency, MIN_EFFICIENCY)
+    else:
+        log.debug("sampler efficiency %.3f", stats.efficiency)
+
+
+def _chunk_rng(seed: int | tuple, chunk: int) -> np.random.Generator:
+    """The generator of one chunk of ``sample_mu``: the seed's words, then
+    the chunk number."""
+    if isinstance(seed, (tuple, list)):
+        seed_words = tuple(int(s) for s in seed)
+    else:
+        seed_words = (int(seed),)
+    return np.random.default_rng(np.random.SeedSequence(seed_words + (chunk,)))
 
 
 def sample_mu(spec: RoofSpec, count: int, seed: int | tuple) -> PointBatch:
@@ -166,15 +273,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple) -> PointBatch:
     """
     if count <= 0:
         raise ConstraintViolationError("sample count must be positive")
-    if isinstance(seed, (tuple, list)):
-        seed_words = tuple(int(s) for s in seed)
-    else:
-        seed_words = (int(seed),)
-    roof = spec.pack()
-    lengths, bs, flat, band = roof
     backend = kernels.batch_kernels()
-    cum = np.cumsum(lengths + (0.0 if flat else 2.0 * bs))
-    total_env = float(cum[-1])
 
     out_idx = np.empty(count, dtype=np.int64)
     out_off = np.empty(count, dtype=np.float64)
@@ -185,78 +284,20 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple) -> PointBatch:
     n_chunks = (count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     for ci in range(n_chunks):
         want = min(SAMPLE_CHUNK, count - filled)
-        rng = np.random.default_rng(np.random.SeedSequence(seed_words + (ci,)))
+        rng = _chunk_rng(seed, ci)
         got = 0
         rounds = 0
         while got < want:
             rounds += 1
             if rounds > SAMPLE_MAX_ROUNDS:
-                raise ConsistencyError("rejection sampler stalled; check roof")
+                raise _stall_error()
             k = want - got
-            stats.proposals += k
-            sel = np.searchsorted(cum, rng.random(k) * total_env, side="right")
-            sel = np.minimum(sel, lengths.shape[0] - 1).astype(np.int64)
-            l = lengths[sel]
-            b = bs[sel]
-            q = rng.random(k) * (l + (0.0 if flat else 2.0 * b))
-            v = _spike_fraction(rng, k)
-            if flat:
-                u = q
-                env = np.ones(k)
-            else:
-                left_spike = q < 2.0 * b
-                right_spike = (~left_spike) & (q < 4.0 * b)
-                middle = ~(left_spike | right_spike)
-                u = np.where(left_spike, b * v,
-                             np.where(right_spike, l - b * v, b + (q - 4.0 * b)))
-                # evaluate the envelope at the stored offset with the same
-                # expressions the roof kernel uses, so rounding of u cannot
-                # push the acceptance ratio past 1
-                t_eff = np.where(left_spike, u / b,
-                                 np.where(right_spike, (l - u) / b, 1.0))
-                env = 1.0 - np.log(np.maximum(t_eff, 5e-324))
-            ok = (u > band * l) & (u < l * (1.0 - band))
-            stats.band_rejects += int(k - np.count_nonzero(ok))
-
-            r = np.empty(k)
-            dr = np.empty(k)
-            backend.roof_eval_batch(roof, sel, u, r, dr)
-            ratio = np.where(ok, r / env, 0.0)
-            if np.any(ratio > 1.0 + 1e-12):
-                worst = float(np.max(ratio))
-                raise ConsistencyError(
-                    f"envelope violated: acceptance ratio {worst} > 1")
-            accept = rng.random(k) < ratio
-
-            # fiber side: upper keeps the base point, lower pushes it forward
-            upper = rng.random(k) < 0.5
-            frac = rng.random(k)
-            y = np.where(upper, frac * r, -(1.0 - frac) * r)
-
-            idx_a = sel[accept]
-            off_a = u[accept]
-            y_a = y[accept]
-            up_a = upper[accept]
-            lower = ~up_a
-            if np.any(lower):
-                li = idx_a[lower].copy()
-                lo = off_a[lower].copy()
-                st = np.empty(li.shape[0], dtype=np.int64)
-                bad = backend.base_step_batch(spec.iet.pack(), li, lo, st)
-                if bad:
-                    keep_st = st == kernels.OK
-                    stats.step_discards += int(np.count_nonzero(~keep_st))
-                    sel_keep = up_a.copy()
-                    sel_keep[np.flatnonzero(lower)[keep_st]] = True
-                    idx_a[lower] = li
-                    off_a[lower] = lo
-                    idx_a = idx_a[sel_keep]
-                    off_a = off_a[sel_keep]
-                    y_a = y_a[sel_keep]
-                else:
-                    idx_a[lower] = li
-                    off_a[lower] = lo
-
+            # one row of uniforms at a time, drawn as the round needs it
+            draws = (rng.random(k) for _ in range(DRAWS_PER_ROUND))
+            ratio, over, _, idx_a, off_a, y_a = _sampler_round(
+                spec, backend, draws, k, stats)
+            if np.any(over):
+                raise _envelope_error(float(np.max(ratio)))
             take = min(idx_a.shape[0], want - got)
             out_idx[filled + got:filled + got + take] = idx_a[:take]
             out_off[filled + got:filled + got + take] = off_a[:take]
@@ -265,12 +306,44 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple) -> PointBatch:
             stats.accepted += take
         filled += want
 
-    if stats.efficiency < MIN_EFFICIENCY:
-        log.warning("sampler efficiency %.3f below %.2f",
-                    stats.efficiency, MIN_EFFICIENCY)
-    else:
-        log.debug("sampler efficiency %.3f", stats.efficiency)
+    _log_efficiency(stats)
     return stats
+
+
+def sample_starts(spec: RoofSpec, seeds: Sequence[tuple]) -> list:
+    """``sample_mu(spec, 1, seed).point(0)`` for every seed, in one batch.
+
+    Entry j is that point, or the ``LabError`` that call raises.  Sample j
+    draws from seed j's generator, eight doubles a round, as ``sample_mu``
+    does; ``rng.random(8)`` gives the same doubles as eight ``random(1)``
+    calls, so each round fills one row per draw for all samples still
+    without a point and runs them as one set of numpy calls.  A rejected
+    sample, or one whose lower-side step fails, draws again from its own
+    generator.  The sampler's efficiency is logged once per batch.
+    """
+    backend = kernels.batch_kernels()
+    rngs = [_chunk_rng(seed, 0) for seed in seeds]
+    out: list = [None] * len(rngs)
+    live = np.arange(len(rngs))
+    stats = PointBatch(*(np.empty(0) for _ in range(3)))
+    for _ in range(SAMPLE_MAX_ROUNDS):
+        if not live.size:
+            break
+        draws = np.array([rngs[j].random(DRAWS_PER_ROUND)
+                          for j in live.tolist()]).T
+        ratio, over, kept, idx, off, hei = _sampler_round(
+            spec, backend, iter(draws), live.shape[0], stats)
+        for j, w in zip(live[over].tolist(), ratio[over].tolist()):
+            out[j] = _envelope_error(w)
+        for j, i, u, y in zip(live[kept].tolist(), idx.tolist(), off.tolist(),
+                              hei.tolist()):
+            out[j] = SuspensionPoint(FiberPoint(i, u), y)
+        stats.accepted += idx.shape[0]
+        live = live[~(kept | over)]
+    for j in live.tolist():
+        out[j] = _stall_error()
+    _log_efficiency(stats)
+    return out
 
 
 # ---------------------------------------------------------------------------

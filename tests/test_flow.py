@@ -1,13 +1,14 @@
 """Time-one map, derivative cocycle, and the Monte Carlo experiments."""
 
+import importlib
 import math
 import os
 
 import numpy as np
 import pytest
 
-from ietlab import kernels
-from ietlab.errors import ConstraintViolationError
+from ietlab import kernels, measure
+from ietlab.errors import ConstraintViolationError, LabError
 from ietlab.flow import (
     Cocycle2x2,
     _batch_backend,
@@ -28,6 +29,9 @@ from ietlab.iet import CountableIET, FiberPoint
 from ietlab.roof import RoofSpec
 
 from canonical_points import draw_canonical
+
+# the package's ``flow`` is the function of that name
+flow_module = importlib.import_module("ietlab.flow")
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +311,68 @@ def test_aaronson_redraws_starts_beyond_the_truncation():
     assert res.discarded_trajectories >= 1
     assert [r.seed for r in res.rows] == [0, 1, 2]
     assert res.rows[0].start == spec.iet.locate(second)
+
+
+def draws_one_by_one(spec, seeds):
+    """``measure.sample_starts`` as one ``sample_mu`` call per seed."""
+    out = []
+    for seed in seeds:
+        try:
+            out.append(measure.sample_mu(spec, 1, seed).point(0))
+        except LabError as exc:
+            out.append(exc)
+    return out
+
+
+def outcome(entry):
+    return [type(entry).__name__, str(entry)] \
+        if isinstance(entry, LabError) else entry
+
+
+# (relative offset, roof) -> the roof the sampler sees, and its round cap: a
+# roof above its envelope on a tenth of every interval, and a roof of 0 on
+# the left halves, which stalls samples whose first four proposals all land
+# there
+FAULTS = {
+    "envelope": (lambda rel, r: np.where((rel > 0.3) & (rel < 0.4),
+                                         r * (2.0 + rel), r), 512),
+    "stall": (lambda rel, r: np.where(rel < 0.5, 0.0, r), 4),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_batched_starts_fail_as_draws_one_by_one(monkeypatch, golden_spec,
+                                                 params, fault):
+    change, rounds = FAULTS[fault]
+    backend = kernels.batch_kernels()
+    evaluate = backend.roof_eval_batch
+
+    def faulty(roof, idx, off, out_r, out_dr):
+        evaluate(roof, idx, off, out_r, out_dr)
+        out_r[:] = change(off / roof[0][idx], out_r)
+        return 0
+
+    monkeypatch.setattr(backend, "roof_eval_batch", faulty)
+    monkeypatch.setattr(measure, "SAMPLE_MAX_ROUNDS", rounds)
+    seeds = [(7, k, 0) for k in range(40)]
+    want = [outcome(e) for e in draws_one_by_one(golden_spec, seeds)]
+    got = [outcome(e) for e in measure.sample_starts(golden_spec, seeds)]
+    assert got == want
+    failed = [k for k, e in enumerate(want) if isinstance(e, list)]
+    # several samples fail, each with its own message, after some that do not
+    assert len(failed) > 1 and failed[0] > 0
+    if fault == "envelope":
+        assert len({want[k][1] for k in failed}) == len(failed)
+
+    # the experiment raises the first failed sample's error either way
+    def run():
+        with pytest.raises(LabError) as info:
+            lyapunov_experiment(golden_spec, params, 100, 40, seed=7)
+        return outcome(info.value)
+
+    batched = run()
+    monkeypatch.setattr(flow_module, "sample_starts", draws_one_by_one)
+    assert batched == run() == want[failed[0]]
 
 
 def test_threads_split_lanes_only_under_numba():

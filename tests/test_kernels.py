@@ -242,7 +242,8 @@ from ietlab.flow import (aaronson_average, aaronson_experiment, cocycle,
                          cocycle_checkpoints, lyapunov_experiment)
 from ietlab.geometry import MetricParams, canonicalize
 from ietlab.iet import CountableIET, FiberPoint
-from ietlab.measure import coded_orbit_stream, invariance_check, sample_mu
+from ietlab.measure import (coded_orbit_stream, invariance_check, sample_mu,
+                            sample_starts)
 from ietlab.roof import RoofSpec
 
 
@@ -371,6 +372,13 @@ for s, start_spec in enumerate(start_specs):
             starts.append([z.index, z.offset, z.height])
 out["starts"] = digest(starts)
 out["starts_step_discards"] = start_discards
+# the same starts drawn in one batch per spec
+batched = []
+for s, start_spec in enumerate(start_specs):
+    seeds = [(s, k, a) for k in range(30) for a in range(10)]
+    batched += [[z.index, z.offset, z.height]
+                for z in sample_starts(start_spec, seeds)]
+out["starts_batched"] = digest(batched)
 
 out["coded"] = digest([
     array_digest(coded_orbit_stream(base, 20000, seed=2).symbols)
@@ -531,8 +539,10 @@ def _assert_golden(got: dict) -> None:
     # the shallow experiments redraw some starts, and threads change nothing
     assert min(got["experiments_discards"]) > 0
     assert got["experiments_threads_agree"] is True
-    # some starts on the six-interval odometer are drawn again
+    # some starts on the six-interval odometer are drawn again, and the
+    # batched draw gives every start of the draws one by one
     assert got["starts_step_discards"] > 0
+    assert got["starts_batched"] == GOLDEN["starts"]
     # the stepped points reach every status a consistent base map allows
     assert set(got["time_one_statuses"]) == {
         kernels.OK, kernels.SINGULARITY, kernels.TRUNCATION}
