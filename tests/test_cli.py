@@ -259,20 +259,24 @@ def test_check_command_outputs(tmp_path, warm_kernels):
     assert set(report["results"][0]["verdicts"]) == set(names)
 
 
-def test_check_process_does_not_import_numpy_ma(tmp_path):
-    # numpy imports numpy.ma on a first np.unique, which costs a fresh
-    # process 15-35 ms
-    cfg = write_cfg(tmp_path, workloads.make_config("diagnostics", 0))
+@pytest.mark.parametrize("kind", ["check", "lyapunov", "aaronson",
+                                  "measure", "entropy"])
+def test_command_process_imports_only_what_runs(tmp_path, kind):
+    # a fresh process pays for every module it imports: numpy imports
+    # numpy.ma on a first np.unique or np.percentile (11-35 ms), plots are
+    # off, and threads split lanes only under numba
+    cfg = str(ROOT / "configs" / "quick.json")
     script = ("import sys\n"
               "from ietlab.cli import main\n"
-              f"code = main(['check', '--config', {cfg!r}, '--out', "
+              f"code = main([{kind!r}, '--config', {cfg!r}, '--out', "
               f"{str(tmp_path / 'out')!r}])\n"
-              "print(code, 'numpy.ma' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+              "print(code, *(name in sys.modules for name in ("
+              "'numpy.ma', 'ietlab.svgplot', 'concurrent.futures')))\n")
+    env = dict(os.environ, LAB_THREADS="1", PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300, check=True)
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["0", "False", "False", "False"]
 
 
 def test_vnk_validation_warns_but_passes(tmp_path, warm_kernels):

@@ -1,15 +1,17 @@
 """Property-based tests (hypothesis) for the structural invariants:
 invertibility of the base map, roof shape, canonical-domain idempotence,
-cocycle algebra, time-change homogeneity, and config round-trips.
+cocycle algebra, time-change homogeneity, config round-trips, and the
+report's quantiles.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ietlab.cli import parse_config, serialize_config
+from ietlab.cli import _quantiles, parse_config, serialize_config
 from ietlab.errors import LabError
 from ietlab.flow import cocycle, cocycle_checkpoints
 from ietlab.geometry import canonicalize
@@ -180,3 +182,23 @@ def test_config_serialization_round_trip(raw):
     dumped = serialize_config(cfg)
     assert parse_config(dumped) == cfg
     assert serialize_config(parse_config(dumped)) == dumped
+
+
+# few distinct values, so that lists hold ties, zeros of both signs and
+# infinities, besides any float and NaN
+quantile_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-300, math.inf, -math.inf]),
+    st.floats())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=400, **COMMON)
+@given(values=st.one_of(st.lists(quantile_values, min_size=1, max_size=2),
+                        st.lists(quantile_values, min_size=1, max_size=60)))
+def test_quantiles_match_numpy_percentile_bit_for_bit(values):
+    arr = np.array(values, dtype=np.float64)
+    got = _quantiles(arr)
+    assert list(got) == ["p5", "p50", "p95"]
+    for q in (5, 50, 95):
+        want = np.float64(np.percentile(arr, q))
+        assert np.float64(got[f"p{q}"]).view(np.int64) == want.view(np.int64)
