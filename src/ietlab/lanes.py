@@ -352,7 +352,8 @@ def _walk(base, i, u, span):
     gathers once.  The walk then iterates ``iet_step``'s sum before the
     split, x' = x + gap below the cut and x - cut above it, and splits every
     row at the end: the same operations as ``iet_step``, so the same bits.
-    Lanes whose pair reaches the truncation take the loop over ``iet_step``.
+    A walk in which some lane's pair reaches the truncation takes the loop
+    over ``iet_step`` instead.
     """
     count = i.shape[0]
     orbit_i = np.empty((span + 1, count), dtype=np.int64)
