@@ -380,9 +380,18 @@ for s, start_spec in enumerate(start_specs):
                 for z in sample_starts(start_spec, seeds)]
 out["starts_batched"] = digest(batched)
 
+# the odometer at the entropy command's length for three seeds, and the
+# six-interval odometer, whose orbits leave the truncation within 63 steps,
+# so that some starts are drawn again and at 63 symbols every attempt fails
 out["coded"] = digest([
     array_digest(coded_orbit_stream(base, 20000, seed=2).symbols)
-    for base in (iet, families["odometer"])])
+    for base in (iet, families["odometer"])] + [
+    array_digest(coded_orbit_stream(families["odometer"], 400000,
+                                    seed=seed).symbols)
+    for seed in range(3)] + [
+    outcome(lambda: array_digest(coded_orbit_stream(
+        shallow, length, seed=seed).symbols))
+    for length in (40, 62, 63) for seed in range(8)])
 
 # code_orbit itself on every family, from the ends and branch edges of the
 # first intervals (the odometer's interval 0 among them), with alphabets 2
@@ -510,7 +519,7 @@ GOLDEN = {
     "starts":
         "34e296bbb3c77da467dfac0e0a5cde19f96e6160a905ec756c15590192aacd43",
     "coded":
-        "83b1411dddea375f1600f71e17bd0708a2d78760b1ec414744948807c9d142c9",
+        "64fa557e64bc24260db0a9e4e0a125788979273d4e7cd663a7da07398e1a224b",
     "coded_kernel":
         "af1953ac0b40d2262dfe979a1f4f9b25d77783f8c9d7aaab0c2e4c690b16c931",
     "canonicalize":
