@@ -372,6 +372,10 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
     with seed ``(seed, k, a)``; attempts that hit a singularity band or
     leave the truncation are discarded.  Rows appear ordered by (sample,
     checkpoint) whatever the thread count.
+
+    ``params`` is never read: ``value_delta`` is the sandwich's upper bound
+    ``value_e + (log C(z) + log C(flow^n z))/n``, and C does not depend on
+    the metric's ``delta``, so the rows are the same for any ``delta``.
     """
     if samples < 1:
         raise ConstraintViolationError("samples must be >= 1")

@@ -37,8 +37,9 @@ Orbit kernels report integer status codes (see ``errors``):
 Only ``iet_step`` and ``iet_step_inv`` detect truncation, and the orbit
 kernels pass their status on, with one exception: ``code_orbit`` takes the
 rotation, swap and odometer steps inline and tests ``j >= ntr`` itself.
-Without numba it is a long scalar loop (no lane twin: one orbit is one
-lane), and a call of ``iet_step`` per symbol was most of its time.
+Without numba it is a long scalar loop with no lane twin (one orbit is one
+lane); on the odometer, ``measure.coded_orbit_stream`` codes starts on the
+2^-53 grid as a bit-reversed counter instead and calls it for the rest.
 """
 
 import math

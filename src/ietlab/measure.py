@@ -495,16 +495,64 @@ def bernoulli_stream(p: float, length: int, seed: int) -> SymbolStream:
     return SymbolStream(2, sym, provenance=f"bernoulli(p={p})")
 
 
+def _code_odometer(base, i, u, alphabet, out):
+    """``kernels.code_orbit`` on the odometer as a counter, or None.
+
+    While the start's offset is a multiple of 2^-53 (as every draw of
+    ``rng.random()`` is, and ``locate`` keeps it), every float operation of
+    the odometer's step is exact and the step is the adding machine: with R
+    the 53 bits of x 2^53 in reversed order, one step is R -> R + 1 and the
+    interval index is the number of trailing one bits of R, which is the
+    number of trailing zero bits of R + 1.  So symbol k is the number of
+    levels j = 1 .. alphabet - 1 whose 2^j divides R0 + k + 1: one strided
+    add per level.  The kernel stops with TRUNCATION after the step into
+    the first state with at least ``ntr`` trailing ones, and the same
+    prefix is written here.  Returns the kernel's status, or None (and
+    writes nothing) for another family, an index past 52, an offset off the
+    grid or outside its interval, an alphabet below 1, or an orbit that
+    would reach R = 2^53 - 2, next to the state 1 - 2^-53 whose step leaves
+    the grid.
+    """
+    if (base[0] != kernels.FAM_ODOMETER or alphabet < 1
+            or not 0 <= i < 53 or not 0.0 <= u < math.ldexp(1.0, -i - 1)):
+        return None
+    scaled = math.ldexp(u, 53)
+    if scaled != math.floor(scaled):
+        return None
+    n = out.shape[0]
+    x = (1 << 53) - (1 << (53 - i)) + int(scaled)
+    r = int(format(x, "053b")[::-1], 2)
+    if r + n + 1 >= (1 << 53) - 1:
+        return None
+    ntr = base[-1]
+    # the first state past r with ntr trailing ones is r + stop
+    stop = ((((r + 1) >> ntr) + 1) << ntr) - 1 - r
+    m = min(n, stop)
+    sym = out[:m]
+    sym[:] = 0
+    for j in range(1, alphabet):
+        first = -(r + 1) % (1 << j)
+        if first >= m:
+            break
+        sym[first::1 << j] += 1
+    return kernels.TRUNCATION if stop <= n else kernels.OK
+
+
 def coded_orbit_stream(iet: CountableIET, length: int, seed: int = 0,
                        start: FiberPoint | None = None,
                        alphabet_size: int = 16) -> SymbolStream:
     """Symbolic coding of a base orbit: symbol = min(interval index, A - 1).
 
     A random start is redrawn if it lies beyond the truncation or its orbit
-    leaves the representable index range before ``length`` steps.
+    leaves the representable index range before ``length`` steps.  On the
+    odometer, ``_code_odometer`` writes the symbols of a start on the 2^-53
+    grid (every random start) as a counter's trailing zero counts, with the
+    bits of ``kernels.code_orbit``; other families, starts off the grid and
+    orbits that would come near 1 - 2^-53 take the kernel's step loop.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     out = np.empty(length, dtype=np.int64)
+    base = iet.pack()
     for _ in range(CODED_ORBIT_ATTEMPTS):
         if start is not None:
             p = start
@@ -513,8 +561,10 @@ def coded_orbit_stream(iet: CountableIET, length: int, seed: int = 0,
                 p = iet.locate(rng.random())
             except TruncationExceededError:
                 continue  # mass beyond the truncation, skipped as in sample_mu
-        status = kernels.code_orbit(iet.pack(), p.index, p.offset,
-                                    alphabet_size, out)
+        status = _code_odometer(base, p.index, p.offset, alphabet_size, out)
+        if status is None:
+            status = kernels.code_orbit(base, p.index, p.offset,
+                                        alphabet_size, out)
         if status == kernels.OK:
             return SymbolStream(alphabet_size, out,
                                 provenance=f"orbit({iet.name})")

@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ietlab import kernels
-from ietlab.iet import CountableIET
+from ietlab.iet import CountableIET, FiberPoint
+from ietlab.measure import _code_odometer, coded_orbit_stream
 
 # ---------------------------------------------------------------------------
 # constants and scalar kernels
@@ -191,6 +192,161 @@ def test_code_orbit_matches_a_loop_over_iet_step(case):
     st_got = kernels.code_orbit(base, i, u, alphabet, got)
     assert st_got == reference_code_orbit(base, i, u, alphabet, want)
     assert np.array_equal(got, want)
+
+
+# ``measure._code_odometer``: the odometer's coding as a bit-reversed counter
+
+#: R = 2^53 - 1 is the state 1 - 2^-53, whose step leaves the 2^-53 grid.
+WRAP = (1 << 53) - 1
+
+
+def reversed53(v):
+    return int(format(v, "053b")[::-1], 2)
+
+
+def counter_start(r):
+    """The odometer's fiber point whose 53 reversed bits are ``r``."""
+    return kernels.dyadic_block(math.ldexp(float(reversed53(r)), -53))
+
+
+def counter_of(i, u):
+    """The counter value of a fiber point on the 2^-53 grid."""
+    return reversed53(int(math.ldexp(1.0 - math.ldexp(1.0, -i) + u, 53)))
+
+
+def code_both(base, i, u, alphabet, length):
+    """The helper's and the reference loop's status and symbols."""
+    got = np.full(length, -1, dtype=np.int64)
+    want = np.full(length, -1, dtype=np.int64)
+    st_got = _code_odometer(base, i, u, alphabet, got)
+    st_want = reference_code_orbit(base, i, u, alphabet, want)
+    return st_got, st_want, got, want
+
+
+def assert_counter_ran(base, i, u, alphabet, length):
+    st_got, st_want, got, want = code_both(base, i, u, alphabet, length)
+    assert st_got is not None
+    assert st_got == st_want
+    assert np.array_equal(got, want)
+    return st_got, got
+
+
+def assert_fell_back(base, i, u, alphabet, length):
+    out = np.full(length, -1, dtype=np.int64)
+    assert _code_odometer(base, i, u, alphabet, out) is None
+    assert np.all(out == -1)
+
+
+@st.composite
+def counter_orbits(draw):
+    ntr = draw(st.integers(min_value=2, max_value=64))
+    if draw(st.booleans()):
+        # any index on the grid, some past the truncation
+        i = draw(st.integers(min_value=0, max_value=52))
+        u = math.ldexp(draw(st.integers(0, (1 << (52 - i)) - 1)), -53)
+    else:
+        # counter values a few thousand steps before 1 - 2^-53
+        i, u = counter_start(WRAP - draw(st.integers(1, 4000)))
+    alphabet = draw(st.integers(min_value=2, max_value=20))
+    length = draw(st.one_of(st.integers(min_value=0, max_value=64),
+                            st.integers(min_value=1000, max_value=3000)))
+    return CountableIET.von_neumann_kakutani(n_trunc=ntr).pack(), i, u, \
+        alphabet, length
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=counter_orbits())
+def test_odometer_counter_matches_a_loop_over_iet_step(case):
+    base, i, u, alphabet, length = case
+    if counter_of(i, u) + length + 1 >= WRAP:
+        assert_fell_back(base, i, u, alphabet, length)
+    else:
+        assert_counter_ran(base, i, u, alphabet, length)
+
+
+def test_odometer_counter_next_to_one():
+    base = CountableIET.von_neumann_kakutani().pack()
+    # 1 - 2^-53 is the counter's last state, R = 2^53 - 1, so it falls
+    # back; 1 - k 2^-53 for 2 <= k <= 40 has a zero among its last six
+    # bits, which are the counter's top six, so it lies 2^47 or more
+    # steps before the end of the count
+    assert_fell_back(base, *kernels.dyadic_block(1.0 - 2.0 ** -53), 16, 300)
+    for k in range(2, 41):
+        i, u = kernels.dyadic_block(1.0 - math.ldexp(k, -53))
+        assert counter_of(i, u) <= WRAP - (1 << 47)
+        assert_counter_ran(base, i, u, 16, 300)
+    # the counter values just before it: a start falls back exactly when
+    # its n steps reach R = 2^53 - 2, next to the state that leaves the grid
+    n = 20
+    for j in range(1, 41):
+        i, u = counter_start(WRAP - j)
+        if j <= n + 1:
+            assert_fell_back(base, i, u, 16, n)
+        else:
+            assert assert_counter_ran(base, i, u, 16, n)[0] == kernels.OK
+
+
+def test_odometer_counter_falls_back_off_the_grid_and_off_the_odometer():
+    for base in (CountableIET.von_neumann_kakutani().pack(),
+                 CountableIET.von_neumann_kakutani(n_trunc=6).pack()):
+        for i in range(min(base[-1], 8)):
+            l = kernels.iet_length(base, i)
+            # the upper ends of the first intervals lie off the grid
+            assert_fell_back(base, i, float(np.nextafter(l, 0.0)), 16, 400)
+            for u in (0.0, 0.5 * l):
+                assert_counter_ran(base, i, u, 16, 400)
+        # an offset outside its interval, an index beyond the grid's
+        assert_fell_back(base, 3, kernels.iet_length(base, 3), 16, 400)
+        assert_fell_back(base, 53, 0.0, 16, 400)
+        assert_fell_back(base, 0, -0.25, 16, 400)
+    for name in ("rotation", "swap", "table"):
+        assert_fell_back(CODED_BASES[name], 0, 0.0, 16, 400)
+
+
+@pytest.mark.parametrize("ntr, alphabet, length, stop", [
+    (6, 16, 50, 1),                      # leaves at the first step
+    (20, 17, (1 << 16) + 7, 1 << 16),    # at the period of the deepest level
+    (6, 16, 50, 50),                     # at the last step
+    (6, 16, 50, 51),                     # one step after the last
+    (6, 16, 0, 1),                       # no symbols
+])
+def test_odometer_counter_truncates_where_the_kernel_does(ntr, alphabet,
+                                                          length, stop):
+    base = CountableIET.von_neumann_kakutani(n_trunc=ntr).pack()
+    # the first state past r with ntr trailing ones is r + stop
+    i, u = counter_start((5 << ntr) - 1 - stop)
+    status, got = assert_counter_ran(base, i, u, alphabet, length)
+    written = min(stop, length)
+    assert status == (kernels.TRUNCATION if stop <= length else kernels.OK)
+    assert np.all(got[:written] >= 0) and np.all(got[written:] == -1)
+
+
+def test_coded_orbit_stream_codes_odometer_starts_as_a_counter(monkeypatch):
+    calls = []
+    code_orbit = kernels.code_orbit
+
+    def counted(*args):
+        calls.append(args[0][0])
+        return code_orbit(*args)
+
+    monkeypatch.setattr(kernels, "code_orbit", counted)
+    vnk = CountableIET.von_neumann_kakutani()
+    # every random start is on the grid, even those drawn again
+    for seed in range(3):
+        coded_orbit_stream(vnk, 5000, seed=seed)
+    coded_orbit_stream(CountableIET.von_neumann_kakutani(n_trunc=6), 62,
+                       seed=6)
+    assert calls == []
+    # a caller's start off the grid takes the kernel, as do other families
+    off_grid = FiberPoint(2, 0.3 * vnk.length(2))
+    s = coded_orbit_stream(vnk, 500, start=off_grid)
+    want = np.empty(500, dtype=np.int64)
+    assert reference_code_orbit(vnk.pack(), 2, off_grid.offset, 16,
+                                want) == kernels.OK
+    assert np.array_equal(s.symbols, want)
+    coded_orbit_stream(CountableIET.block_rotation(), 100, seed=1)
+    assert calls == [kernels.FAM_ODOMETER, kernels.FAM_ROTATION]
 
 
 def test_base_steps_report_truncation():
