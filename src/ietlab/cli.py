@@ -150,7 +150,7 @@ def _check_summability(spec: RoofSpec) -> CheckOutcome:
 
 # The sandwich, beta and cocycle-algebra checks draw their points and
 # evaluate them on lanes, with ``lane_geometry``, which is imported on first
-# use, so that other commands do not load it.
+# use, so that commands without geometry do not load it.
 
 
 def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,

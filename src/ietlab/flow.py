@@ -167,19 +167,21 @@ def ftle(spec: RoofSpec, params: MetricParams, z: SuspensionPoint, n: int,
     log C(flow^n z)).
     """
     mats, pts = cocycle_checkpoints(spec, z, [n])
-    return _ftle_record(spec, z, math.log(constant_C(spec, z)), n, mats[0],
-                        pts[0], seed)
+    return _ftle_record(z, n, op_norm_euclidean(mats[0].matrix),
+                        math.log(constant_C(spec, z)),
+                        math.log(constant_C(spec, pts[0])), mats[0].crossings,
+                        seed)
 
 
-def _ftle_record(spec: RoofSpec, z: SuspensionPoint, log_c_start: float,
-                 n: int, mat: Cocycle2x2, endpoint: SuspensionPoint,
+def _ftle_record(z: SuspensionPoint, n: int, norm_e: float,
+                 log_c_start: float, log_c_end: float, crossings: int,
                  seed: int) -> FTLERecord:
-    """The record at ``n`` steps; ``log_c_start`` is log C(z), which every
-    checkpoint of a trajectory shares."""
-    value_e = max(0.0, math.log(op_norm_euclidean(mat.matrix))) / n
-    correction = (log_c_start + math.log(constant_C(spec, endpoint))) / n
+    """The record at ``n`` steps from ``z``: cocycle norm ``norm_e``, and
+    log C at ``z`` and at the endpoint."""
+    value_e = max(0.0, math.log(norm_e)) / n
+    correction = (log_c_start + log_c_end) / n
     return FTLERecord(n=n, value_e=value_e, value_delta=value_e + correction,
-                      start=z, seed=seed, crossings=mat.crossings)
+                      start=z, seed=seed, crossings=crossings)
 
 
 def aaronson_average(spec: RoofSpec, x: FiberPoint, n: int,
@@ -379,6 +381,7 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
     """
     if samples < 1:
         raise ConstraintViolationError("samples must be >= 1")
+    from . import lane_geometry
     cps = checkpoints_geometric(n)
     orbits, threads = _batch_backend(threads)
     base, roof = spec.iet.pack(), spec.pack()
@@ -404,22 +407,32 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
             base, roof, idx[lo:hi], off[lo:hi], hei[lo:hi], cps_arr,
             *(a[lo:hi] for a in outs)), count, threads)
 
+        # one lane call each for C at the starts and checkpoint endpoints
+        # of the clean lanes, a row per lane, and their cocycles' norms
+        ok = status == kernels.OK
+        row = np.cumsum(ok) - 1
+        ends = lane_geometry.Points(*(
+            np.column_stack((at[ok], out[ok])).ravel()
+            for at, out in ((idx, out_i), (off, out_u), (hei, out_y))))
+        c, refused = (a.reshape(-1, m + 1)
+                      for a in lane_geometry.sandwich_constants(spec, ends))
+        norm_e = lane_geometry.op_norm_euclidean(
+            np.stack(mats, axis=-1)[ok].reshape(-1, 2, 2)).reshape(-1, m)
+
         def rows_of(lane: int, k: int):
             st = int(status[lane])
             if st in (kernels.SINGULARITY, kernels.TRUNCATION):
                 return None
             raise_for_status(st, f"cocycle at step {int(out_fail[lane])}")
-            a, b, c, d = (mat[lane] for mat in mats)
-            z = starts[lane]
-            log_c_start = math.log(constant_C(spec, z))
-            return [_ftle_record(
-                spec, z, log_c_start, nj,
-                Cocycle2x2(float(a[j]), float(b[j]), float(c[j]),
-                           float(d[j]), int(out_k[lane, j])),
-                SuspensionPoint(FiberPoint(int(out_i[lane, j]),
-                                           float(out_u[lane, j])),
-                                float(out_y[lane, j])), k)
-                for j, nj in enumerate(cps)]
+            r = int(row[lane])
+            if refused[r].any():  # the first refused point raises
+                constant_C(spec, ends.point(r * (m + 1)
+                                            + int(np.argmax(refused[r]))))
+            log_c = [math.log(x) for x in c[r].tolist()]
+            return [_ftle_record(starts[lane], nj, float(norm_e[r, j]),
+                                 log_c[0], log_c[j + 1], int(out_k[lane, j]),
+                                 k)
+                    for j, nj in enumerate(cps)]
 
         return rows_of
 

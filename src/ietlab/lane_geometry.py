@@ -1,21 +1,19 @@
-"""The suspension geometry on numpy lanes, for the check suite.
+"""The suspension geometry on numpy lanes, its one implementation.
 
-``lab check``'s metric-sandwich and beta-bound checks draw their points with
-``sandwich_draws`` and ``beta_draws`` and evaluate them all at once with
-the twins here of ``geometry.fiber_edges``, ``metric_form``,
-``metric_norm``, ``constant_C``, ``beta_factor`` and the operator norms,
-and of ``flow.jacobian_step`` and ``flow.flow``.  Its cocycle-algebra
-check draws its tries with ``cocycle_tries``, which takes the cocycles of
-all tries from ``lanes.lyap_orbits`` (``cocycles``, the twin of
-``flow.cocycle``).  Both backends use them.  Points travel as ``Points``,
-three arrays, and cocycles as ``Cocycles``.
+The blended norm, its Gram matrix, the sandwich constant C, the expansion
+factor beta and the 2x2 operator norms are written here once, for arrays
+of points; ``geometry``'s functions of one point are one-lane calls.
+``lab check`` draws its points with ``sandwich_draws``, ``beta_draws`` and
+``cocycle_tries`` and evaluates them all at once, and ``lab lyapunov``
+takes C at every start and checkpoint endpoint of a round in one call.
+Points travel as ``Points``, three arrays, and cocycles as ``Cocycles``.
 
-Each lane gives the scalar function's floats bit for bit: the twins use
-only the operations ``lanes`` vectorises, plus sqrt and the stacked 2x2
-``matmul``.  Where a scalar function raises, its twin raises the error of
-the first failing lane, by calling the scalar function on it.  The module
-is separate from ``lanes`` so that commands without checks do not compile
-it.
+Each lane gives the formula's floats on Python floats bit for bit: only
+the operations ``lanes`` vectorises are used, plus sqrt and the stacked
+2x2 ``matmul``.  Where points are refused, the first refused lane raises
+its error, through ``RoofSpec.value`` and the base steps at that point, as
+a loop over the points in order would.  The module is separate from
+``lanes`` so that commands without geometry do not compile it.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
-from .errors import ConstraintViolationError
+from .errors import ConsistencyError, ConstraintViolationError
 from .flow import Cocycle2x2
-from .geometry import SuspensionPoint
+from .geometry import MAX_GLUE, SuspensionPoint
 from .iet import FiberPoint
 from .kernels import OK, SINGULARITY
 from .lanes import (
@@ -60,13 +57,6 @@ class Points(NamedTuple):
                                float(self.hei[k]))
 
 
-def _raise_first(bad, scalar) -> None:
-    """``scalar(k)`` for the first lane k in ``bad``: the scalar function
-    raises that lane's error, as a loop over the lanes in order would."""
-    if bad.any():
-        scalar(int(np.argmax(bad)))
-
-
 def _roof_value(spec, i, u):
     """``RoofSpec.value`` on lanes: arrays ``(r, dr, refused)``, refused
     in the exclusion band, where the scalar version raises."""
@@ -75,27 +65,42 @@ def _roof_value(spec, i, u):
     return (*roof_eval(u, bs[i], l, flat), _in_band(u, l, band))
 
 
-def fiber_edges(spec, idx, off):
-    """``geometry.fiber_edges`` on lanes: arrays ``(r_below, dr_below,
-    r_here, dr_here)``, the roof at T^-1 x and at x."""
+def _edges(spec, idx, off, check: bool = True):
+    """``((r_below, dr_below, r_here, dr_here), refused)``: the roof at
+    T^-1 x and at x, and the lanes where the backward step or a roof is
+    refused, the first of which raises if ``check``."""
     j, v, st = iet_step_inv(spec.iet.pack(), idx, off)
     stepped = st == OK
     j, v = np.where(stepped, j, idx), np.where(stepped, v, off)
     r_below, dr_below, below_refused = _roof_value(spec, j, v)
     r_here, dr_here, here_refused = _roof_value(spec, idx, off)
-    _raise_first(~stepped | below_refused | here_refused,
-                 lambda k: geometry.fiber_edges(
-                     spec, FiberPoint(int(idx[k]), float(off[k]))))
-    return r_below, dr_below, r_here, dr_here
+    refused = ~stepped | below_refused | here_refused
+    if check and refused.any():
+        k = int(np.argmax(refused))
+        base = FiberPoint(int(idx[k]), float(off[k]))
+        spec.value(spec.iet.step_back(base))
+        spec.value(base)
+    return (r_below, dr_below, r_here, dr_here), refused
 
 
-def _active_shear(spec, z: Points):
-    """``geometry._active_shear`` on lanes: arrays ``(s, d)``."""
-    r_below, dr_below, r_here, dr_here = fiber_edges(spec, z.idx, z.off)
+def fiber_edges(spec, idx, off):
+    """Arrays ``(r_below, dr_below, r_here, dr_here)``, the roof at T^-1 x
+    and at x: the fiber over x is [-r_below, r_here)."""
+    return _edges(spec, idx, off)[0]
+
+
+def _shear(spec, z: Points, check: bool = True):
+    """``(s, d, refused)``: the straightening shear [[1, 0], [s, 1]] in
+    force, s = -r'(x) where the top edge is nearest and s = +r'(T^-1 x)
+    where the bottom edge is, the fiber distance d to that edge, and the
+    refused lanes of ``_edges``."""
+    (r_below, dr_below, r_here, dr_here), refused = _edges(spec, z.idx,
+                                                           z.off, check)
     d_top = r_here - z.hei
     d_bot = z.hei + r_below
     top = d_top <= d_bot
-    return np.where(top, -dr_here, dr_below), np.where(top, d_top, d_bot)
+    return (np.where(top, -dr_here, dr_below), np.where(top, d_top, d_bot),
+            refused)
 
 
 def _blend(params, d):
@@ -104,8 +109,9 @@ def _blend(params, d):
 
 
 def metric_form(spec, params, z: Points):
-    """``geometry.metric_form`` on lanes: Gram matrices, shape (n, 2, 2)."""
-    s, d = _active_shear(spec, z)
+    """Gram matrices of the blended norm, shape (n, 2, 2): rho I + (1 - rho)
+    B^T B for the shear B, the identity off the edge zone."""
+    s, d, _ = _shear(spec, z)
     rho = _blend(params, d)
     g = np.empty((s.shape[0], 2, 2))
     g[:, 0, 0] = rho + (1.0 - rho) * (1.0 + s * s)
@@ -116,13 +122,13 @@ def metric_form(spec, params, z: Points):
 
 
 def metric_norm(spec, params, z: Points, dx, dy, kind: str = "delta"):
-    """``geometry.metric_norm`` on lanes, tangent vectors ``(dx, dy)``."""
+    """Lengths of the tangent vectors ``(dx, dy)`` under ``kind``'s norm."""
     euclidean = _math(math.hypot, dx, dy)
     if kind == "euclidean":
         return euclidean
     if kind != "delta":
         raise ConstraintViolationError(f"unknown norm kind {kind!r}")
-    s, d = _active_shear(spec, z)
+    s, d, _ = _shear(spec, z)
     rho = _blend(params, d)
     e2 = dx * dx + dy * dy
     sheared = s * dx + dy
@@ -130,9 +136,17 @@ def metric_norm(spec, params, z: Points, dx, dy, kind: str = "delta"):
     return np.where((rho == 1.0) | (s == 0.0), euclidean, delta)
 
 
+def sandwich_constants(spec, z: Points):
+    """``(C, refused)``: ``constant_C`` of every lane, without raising for
+    the lanes whose fiber edges are refused; their C is not a value."""
+    s, _, refused = _shear(spec, z, check=False)
+    return 2.0 + 2.0 * np.abs(s), refused
+
+
 def constant_C(spec, z: Points):
-    """``geometry.constant_C`` on lanes."""
-    return 2.0 + 2.0 * np.abs(_active_shear(spec, z)[0])
+    """Sandwich constants, C(z)^-1 ||v||_e <= ||v||_delta <= C(z) ||v||_e,
+    from the roof derivative of the edge each point is nearest to."""
+    return 2.0 + 2.0 * np.abs(_shear(spec, z)[0])
 
 
 def _max(a, b):
@@ -141,10 +155,12 @@ def _max(a, b):
 
 
 def beta_factor(spec, params, z: Points):
-    """``geometry.beta_factor`` on lanes.
+    """One-step expansion bounds: ||dphi||_delta <= beta(z) ||dphi||_e.
 
-    A near-top point outside the core sees the roof at Tx; where that step
-    or that roof fails, the first such lane raises the scalar error.
+    1 on the core, -r(T^-1 x) + delta < y < r(x) - (1 + delta); elsewhere
+    C(z) times the larger sandwich constant the image can see: over x or
+    Tx near the top (the first lane whose Tx or roof there fails raises),
+    over x with either edge active near the bottom.
     """
     r_below, dr_below, r_here, dr_here = fiber_edges(spec, z.idx, z.off)
     y = z.hei
@@ -157,8 +173,9 @@ def beta_factor(spec, params, z: Points):
     stepped = st == OK
     j, v = np.where(stepped, j, z.idx[at]), np.where(stepped, v, z.off[at])
     _, dr_next, refused = _roof_value(spec, j, v)
-    _raise_first(~stepped | refused,
-                 lambda k: geometry.beta_factor(spec, params, z.point(at[k])))
+    if (~stepped | refused).any():
+        p = z.point(int(at[np.argmax(~stepped | refused)]))
+        spec.value(spec.iet.step(p.base))
     c_next = 2.0 + 2.0 * np.abs(dr_next)
     beta = np.where(core, 1.0, c_bot * _max(c_bot, c_top))
     beta[at] = c_top[at] * _max(c_top[at], c_next)
@@ -181,7 +198,7 @@ def flow(spec, z: Points, t):
     if not np.isfinite(t).all():
         raise ConstraintViolationError("flow time must be finite")
     i, u, y, status = canonicalize_k(spec.iet.pack(), spec.pack(), z.idx,
-                                     z.off, z.hei + t, geometry.MAX_GLUE)
+                                     z.off, z.hei + t, MAX_GLUE)
     return Points(i, u, y), status
 
 
@@ -191,7 +208,7 @@ def _nonnegative(x):
 
 
 def op_norm_euclidean(m):
-    """``geometry.op_norm_euclidean`` of each matrix in ``m`` (n, 2, 2)."""
+    """Largest singular value of each matrix in ``m`` (n, 2, 2), closed form."""
     a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     q = a * a + b * b + c * c + d * d
     det = a * d - b * c
@@ -200,19 +217,24 @@ def op_norm_euclidean(m):
 
 
 def op_norm_between(g_from, m, g_to):
-    """``geometry.op_norm_between`` on stacks of 2x2 matrices.
+    """sup ||Mv||_{g_to} / ||v||_{g_from} for stacks of 2x2 matrices, the
+    Gram matrices SPD.
 
-    ``M^T g_to M`` is one stacked matmul, which rounds as the scalar
-    version's 2-D products do; written out by components it would not.
-    A ``g_from`` whose determinant rounds to 0.0 raises the scalar
-    version's ConsistencyError, for the first such matrix.
+    The square is the largest root of det(M^T g_to M - lambda g_from) = 0.
+    ``M^T g_to M`` is one stacked matmul, which rounds as 2-D products of
+    each matrix do; written out by components it would not.  The first
+    ``g_from`` whose determinant rounds to 0.0 raises ConsistencyError.
     """
     a = np.matmul(np.matmul(m.transpose(0, 2, 1), g_to), m)
     a11, a12, a22 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
     b11, b12, b22 = g_from[:, 0, 0], g_from[:, 0, 1], g_from[:, 1, 1]
     det_b = b11 * b22 - b12 * b12
-    _raise_first(det_b == 0.0,
-                 lambda k: geometry.op_norm_between(g_from[k], m[k], g_to[k]))
+    if (det_b == 0.0).any():
+        k = int(np.argmax(det_b == 0.0))
+        g = [[float(b11[k]), float(b12[k])], [float(b12[k]), float(b22[k])]]
+        raise ConsistencyError(
+            f"Gram matrix {g} has determinant 0.0 in floating point, so the "
+            "operator norm is undefined")
     det_a = a11 * a22 - a12 * a12
     p = a11 * b22 + a22 * b11 - 2.0 * a12 * b12
     disc = _nonnegative(p * p - 4.0 * det_b * det_a)
@@ -277,7 +299,7 @@ def _canonical_draws(spec, x, y):
     located = located == OK
     at = np.flatnonzero(located)
     i, u, y, status = canonicalize_k(base, spec.pack(), i[at], u[at],
-                                     -2.0 + 4.0 * y[at], geometry.MAX_GLUE)
+                                     -2.0 + 4.0 * y[at], MAX_GLUE)
     z = Points(np.zeros(x.shape[0], dtype=np.int64), np.zeros(x.shape[0]),
                np.zeros(x.shape[0]))
     z.idx[at], z.off[at], z.hei[at] = i, u, y

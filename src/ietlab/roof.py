@@ -50,15 +50,6 @@ class RoofValue(tuple):
         return self[2]
 
 
-def smooth_step_alpha(t: float) -> tuple[float, float]:
-    """The C-infinity step: 1 on (-inf, 0], 0 on [1, inf), decreasing between.
-
-    Returns (value, derivative), both analytic.
-    """
-    a, da = kernels.smooth_step(float(t))
-    return float(a), float(da)
-
-
 @lru_cache(maxsize=1)
 def bump_sup_derivative() -> float:
     """sup |alpha'| over (0, 1), via dense grid search plus local refinement.

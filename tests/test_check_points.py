@@ -3,8 +3,8 @@ cocycle-algebra checks.
 
 ``reference_sandwich``, ``reference_beta`` and ``reference_cocycle`` are the
 three checks as they were written before they moved onto lanes: one point
-at a time through the scalar geometry and flow functions, recording what
-each point gives.  Their SHA-256 digests on specs of all four families,
+at a time through the scalar geometry formulas (``scalar_geometry``) and
+flow functions, recording what each point gives.  Their SHA-256 digests on specs of all four families,
 with shallow truncations so that draws are retried (and, for the cocycle
 check, tries are skipped), and one odometer whose beta check raises, were
 pinned from that code, and the lane checks must reproduce them: the same
@@ -21,19 +21,18 @@ from ietlab import cli
 from ietlab import lane_geometry as lanes
 from ietlab.errors import LabError
 from ietlab.flow import cocycle, flow as flow_point, jacobian_step
-from ietlab.geometry import (
-    MetricParams,
-    TangentVec,
+from ietlab.geometry import MetricParams, TangentVec, canonicalize
+from ietlab.iet import CountableIET
+from ietlab.roof import RoofSpec
+
+from scalar_geometry import (
     beta_factor,
-    canonicalize,
     constant_C,
     metric_form,
     metric_norm,
     op_norm_between,
     op_norm_euclidean,
 )
-from ietlab.iet import CountableIET
-from ietlab.roof import RoofSpec
 
 PARAMS = MetricParams(delta=0.25)
 COUNT = 2000

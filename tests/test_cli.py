@@ -264,19 +264,58 @@ def test_check_command_outputs(tmp_path, warm_kernels):
 def test_command_process_imports_only_what_runs(tmp_path, kind):
     # a fresh process pays for every module it imports: numpy imports
     # numpy.ma on a first np.unique or np.percentile (11-35 ms), plots are
-    # off, and threads split lanes only under numba
+    # off, threads split lanes only under numba, and the lane geometry is
+    # loaded by the commands that evaluate it
     cfg = str(ROOT / "configs" / "quick.json")
     script = ("import sys\n"
               "from ietlab.cli import main\n"
               f"code = main([{kind!r}, '--config', {cfg!r}, '--out', "
               f"{str(tmp_path / 'out')!r}])\n"
               "print(code, *(name in sys.modules for name in ("
-              "'numpy.ma', 'ietlab.svgplot', 'concurrent.futures')))\n")
-    env = dict(os.environ, LAB_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+              "'numpy.ma', 'ietlab.svgplot', 'concurrent.futures', "
+              "'ietlab.lane_geometry')))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=300, check=True)
-    assert proc.stdout.split() == ["0", "False", "False", "False"]
+                          text=True, env=_src_env(), timeout=300, check=True)
+    geometry = kind in ("check", "lyapunov")
+    assert proc.stdout.split() == ["0", "False", "False", "False",
+                                   str(geometry)]
+
+
+def _src_env():
+    return dict(os.environ, LAB_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_package_import_loads_no_lanes():
+    # ``import ietlab`` is what the benchmark's set-up probe times; the
+    # lanes and the lane geometry load on first use
+    script = ("import sys, ietlab\n"
+              "print(*(name in sys.modules for name in ("
+              "'ietlab.lanes', 'ietlab.lane_geometry')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=300, check=True)
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's tracer wraps every name in its TARGETS table; a name
+    # missing from the package would break every traced run
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+              "import tracer\n"
+              "tracer.install(tracer.Recorder())\n"
+              "for mod, funcs in tracer.TARGETS.items():\n"
+              "    module = sys.modules['ietlab.' + mod]\n"
+              "    for func in funcs:\n"
+              "        owner, _, attr = func.rpartition('.')\n"
+              "        fn = getattr(getattr(module, owner) if owner else module,"
+              " attr)\n"
+              "        print(mod + '.' + func, hasattr(fn, '__wrapped__'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=300, check=True)
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert "geometry.constant_C" in [name for name, _ in lines]
+    assert all(wrapped == "True" for _, wrapped in lines)
 
 
 def test_vnk_validation_warns_but_passes(tmp_path, warm_kernels):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ietlab import kernels, measure
-from ietlab.errors import ConstraintViolationError, LabError
+from ietlab.errors import (ConstraintViolationError, LabError,
+                           TruncationExceededError)
 from ietlab.flow import (
     Cocycle2x2,
     _batch_backend,
@@ -288,6 +289,24 @@ def test_lyapunov_medians_decay(golden_spec, params, warm_kernels):
     med = [res.median(n) for n in res.checkpoints]
     assert med[0] > med[-1]
     assert med[-1] < 0.05
+
+
+def test_lyapunov_refused_constant_fails_only_its_own_sample(params):
+    # on a five-interval rotation at seed 1, sample 27 starts in interval
+    # 4, whose backward step leaves the truncation: its orbit is clean but
+    # C at its start is refused, and the 27 samples before it keep theirs
+    spec = RoofSpec.build(CountableIET.block_rotation(n_trunc=5))
+    assert len(lyapunov_experiment(spec, params, 1, 27, seed=1).rows) == 27
+    with pytest.raises(TruncationExceededError,
+                       match=r"^orbit reached interval 5 >= truncation 5$"):
+        lyapunov_experiment(spec, params, 1, 40, seed=1)
+    # on a three-interval odometer the first sample to fail is not the
+    # first lane of the first round whose C is refused: raising for the
+    # whole round would name interval 5
+    spec = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=3))
+    with pytest.raises(TruncationExceededError,
+                       match=r"^orbit reached interval 3 >= truncation 3$"):
+        lyapunov_experiment(spec, params, 7, 40, seed=0)
 
 
 def test_aaronson_experiment_contract(golden_spec, warm_kernels):

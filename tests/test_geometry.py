@@ -1,4 +1,10 @@
-"""Canonical coordinates and the edge-adapted norm."""
+"""Canonical coordinates and the edge-adapted norm.
+
+The geometry's one implementation works on lanes, so each test draws its
+points one at a time and evaluates them in one ``lane_geometry`` call.
+Tests of a formula's shape (the blend weight, the core region) read the
+scalar formulas in ``scalar_geometry``.
+"""
 
 import math
 
@@ -11,22 +17,26 @@ from ietlab.errors import (ConsistencyError, ConstraintViolationError,
 from ietlab.geometry import (
     SuspensionPoint,
     TangentVec,
-    beta_factor,
     canonicalize,
     constant_C,
-    edge_distance,
-    fiber_edges,
-    in_K_delta,
-    is_canonical,
-    metric_form,
     metric_norm,
     op_norm_between,
-    op_norm_euclidean,
-    rho_blend,
 )
-from ietlab.iet import FiberPoint
 
 from canonical_points import draw_canonical
+from scalar_geometry import edge_distance, in_K_delta, is_canonical, rho_blend
+
+
+def lane_points(pts):
+    """The points ``pts`` as lanes."""
+    return lane_geometry.Points(
+        np.array([z.index for z in pts], dtype=np.int64),
+        np.array([z.offset for z in pts]), np.array([z.height for z in pts]))
+
+
+def lane_vectors(vecs):
+    """The tangent vectors ``vecs`` as arrays ``(dx, dy)``."""
+    return (np.array([v.dx for v in vecs]), np.array([v.dy for v in vecs]))
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +89,15 @@ def test_canonicalize_identity_on_canonical_points(golden_spec):
 
 def test_fiber_edges_and_distance(golden_spec):
     rng = np.random.default_rng(25)
-    for _ in range(300):
-        z = draw_canonical(golden_spec, rng)
-        below, here = fiber_edges(golden_spec, z.base)
-        assert -below.value <= z.height < here.value
-        d = edge_distance(golden_spec, z)
-        assert d == pytest.approx(
-            min(here.value - z.height, z.height + below.value), abs=0.0)
+    pts = [draw_canonical(golden_spec, rng) for _ in range(300)]
+    z = lane_points(pts)
+    edges = lane_geometry.fiber_edges(golden_spec, z.idx, z.off)
+    for k, p in enumerate(pts):
+        below, here = edges[0][k], edges[2][k]
+        assert -below <= p.height < here
+        d = edge_distance(golden_spec, p)
+        assert d == pytest.approx(min(here - p.height, p.height + below),
+                                  abs=0.0)
         assert d >= 0.0
 
 
@@ -125,43 +137,60 @@ def test_rho_blend_saturation(golden_spec, params):
 
 def test_metric_form_is_spd_and_euclidean_in_core(golden_spec, params):
     rng = np.random.default_rng(29)
+    pts, core, vecs = [], [], []
     for _ in range(500):
         z = draw_canonical(golden_spec, rng)
-        g = metric_form(golden_spec, params, z)
+        pts.append(z)
+        if edge_distance(golden_spec, z) >= params.delta:
+            core.append(z)
+            vecs.append(TangentVec(float(rng.normal()), float(rng.normal())))
+    for g in lane_geometry.metric_form(golden_spec, params, lane_points(pts)):
         assert g.shape == (2, 2)
         assert g[0, 1] == g[1, 0]
         assert np.linalg.det(g) > 0.0 and g[0, 0] > 0.0
-        if edge_distance(golden_spec, z) >= params.delta:
-            assert np.array_equal(g, np.eye(2))
-            v = TangentVec(float(rng.normal()), float(rng.normal()))
-            assert metric_norm(golden_spec, params, z, v) == \
-                metric_norm(golden_spec, params, z, v, kind="euclidean")
+    z = lane_points(core)
+    for g in lane_geometry.metric_form(golden_spec, params, z):
+        assert np.array_equal(g, np.eye(2))
+    dx, dy = lane_vectors(vecs)
+    assert np.array_equal(
+        lane_geometry.metric_norm(golden_spec, params, z, dx, dy),
+        lane_geometry.metric_norm(golden_spec, params, z, dx, dy,
+                                  kind="euclidean"))
 
 
 def test_metric_norm_is_quadratic_form_norm(golden_spec, params):
     rng = np.random.default_rng(31)
+    pts, vecs = [], []
     for _ in range(300):
-        z = draw_canonical(golden_spec, rng)
-        g = metric_form(golden_spec, params, z)
-        v = TangentVec(float(rng.normal()), float(rng.normal()))
+        pts.append(draw_canonical(golden_spec, rng))
+        vecs.append(TangentVec(float(rng.normal()), float(rng.normal())))
+    z = lane_points(pts)
+    dx, dy = lane_vectors(vecs)
+    forms = lane_geometry.metric_form(golden_spec, params, z)
+    norms = lane_geometry.metric_norm(golden_spec, params, z, dx, dy)
+    for g, v, nd in zip(forms, vecs, norms):
         via_form = math.sqrt(np.array([v.dx, v.dy]) @ g @ [v.dx, v.dy])
-        assert metric_norm(golden_spec, params, z, v) == pytest.approx(
-            via_form, rel=1e-12)
+        assert nd == pytest.approx(via_form, rel=1e-12)
     with pytest.raises(ConstraintViolationError):
-        metric_norm(golden_spec, params, z, TangentVec(1, 0), kind="spectral")
+        metric_norm(golden_spec, params, pts[-1], TangentVec(1, 0),
+                    kind="spectral")
 
 
 def test_sandwich_inequality(golden_spec, params):
     rng = np.random.default_rng(33)
+    pts, vecs = [], []
     for _ in range(2000):
-        z = draw_canonical(golden_spec, rng)
-        c = constant_C(golden_spec, z)
-        assert c >= 2.0
-        v = TangentVec(float(rng.normal()), float(rng.normal()))
-        ne = metric_norm(golden_spec, params, z, v, kind="euclidean")
-        nd = metric_norm(golden_spec, params, z, v)
-        assert ne / c <= nd * (1 + 1e-12)
-        assert nd <= c * ne * (1 + 1e-12)
+        pts.append(draw_canonical(golden_spec, rng))
+        vecs.append(TangentVec(float(rng.normal()), float(rng.normal())))
+    z = lane_points(pts)
+    dx, dy = lane_vectors(vecs)
+    c = lane_geometry.constant_C(golden_spec, z)
+    ne = lane_geometry.metric_norm(golden_spec, params, z, dx, dy,
+                                   kind="euclidean")
+    nd = lane_geometry.metric_norm(golden_spec, params, z, dx, dy)
+    assert (c >= 2.0).all()
+    assert (ne / c <= nd * (1 + 1e-12)).all()
+    assert (nd <= c * ne * (1 + 1e-12)).all()
 
 
 def test_constant_c_uses_active_edge(golden_spec):
@@ -175,10 +204,10 @@ def test_constant_c_uses_active_edge(golden_spec):
 
 def test_beta_factor_one_in_core(golden_spec, params):
     rng = np.random.default_rng(35)
+    pts = [draw_canonical(golden_spec, rng) for _ in range(1000)]
+    betas = lane_geometry.beta_factor(golden_spec, params, lane_points(pts))
     core = 0
-    for _ in range(1000):
-        z = draw_canonical(golden_spec, rng)
-        beta = beta_factor(golden_spec, params, z)
+    for z, beta in zip(pts, betas):
         assert beta >= 1.0
         if in_K_delta(golden_spec, params, z):
             assert beta == 1.0
@@ -193,10 +222,10 @@ def test_beta_factor_one_in_core(golden_spec, params):
 
 def test_op_norm_euclidean_matches_svd():
     rng = np.random.default_rng(37)
-    for _ in range(500):
-        m = rng.normal(size=(2, 2))
-        want = float(np.linalg.svd(m, compute_uv=False)[0])
-        assert op_norm_euclidean(m) == pytest.approx(want, rel=1e-12)
+    m = np.array([rng.normal(size=(2, 2)) for _ in range(500)])
+    for a, norm in zip(m, lane_geometry.op_norm_euclidean(m)):
+        want = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert norm == pytest.approx(want, rel=1e-12)
 
 
 def random_spd(rng):
@@ -208,25 +237,24 @@ def test_op_norm_between_matches_whitened_svd():
     # ||M||_{G_from -> G_to} equals the top singular value of
     # sqrt(G_to) M sqrt(G_from)^-1
     rng = np.random.default_rng(39)
-    for _ in range(500):
-        g_from = random_spd(rng)
-        g_to = random_spd(rng)
-        m = rng.normal(size=(2, 2))
-        lf = np.linalg.cholesky(g_from)
-        lt = np.linalg.cholesky(g_to)
-        white = lt.T @ m @ np.linalg.inv(lf.T)
+    cases = [(random_spd(rng), random_spd(rng), rng.normal(size=(2, 2)))
+             for _ in range(500)]
+    g_from, g_to, m = (np.array(a) for a in zip(*cases))
+    norms = lane_geometry.op_norm_between(g_from, m, g_to)
+    for (gf, gt, a), norm in zip(cases, norms):
+        lf = np.linalg.cholesky(gf)
+        lt = np.linalg.cholesky(gt)
+        white = lt.T @ a @ np.linalg.inv(lf.T)
         want = float(np.linalg.svd(white, compute_uv=False)[0])
-        assert op_norm_between(g_from, m, g_to) == pytest.approx(
-            want, rel=1e-10)
+        assert norm == pytest.approx(want, rel=1e-10)
 
 
 def test_op_norm_between_euclidean_reduces():
     rng = np.random.default_rng(41)
-    eye = np.eye(2)
-    for _ in range(100):
-        m = rng.normal(size=(2, 2))
-        assert op_norm_between(eye, m, eye) == pytest.approx(
-            op_norm_euclidean(m), rel=1e-12)
+    m = np.array([rng.normal(size=(2, 2)) for _ in range(100)])
+    eye = np.stack([np.eye(2)] * 100)
+    np.testing.assert_allclose(lane_geometry.op_norm_between(eye, m, eye),
+                               lane_geometry.op_norm_euclidean(m), rtol=1e-12)
 
 
 def test_op_norm_between_names_a_zero_gram_determinant():

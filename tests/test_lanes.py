@@ -1,5 +1,5 @@
-"""The numpy lane kernels and lane geometry against their scalar versions,
-bit for bit.
+"""The numpy lane kernels against their scalar versions, and the lane
+geometry against the scalar formulas of ``scalar_geometry``, bit for bit.
 
 Every float is compared through its int64 bit pattern, so a difference in
 the last bit (or in the sign of a zero) fails.
@@ -18,9 +18,12 @@ from ietlab.errors import (
     TruncationExceededError,
 )
 from ietlab.flow import flow, jacobian_step
-from ietlab.geometry import (
-    MetricParams,
-    TangentVec,
+from ietlab.geometry import MetricParams, TangentVec
+from ietlab.iet import CountableIET
+from ietlab.measure import sample_mu
+from ietlab.roof import RoofSpec
+
+from scalar_geometry import (
     beta_factor,
     constant_C,
     fiber_edges,
@@ -29,9 +32,6 @@ from ietlab.geometry import (
     op_norm_between,
     op_norm_euclidean,
 )
-from ietlab.iet import CountableIET
-from ietlab.measure import sample_mu
-from ietlab.roof import RoofSpec
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

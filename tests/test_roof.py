@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from ietlab import kernels
 from ietlab.errors import ConstraintViolationError, SingularityProximityError
 from ietlab.iet import CountableIET, FiberPoint
 from ietlab.roof import (
@@ -17,7 +18,6 @@ from ietlab.roof import (
     choose_b_and_check,
     log_derivative_integral,
     roof_integral,
-    smooth_step_alpha,
 )
 
 
@@ -126,23 +126,23 @@ def test_flat_spec_is_constant_one(flat_spec):
 
 
 def test_smooth_step_endpoints_and_symmetry():
-    assert smooth_step_alpha(0.0) == (1.0, 0.0)
-    assert smooth_step_alpha(1.0) == (0.0, 0.0)
-    assert smooth_step_alpha(-3.0) == (1.0, 0.0)
-    assert smooth_step_alpha(2.0) == (0.0, 0.0)
-    assert smooth_step_alpha(0.5)[0] == pytest.approx(0.5, abs=1e-15)
+    assert kernels.smooth_step(0.0) == (1.0, 0.0)
+    assert kernels.smooth_step(1.0) == (0.0, 0.0)
+    assert kernels.smooth_step(-3.0) == (1.0, 0.0)
+    assert kernels.smooth_step(2.0) == (0.0, 0.0)
+    assert kernels.smooth_step(0.5)[0] == pytest.approx(0.5, abs=1e-15)
     ts = np.linspace(0.01, 0.99, 99)
-    vals = [smooth_step_alpha(float(t))[0] for t in ts]
+    vals = [kernels.smooth_step(float(t))[0] for t in ts]
     # decreasing, complementary, derivative consistent
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     for t in ts:
-        a, da = smooth_step_alpha(float(t))
-        a2, da2 = smooth_step_alpha(float(1.0 - t))
+        a, da = kernels.smooth_step(float(t))
+        a2, da2 = kernels.smooth_step(float(1.0 - t))
         assert a + a2 == pytest.approx(1.0, abs=1e-14)
         assert da == pytest.approx(da2, rel=1e-10, abs=1e-12)
         h = 1e-6
-        fd = (smooth_step_alpha(float(t + h))[0]
-              - smooth_step_alpha(float(t - h))[0]) / (2 * h)
+        fd = (kernels.smooth_step(float(t + h))[0]
+              - kernels.smooth_step(float(t - h))[0]) / (2 * h)
         assert fd == pytest.approx(da, rel=1e-6, abs=1e-9)
 
 
