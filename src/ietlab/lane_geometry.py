@@ -65,10 +65,11 @@ def _roof_value(spec, i, u):
     return (*roof_eval(u, bs[i], l, flat), _in_band(u, l, band))
 
 
-def _edges(spec, idx, off, check: bool = True):
+def fiber_edges(spec, idx, off, check: bool = True):
     """``((r_below, dr_below, r_here, dr_here), refused)``: the roof at
-    T^-1 x and at x, and the lanes where the backward step or a roof is
-    refused, the first of which raises if ``check``."""
+    T^-1 x and at x, so that the fiber over x is [-r_below, r_here), and
+    the lanes where the backward step or a roof is refused, the first of
+    which raises if ``check``."""
     j, v, st = iet_step_inv(spec.iet.pack(), idx, off)
     stepped = st == OK
     j, v = np.where(stepped, j, idx), np.where(stepped, v, off)
@@ -83,19 +84,13 @@ def _edges(spec, idx, off, check: bool = True):
     return (r_below, dr_below, r_here, dr_here), refused
 
 
-def fiber_edges(spec, idx, off):
-    """Arrays ``(r_below, dr_below, r_here, dr_here)``, the roof at T^-1 x
-    and at x: the fiber over x is [-r_below, r_here)."""
-    return _edges(spec, idx, off)[0]
-
-
 def _shear(spec, z: Points, check: bool = True):
     """``(s, d, refused)``: the straightening shear [[1, 0], [s, 1]] in
     force, s = -r'(x) where the top edge is nearest and s = +r'(T^-1 x)
     where the bottom edge is, the fiber distance d to that edge, and the
-    refused lanes of ``_edges``."""
-    (r_below, dr_below, r_here, dr_here), refused = _edges(spec, z.idx,
-                                                           z.off, check)
+    refused lanes of ``fiber_edges``."""
+    (r_below, dr_below, r_here, dr_here), refused = fiber_edges(
+        spec, z.idx, z.off, check)
     d_top = r_here - z.hei
     d_bot = z.hei + r_below
     top = d_top <= d_bot
@@ -159,10 +154,11 @@ def beta_factor(spec, params, z: Points):
 
     1 on the core, -r(T^-1 x) + delta < y < r(x) - (1 + delta); elsewhere
     C(z) times the larger sandwich constant the image can see: over x or
-    Tx near the top (the first lane whose Tx or roof there fails raises),
-    over x with either edge active near the bottom.
+    Tx near the top, over x with either edge active near the bottom.  The
+    first lane whose edges, or Tx or the roof there, are refused raises.
     """
-    r_below, dr_below, r_here, dr_here = fiber_edges(spec, z.idx, z.off)
+    (r_below, dr_below, r_here, dr_here), bad = fiber_edges(
+        spec, z.idx, z.off, check=False)
     y = z.hei
     core = (-r_below + params.delta < y) & (y < r_here - (1.0 + params.delta))
     c_top = 2.0 + 2.0 * np.abs(dr_here)
@@ -173,9 +169,11 @@ def beta_factor(spec, params, z: Points):
     stepped = st == OK
     j, v = np.where(stepped, j, z.idx[at]), np.where(stepped, v, z.off[at])
     _, dr_next, refused = _roof_value(spec, j, v)
-    if (~stepped | refused).any():
-        p = z.point(int(at[np.argmax(~stepped | refused)]))
-        spec.value(spec.iet.step(p.base))
+    bad[at] |= ~stepped | refused
+    if bad.any():  # the edges' error first, then that of the step to Tx
+        k = int(np.argmax(bad))
+        fiber_edges(spec, z.idx[k:k + 1], z.off[k:k + 1])
+        spec.value(spec.iet.step(z.point(k).base))
     c_next = 2.0 + 2.0 * np.abs(dr_next)
     beta = np.where(core, 1.0, c_bot * _max(c_bot, c_top))
     beta[at] = c_top[at] * _max(c_top[at], c_next)

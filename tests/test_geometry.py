@@ -91,7 +91,7 @@ def test_fiber_edges_and_distance(golden_spec):
     rng = np.random.default_rng(25)
     pts = [draw_canonical(golden_spec, rng) for _ in range(300)]
     z = lane_points(pts)
-    edges = lane_geometry.fiber_edges(golden_spec, z.idx, z.off)
+    edges, _ = lane_geometry.fiber_edges(golden_spec, z.idx, z.off)
     for k, p in enumerate(pts):
         below, here = edges[0][k], edges[2][k]
         assert -below <= p.height < here

@@ -817,7 +817,7 @@ def test_geometry_lanes_match_scalar_geometry(name):
     rng = np.random.default_rng(22)
     dx, dy = (rng.normal(size=z.idx.shape[0]) for _ in range(2))
     vecs = [TangentVec(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
-    edges = lane_geometry.fiber_edges(spec, z.idx, z.off)
+    edges, _ = lane_geometry.fiber_edges(spec, z.idx, z.off)
     for k, p in enumerate(pts):
         below, here = fiber_edges(spec, p.base)
         assert_same_floats([e[k] for e in edges],
@@ -869,7 +869,7 @@ def test_beta_lanes_raise_the_first_failing_point():
     spec = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=5))
     params = MetricParams(delta=0.25)
     u = np.array([0.1, 0.5 - 2.0 ** -8, 0.5 - 2.0 ** -9])
-    r = lane_geometry.fiber_edges(spec, np.zeros(3, dtype=np.int64), u)[2]
+    r = lane_geometry.fiber_edges(spec, np.zeros(3, dtype=np.int64), u)[0][2]
     z = lane_geometry.Points(np.zeros(3, dtype=np.int64), u, r - 0.1)
     with pytest.raises(TruncationExceededError) as lane_error:
         lane_geometry.beta_factor(spec, params, z)
@@ -880,6 +880,12 @@ def test_beta_lanes_raise_the_first_failing_point():
     with pytest.raises(SingularityProximityError):
         lane_geometry.fiber_edges(spec, np.array([1, 2]),
                                   np.array([0.1, 1e-30]))
+    # a later lane whose fiber edges are refused does not raise first
+    mixed = lane_geometry.Points(np.array([0, 2]), np.array([u[1], 1e-30]),
+                                 np.array([r[1] - 0.1, 0.0]))
+    with pytest.raises(TruncationExceededError) as mixed_error:
+        lane_geometry.beta_factor(spec, params, mixed)
+    assert str(mixed_error.value) == str(scalar_error.value)
 
 
 @st.composite
