@@ -57,9 +57,10 @@ def bump_sup_derivative() -> float:
     The symmetric exp(-1/t) step attains it at t = 1/2 with value 2; the
     search does not assume that.
     """
-    grid = np.linspace(0.0, 1.0, 1_000_001)[1:-1]
-    vals = np.abs([kernels.smooth_step(t)[1] for t in grid[::1000]])
-    coarse = grid[::1000][int(np.argmax(vals))]
+    from . import lanes
+    # every thousandth point of the grid i / 10^6, 0 < i < 10^6
+    grid = np.arange(1, 1_000_000, 1000) * (1.0 / 1_000_000)
+    coarse = grid[int(np.argmax(np.abs(lanes._smooth_step(grid)[1])))]
     lo, hi = coarse - 2e-3, coarse + 2e-3
 
     def neg_abs(t: float) -> float:
@@ -191,7 +192,7 @@ class RoofSpec:
     """
 
     __slots__ = ("iet", "widths", "lengths", "flat", "band",
-                 "sup_alpha_prime", "tail_width_sum", "summability")
+                 "tail_width_sum", "summability")
 
     def __init__(self, iet: CountableIET, lengths: np.ndarray,
                  widths: np.ndarray, flat: bool, band: float,
@@ -209,7 +210,6 @@ class RoofSpec:
                 f"{float(0.5 * self.lengths[i])!r} on interval {i}")
         self.flat = bool(flat)
         self.band = float(band)
-        self.sup_alpha_prime = bump_sup_derivative()
         self.tail_width_sum = float(tail_width_sum)
         self.summability = summability
 

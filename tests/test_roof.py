@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ietlab import kernels
+from ietlab import kernels, lanes
 from ietlab.errors import ConstraintViolationError, SingularityProximityError
 from ietlab.iet import CountableIET, FiberPoint
 from ietlab.roof import (
@@ -149,6 +149,18 @@ def test_smooth_step_endpoints_and_symmetry():
 def test_bump_sup_derivative_value():
     # for the symmetric exp(-1/t) step the maximum slope is 2 at t = 1/2
     assert bump_sup_derivative() == pytest.approx(2.0, rel=1e-9)
+
+
+def test_bump_search_grid_is_every_thousandth_linspace_point():
+    # bump_sup_derivative's coarse search takes every thousandth point of
+    # linspace(0, 1, 10^6 + 1) without its ends, built without the fine
+    # grid, and its slopes in one lane call, bit for bit the scalar ones
+    fine = np.linspace(0.0, 1.0, 1_000_001)[1:-1][::1000]
+    grid = np.arange(1, 1_000_000, 1000) * (1.0 / 1_000_000)
+    assert fine.shape == (1000,)
+    assert grid.tobytes() == fine.tobytes()
+    slopes = np.array([kernels.smooth_step(t)[1] for t in fine.tolist()])
+    assert lanes._smooth_step(grid)[1].tobytes() == slopes.tobytes()
 
 
 # ---------------------------------------------------------------------------
