@@ -24,6 +24,7 @@ from . import kernels
 from .errors import (
     ConstraintViolationError,
     LabError,
+    SingularityProximityError,
     TruncationExceededError,
     raise_for_status,
 )
@@ -372,8 +373,10 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
 
     Attempt ``a`` of sample ``k`` starts from the suspension measure drawn
     with seed ``(seed, k, a)``; attempts that hit a singularity band or
-    leave the truncation are discarded.  Rows appear ordered by (sample,
-    checkpoint) whatever the thread count.
+    leave the truncation are discarded, and so are clean orbits whose C at
+    the start or at a checkpoint endpoint is refused because the point is
+    in the exclusion band or its backward step leaves the truncation.  Rows
+    appear ordered by (sample, checkpoint) whatever the thread count.
 
     ``params`` is never read: ``value_delta`` is the sandwich's upper bound
     ``value_e + (log C(z) + log C(flow^n z))/n``, and C does not depend on
@@ -425,9 +428,15 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
                 return None
             raise_for_status(st, f"cocycle at step {int(out_fail[lane])}")
             r = int(row[lane])
-            if refused[r].any():  # the first refused point raises
-                constant_C(spec, ends.point(r * (m + 1)
-                                            + int(np.argmax(refused[r]))))
+            if refused[r].any():
+                # the first refused point raises: a point in the exclusion
+                # band or whose backward step leaves the truncation
+                # discards the attempt, any other refusal fails the sample
+                try:
+                    constant_C(spec, ends.point(r * (m + 1)
+                                                + int(np.argmax(refused[r]))))
+                except (SingularityProximityError, TruncationExceededError):
+                    return None
             log_c = [math.log(x) for x in c[r].tolist()]
             return [_ftle_record(starts[lane], nj, float(norm_e[r, j]),
                                  log_c[0], log_c[j + 1], int(out_k[lane, j]),

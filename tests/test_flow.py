@@ -291,22 +291,28 @@ def test_lyapunov_medians_decay(golden_spec, params, warm_kernels):
     assert med[-1] < 0.05
 
 
-def test_lyapunov_refused_constant_fails_only_its_own_sample(params):
+def test_lyapunov_refused_constant_discards_only_its_attempt(params):
     # on a five-interval rotation at seed 1, sample 27 starts in interval
     # 4, whose backward step leaves the truncation: its orbit is clean but
-    # C at its start is refused, and the 27 samples before it keep theirs
+    # C at its start is refused, so that attempt is discarded and drawn
+    # again, and the 27 samples before it keep their rows
     spec = RoofSpec.build(CountableIET.block_rotation(n_trunc=5))
-    assert len(lyapunov_experiment(spec, params, 1, 27, seed=1).rows) == 27
+    start = measure.sample_mu(spec, 1, (1, 27, 0)).point(0)
     with pytest.raises(TruncationExceededError,
                        match=r"^orbit reached interval 5 >= truncation 5$"):
-        lyapunov_experiment(spec, params, 1, 40, seed=1)
-    # on a three-interval odometer the first sample to fail is not the
-    # first lane of the first round whose C is refused: raising for the
-    # whole round would name interval 5
+        constant_C(spec, start)
+    head = lyapunov_experiment(spec, params, 1, 27, seed=1)
+    res = lyapunov_experiment(spec, params, 1, 40, seed=1)
+    assert res.discarded_trajectories >= head.discarded_trajectories + 1
+    assert res.rows[:27] == head.rows
+    assert [r.seed for r in res.rows] == list(range(40))
+    assert res.rows[27].start != start
+    # on a three-interval odometer refusals at the starts and at the
+    # endpoints discard their attempts too
     spec = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=3))
-    with pytest.raises(TruncationExceededError,
-                       match=r"^orbit reached interval 3 >= truncation 3$"):
-        lyapunov_experiment(spec, params, 7, 40, seed=0)
+    res = lyapunov_experiment(spec, params, 7, 40, seed=0)
+    assert res.discarded_trajectories >= 1
+    assert [r.seed for r in res.rows if r.n == 7] == list(range(40))
 
 
 def test_aaronson_experiment_contract(golden_spec, warm_kernels):
