@@ -16,6 +16,7 @@ the flow entropy rate via the time change.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -244,12 +245,12 @@ def _sampler_round(spec: RoofSpec, backend, draws: Iterator[np.ndarray],
     return ratio, over, kept, idx_a, off_a, y_a
 
 
-def _log_efficiency(stats: PointBatch) -> None:
-    if stats.efficiency < MIN_EFFICIENCY:
+def _log_efficiency(efficiency: float) -> None:
+    if efficiency < MIN_EFFICIENCY:
         log.warning("sampler efficiency %.3f below %.2f",
-                    stats.efficiency, MIN_EFFICIENCY)
+                    efficiency, MIN_EFFICIENCY)
     else:
-        log.debug("sampler efficiency %.3f", stats.efficiency)
+        log.debug("sampler efficiency %.3f", efficiency)
 
 
 def _chunk_rng(seed: int | tuple, chunk: int) -> np.random.Generator:
@@ -262,28 +263,38 @@ def _chunk_rng(seed: int | tuple, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed_words + (chunk,)))
 
 
-def sample_mu(spec: RoofSpec, count: int, seed: int | tuple) -> PointBatch:
+def _chunk_sizes(count: int) -> list[int]:
+    """The sizes of the chunks of ``count`` samples: ``SAMPLE_CHUNK`` each
+    but the last."""
+    if count <= 0:
+        raise ConstraintViolationError("sample count must be positive")
+    return [min(SAMPLE_CHUNK, count - pos)
+            for pos in range(0, count, SAMPLE_CHUNK)]
+
+
+def sample_mu(spec: RoofSpec, count: int, seed: int | tuple, *,
+              chunk: int = 0) -> PointBatch:
     """Draw ``count`` exact samples from the normalized suspension measure.
 
     Deterministic given ``seed`` (an integer or a tuple of integers): chunk
     c extends the seed words with c and uses a fixed draw layout, so results
-    do not depend on thread scheduling.  Mass beyond the index truncation is
-    not representable and is skipped; its relative weight is below the
-    truncation tail bound.
+    do not depend on thread scheduling.  The samples start at chunk
+    ``chunk``: ``sample_mu(spec, want, seed, chunk=c)``, with ``want`` the
+    size of chunk c of ``count`` samples, draws the samples that
+    ``sample_mu(spec, count, seed)`` puts at positions c * SAMPLE_CHUNK
+    onward.  Mass beyond the index truncation is not representable and is
+    skipped; its relative weight is below the truncation tail bound.  The
+    batch counts its proposals; its callers log the sampler's efficiency.
     """
-    if count <= 0:
-        raise ConstraintViolationError("sample count must be positive")
     backend = kernels.batch_kernels()
-
+    sizes = _chunk_sizes(count)
     out_idx = np.empty(count, dtype=np.int64)
     out_off = np.empty(count, dtype=np.float64)
     out_hei = np.empty(count, dtype=np.float64)
     stats = PointBatch(out_idx, out_off, out_hei)
 
     filled = 0
-    n_chunks = (count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
-    for ci in range(n_chunks):
-        want = min(SAMPLE_CHUNK, count - filled)
+    for ci, want in enumerate(sizes, start=chunk):
         rng = _chunk_rng(seed, ci)
         got = 0
         rounds = 0
@@ -305,8 +316,6 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple) -> PointBatch:
             got += take
             stats.accepted += take
         filled += want
-
-    _log_efficiency(stats)
     return stats
 
 
@@ -342,7 +351,7 @@ def sample_starts(spec: RoofSpec, seeds: Sequence[tuple]) -> list:
         live = live[~(kept | over)]
     for j in live.tolist():
         out[j] = _stall_error()
-    _log_efficiency(stats)
+    _log_efficiency(stats.efficiency)
     return out
 
 
@@ -422,43 +431,54 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
                      step_fn: StepFn | None = None) -> InvarianceReport:
     """Compare box frequencies before and after one unit of flow time.
 
-    Pairs whose forward step fails (exclusion band, truncation) are dropped
-    from both sides.  ``step_fn`` replaces the time-one map for fault
-    injection in tests; it must mutate the arrays in place and fill status.
-    The sampled points are stepped in place once their coordinates before
-    the step are taken.
+    The ``count`` samples of ``sample_mu(spec, count, seed)`` are drawn and
+    stepped one chunk at a time, so no array holds all of them: each chunk
+    comes from its own ``sample_mu`` call, adds its box counts before the
+    step, is stepped in place once, and adds its survivors and its box
+    counts after the step.  Every kernel works point by point, so the counts
+    are those of the whole sample stepped at once.  Pairs whose forward step
+    fails (exclusion band, truncation) are dropped from both sides.
+    ``step_fn`` replaces the time-one map for fault injection in tests; it
+    is called once per chunk, in order, must mutate the arrays in place and
+    fill status.  The sampler's efficiency is logged once per check.
     """
     if boxes is None:
         boxes = standard_boxes()
-    batch = sample_mu(spec, count, seed)
     lefts = interval_lefts(spec.iet)
-    xs_pre = lefts[batch.idx] + batch.off
-    ys_pre = batch.hei.copy()
-
-    idx, off, hei = batch.idx, batch.off, batch.hei
-    status = np.empty(count, dtype=np.int64)
     if step_fn is None:
-        kernels.batch_kernels().flow_time_one_batch(
-            spec.iet.pack(), spec.pack(), idx, off, hei, status)
-    else:
+        step_fn = functools.partial(
+            kernels.batch_kernels().flow_time_one_batch,
+            spec.iet.pack(), spec.pack())
+    pre = [0] * len(boxes)
+    post = [0] * len(boxes)
+    used = 0
+    proposals = 0
+    for c, want in enumerate(_chunk_sizes(count)):
+        batch = sample_mu(spec, want, seed, chunk=c)
+        proposals += batch.proposals
+        idx, off, hei = batch.idx, batch.off, batch.hei
+        xs_pre = lefts[idx] + off
+        ys_pre = hei.copy()
+        status = np.empty(want, dtype=np.int64)
         step_fn(idx, off, hei, status)
-    keep = status == kernels.OK
-    used = int(np.count_nonzero(keep))
+        keep = status == kernels.OK
+        used += int(np.count_nonzero(keep))
+        xs_pre, ys_pre = xs_pre[keep], ys_pre[keep]
+        xs_post, ys_post = lefts[idx[keep]] + off[keep], hei[keep]
+        for j, box in enumerate(boxes):
+            pre[j] += int(np.count_nonzero(box.contains(xs_pre, ys_pre)))
+            post[j] += int(np.count_nonzero(box.contains(xs_post, ys_post)))
+        # free the chunk before the next one is drawn
+        del batch, idx, off, hei, xs_pre, ys_pre, xs_post, ys_post
+    _log_efficiency(count / proposals)
     if used == 0:
         raise ConsistencyError("no surviving samples in invariance check")
-    xs_post = lefts[idx[keep]] + off[keep]
-    ys_post = hei[keep]
-    xs_pre = xs_pre[keep]
-    ys_pre = ys_pre[keep]
 
-    rows = []
-    for box in boxes:
-        pre = float(np.count_nonzero(box.contains(xs_pre, ys_pre))) / used
-        post = float(np.count_nonzero(box.contains(xs_post, ys_post))) / used
-        rows.append(InvarianceRow(box, pre, post))
+    rows = tuple(InvarianceRow(box, float(p) / used, float(q) / used)
+                 for box, p, q in zip(boxes, pre, post))
     return InvarianceReport(
         count=count, used=used, discards=count - used,
-        threshold=4.0 / math.sqrt(used), rows=tuple(rows))
+        threshold=4.0 / math.sqrt(used), rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -316,6 +317,40 @@ def test_benchmark_tracer_installs():
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert "geometry.constant_C" in [name for name, _ in lines]
     assert all(wrapped == "True" for _, wrapped in lines)
+
+
+def _max_rss_mb(script: str, timeout: float = 300.0) -> float:
+    """Max RSS of a child Python running ``script``, which must exit 0."""
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", script],
+                         _src_env())
+    deadline = time.monotonic() + timeout
+    while True:
+        done, status, usage = os.wait4(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+            pytest.fail(f"child ran past {timeout} s")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024.0
+
+
+def test_measure_memory_is_flat_in_n(tmp_path):
+    # the invariance check holds one sampler chunk at a time, so doubling
+    # the sample leaves the command's peak memory where it was
+    rss = {}
+    for n in (500_000, 1_000_000):
+        cfg = write_cfg(tmp_path, cfg_with(
+            {"kind": "measure", "n": n, "samples": 1, "seed": 3}),
+            name=f"cfg{n}.json")
+        rss[n] = _max_rss_mb(
+            "import sys\n"
+            "from ietlab.cli import main\n"
+            f"sys.exit(main(['measure', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / f'out{n}')!r}]))\n")
+    assert rss[1_000_000] - rss[500_000] <= 2.0, rss
 
 
 def test_vnk_validation_warns_but_passes(tmp_path, warm_kernels):

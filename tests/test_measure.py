@@ -22,6 +22,8 @@ from ietlab.errors import (
 from ietlab.iet import CountableIET, FiberPoint
 from ietlab.measure import (
     MIN_EFFICIENCY,
+    SAMPLE_CHUNK,
+    InvarianceRow,
     Region,
     SymbolStream,
     abramov,
@@ -231,6 +233,64 @@ def test_invariance_all_discarded_raises(golden_spec):
 
     with pytest.raises(ConsistencyError):
         invariance_check(golden_spec, count=1000, seed=3, step_fn=kill)
+
+
+def whole_batch_check(spec, count, seed, step):
+    """``invariance_check`` on one ``sample_mu`` batch of all ``count``
+    samples, stepped at once: ``(rows, used, discards, threshold)``."""
+    batch = sample_mu(spec, count, seed)
+    lefts = interval_lefts(spec.iet)
+    xs_pre = lefts[batch.idx] + batch.off
+    ys_pre = batch.hei.copy()
+    status = np.empty(count, dtype=np.int64)
+    step(batch.idx, batch.off, batch.hei, status)
+    keep = status == kernels.OK
+    used = int(np.count_nonzero(keep))
+    before = (xs_pre[keep], ys_pre[keep])
+    after = (lefts[batch.idx[keep]] + batch.off[keep], batch.hei[keep])
+    rows = tuple(InvarianceRow(
+        box, float(np.count_nonzero(box.contains(*before))) / used,
+        float(np.count_nonzero(box.contains(*after))) / used)
+        for box in standard_boxes())
+    return rows, used, count - used, 4.0 / math.sqrt(used)
+
+
+@pytest.mark.parametrize("count", [1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 123])
+@pytest.mark.parametrize("injected", [False, True])
+def test_invariance_check_streams_the_whole_batch_bits(golden_spec, count,
+                                                       injected):
+    def time_one(idx, off, hei, status):
+        return kernels.batch_kernels().flow_time_one_batch(
+            golden_spec.iet.pack(), golden_spec.pack(), idx, off, hei, status)
+
+    def drop_some(idx, off, hei, status):
+        # point by point: lifts every point and drops those in interval 2
+        hei += 0.5
+        status[:] = np.where(idx == 2, kernels.TRUNCATION, kernels.OK)
+        return 0
+
+    chunks = []
+
+    def recorded(idx, off, hei, status):
+        chunks.append((idx.copy(), off.copy(), hei.copy()))
+        return drop_some(idx, off, hei, status)
+
+    step = drop_some if injected else time_one
+    rep = invariance_check(golden_spec, count=count, seed=5,
+                           step_fn=recorded if injected else None)
+    rows, used, discards, threshold = whole_batch_check(
+        golden_spec, count, 5, step)
+    assert rep.rows == rows
+    assert (rep.count, rep.used, rep.discards, rep.threshold) == (
+        count, used, discards, threshold)
+    if injected:
+        # the step sees each chunk once, in order
+        whole = sample_mu(golden_spec, count, 5)
+        assert [len(c[0]) for c in chunks] == [
+            min(SAMPLE_CHUNK, count - pos)
+            for pos in range(0, count, SAMPLE_CHUNK)]
+        for got, want in zip(zip(*chunks), (whole.idx, whole.off, whole.hei)):
+            assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 def test_standard_boxes_tile_core_band():
