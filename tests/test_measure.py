@@ -6,6 +6,7 @@ probabilities; everything else is exact or oracle-backed (scipy quadrature
 for roof-weighted marginals, explicit python orbit loops for the coding).
 """
 
+import logging
 import math
 
 import numpy as np
@@ -258,7 +259,7 @@ def whole_batch_check(spec, count, seed, step):
 @pytest.mark.parametrize("count", [1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 123])
 @pytest.mark.parametrize("injected", [False, True])
 def test_invariance_check_streams_the_whole_batch_bits(golden_spec, count,
-                                                       injected):
+                                                       injected, caplog):
     def time_one(idx, off, hei, status):
         return kernels.batch_kernels().flow_time_one_batch(
             golden_spec.iet.pack(), golden_spec.pack(), idx, off, hei, status)
@@ -276,8 +277,12 @@ def test_invariance_check_streams_the_whole_batch_bits(golden_spec, count,
         return drop_some(idx, off, hei, status)
 
     step = drop_some if injected else time_one
+    caplog.set_level(logging.DEBUG, logger="ietlab.measure")
     rep = invariance_check(golden_spec, count=count, seed=5,
                            step_fn=recorded if injected else None)
+    # the sampler's efficiency is logged once per check
+    assert [r.getMessage().startswith("sampler efficiency")
+            for r in caplog.records] == [True]
     rows, used, discards, threshold = whole_batch_check(
         golden_spec, count, 5, step)
     assert rep.rows == rows
