@@ -219,12 +219,12 @@ def test_ftle_correction_uses_both_endpoints(golden_spec, params):
 # ---------------------------------------------------------------------------
 
 
-def test_aaronson_constant_h_closed_form(golden_spec):
-    # with the h = c hook the average is log(n c) / n exactly
-    x = golden_spec.iet.locate(0.41)
-    for n, c in ((100, 2.0), (10000, 0.5), (1000000, 3.0)):
-        got = aaronson_average(golden_spec, x, n, h_const=c)
-        assert got == pytest.approx(math.log(n * c) / n, rel=1e-12)
+def test_aaronson_constant_h_closed_form(flat_spec):
+    # the flat roof has h = 2, so the average is log(2n) / n exactly
+    x = flat_spec.iet.locate(0.41)
+    for n in (100, 10000, 1000000):
+        got = aaronson_average(flat_spec, x, n)
+        assert got == pytest.approx(math.log(2.0 * n) / n, rel=1e-12)
 
 
 def test_aaronson_flat_spec_needs_no_hook(flat_spec):

@@ -463,7 +463,6 @@ sums = []
 for _ in range(10):
     x = iet.locate(float(rng.random()))
     sums.append(outcome(lambda: aaronson_average(spec, x, 5000)))
-    sums.append(outcome(lambda: aaronson_average(spec, x, 5000, h_const=3.0)))
 out["aaronson"] = digest(sums)
 
 for name, s, count in (("invariance", spec, 20000),
@@ -623,8 +622,6 @@ for base in families.values():
     exps.append(outcome(lambda: lyapunov_rows(s, params, 1000, 8, 4,
                                               threads=1)))
     exps.append(outcome(lambda: aaronson_rows(s, 1000, 8, 4, threads=1)))
-exps.append(outcome(lambda: aaronson_rows(spec, 1000, 8, 4, threads=1,
-                                          h_const=3.0)))
 # orbits leave the truncation now and then, so some attempts are redrawn
 deep = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=11))
 shallow_runs = [lyapunov_rows(deep, params, 3000, 12, 6, threads=1),
@@ -658,7 +655,7 @@ GOLDEN = {
     "cocycle":
         "32031a523375e90c830f6fe8d491502279aa81f34bf3d39a75a29f5d436351ff",
     "aaronson":
-        "043a788e2e6052801b62940a6855c15e482edf81c4573e413c67b88f2327a834",
+        "6a4e85a4fedbecc2a745a004419fc1e2a3bfe1b53bf8320dcba04343e4472d28",
     "invariance":
         "21224bdf87e6090e0ebe6650e29d7c8bc461b5823ce3fceebad85ebea27b0e57",
     "invariance_shallow":
@@ -678,7 +675,7 @@ GOLDEN = {
     "truncation":
         "a9dd10660177531b977c8567a58b369024e9e8026d49fa99fcb49e58dc8e62ce",
     "experiments":
-        "db252ccb41c7948f36279b5c7cbe2844a9d5fdae905d29577eed85ae6f9a25ba",
+        "793efc5d425515e241998a26737b83efdd7bd8154e1c3c1f0301dc2a33e2a646",
     "time_one":
         "115d87224d8c9b18f412065f622b9e8ba8cea01b2d1ee85a575b125146a67165",
     "roof_batch":
