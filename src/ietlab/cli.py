@@ -275,11 +275,11 @@ def _quantiles(values: np.ndarray) -> dict:
     return {f"p{q}": _percentile(values, q) for q in (5, 50, 95)}
 
 
-# Every runner takes (iet, spec, summability, params, exp, out_path), writes
-# its CSV and returns (exit code, report entry, data for its plotter).
+# Every runner takes (spec, params, exp, out_path), writes its CSV and
+# returns (exit code, report entry, data for its plotter).
 
 
-def run_check(iet, spec, summability, params, exp: ExperimentSpec,
+def run_check(spec, params, exp: ExperimentSpec,
               out_path: Path) -> tuple[int, dict, None]:
     outcomes = run_check_suite(spec, params, seed=exp.seed)
     write_csv(out_path, ["check", "status", "detail"],
@@ -312,7 +312,7 @@ def _orbit_result(res, exp: ExperimentSpec, summary: dict,
     return (0 if rate_ok else 2), result, res
 
 
-def run_lyapunov(iet, spec, summability, params, exp: ExperimentSpec,
+def run_lyapunov(spec, params, exp: ExperimentSpec,
                  out_path: Path) -> tuple[int, dict, object]:
     res = lyapunov_experiment(spec, params, exp.n, exp.samples, exp.seed)
     rows = [(rec.seed, rec.n, rec.value_e, rec.value_delta, rec.crossings)
@@ -327,7 +327,7 @@ def run_lyapunov(iet, spec, summability, params, exp: ExperimentSpec,
     return _orbit_result(res, exp, summary, out_path)
 
 
-def run_aaronson(iet, spec, summability, params, exp: ExperimentSpec,
+def run_aaronson(spec, params, exp: ExperimentSpec,
                  out_path: Path) -> tuple[int, dict, object]:
     res = aaronson_experiment(spec, exp.n, exp.samples, exp.seed)
     rows = [(rec.seed, rec.n, rec.value) for rec in res.rows]
@@ -337,7 +337,7 @@ def run_aaronson(iet, spec, summability, params, exp: ExperimentSpec,
     return _orbit_result(res, exp, summary, out_path)
 
 
-def run_measure(iet, spec, summability, params, exp: ExperimentSpec,
+def run_measure(spec, params, exp: ExperimentSpec,
                 out_path: Path) -> tuple[int, dict, None]:
     # the sampler sets the command's peak memory, and arrays the
     # quadrature leaves on the heap before it make the heap grow further
@@ -363,7 +363,7 @@ def run_measure(iet, spec, summability, params, exp: ExperimentSpec,
     return (0 if ok else 2), result, None
 
 
-def run_entropy(iet, spec, summability, params, exp: ExperimentSpec,
+def run_entropy(spec, params, exp: ExperimentSpec,
                 out_path: Path) -> tuple[int, dict, None]:
     rows: list[tuple] = []
     estimates: list[dict] = []
@@ -379,7 +379,7 @@ def run_entropy(iet, spec, summability, params, exp: ExperimentSpec,
 
     for p in exp.p_values:
         add_stream(bernoulli_stream(p, exp.n, exp.seed))
-    add_stream(coded_orbit_stream(iet, exp.n, seed=exp.seed))
+    add_stream(coded_orbit_stream(spec.iet, exp.n, seed=exp.seed))
 
     integral = roof_integral(spec).value
     abramov_rows = []
@@ -687,16 +687,15 @@ def build_policy(cfg: PolicyConfig):
 
 
 def build_spec(cfg: LabConfig):
-    """(base map, roof, summability report); a violated constraint is a
-    config error that names the section it comes from."""
+    """The roof spec over the base map; a violated constraint is a config
+    error that names the section it comes from."""
     section = "iet"
     try:
         iet = build_iet(cfg.iet)
         section = "b_policy"
-        spec, summability = choose_b_and_check(iet, build_policy(cfg.b_policy))
+        return choose_b_and_check(iet, build_policy(cfg.b_policy))[0]
     except ConstraintViolationError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
-    return iet, spec, summability
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +721,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cfg = load_config(args.config)
-        iet, spec, summability = build_spec(cfg)
+        spec = build_spec(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -745,8 +744,7 @@ def main(argv=None) -> int:
             out_path = _csv_target(out_dir, exp, args.kind, pos, len(selected))
             out_path.parent.mkdir(parents=True, exist_ok=True)
             runner, plotter = RUNNERS[exp.kind]
-            code, result, data = runner(iet, spec, summability, params, exp,
-                                        out_path)
+            code, result, data = runner(spec, params, exp, out_path)
             if plot and plotter is not None:
                 plotter(spec, data, out_path.with_suffix(".svg"))
             results.append(result)

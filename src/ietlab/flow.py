@@ -185,20 +185,17 @@ def _ftle_record(z: SuspensionPoint, n: int, norm_e: float,
                       start=z, seed=seed, crossings=crossings)
 
 
-def aaronson_average(spec: RoofSpec, x: FiberPoint, n: int,
-                     h_const: float | None = None) -> float:
+def aaronson_average(spec: RoofSpec, x: FiberPoint, n: int) -> float:
     """(1/n) log+ of the Birkhoff sum of h = 2 + 2|r'| along the base orbit.
 
-    ``h_const`` replaces h by a constant, a hook with the closed form
-    (log n + log c)/n used to calibrate the experiment plumbing.
+    On a flat roof h = 2, so the average is log(2n)/n exactly.
     """
     if n < 1:
         raise ConstraintViolationError("n must be >= 1")
     cps = np.asarray([n], dtype=np.int64)
     out = np.empty(1)
     status = kernels.birkhoff_h_orbit(
-        spec.iet.pack(), spec.pack(), x.index, x.offset, cps, out,
-        0.0 if h_const is None else float(h_const))
+        spec.iet.pack(), spec.pack(), x.index, x.offset, cps, out)
     raise_for_status(int(status), "birkhoff sum")
     return max(0.0, math.log(out[0])) / n
 
@@ -450,8 +447,7 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
 
 
 def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
-                        threads: int | None = None,
-                        h_const: float | None = None) -> ExperimentResult:
+                        threads: int | None = None) -> ExperimentResult:
     """Birkhoff-sum growth proxies for ``samples`` base orbits.
 
     Sample ``k`` draws its uniform starts, one per attempt, from its own
@@ -464,7 +460,6 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
     orbits, threads = _batch_backend(threads)
     base, roof = spec.iet.pack(), spec.pack()
     cps_arr = np.asarray(cps, dtype=np.int64)
-    h = 0.0 if h_const is None else float(h_const)
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, k)))
             for k in range(samples)]
 
@@ -484,7 +479,7 @@ def aaronson_experiment(spec: RoofSpec, n: int, samples: int, seed: int,
         out = np.empty((count, len(cps)))
         status = np.empty(count, dtype=np.int64)
         _in_chunks(lambda lo, hi: orbits.birkhoff_h_orbits(
-            base, roof, idx[lo:hi], off[lo:hi], cps_arr, out[lo:hi], h,
+            base, roof, idx[lo:hi], off[lo:hi], cps_arr, out[lo:hi],
             status[lo:hi]), count, threads)
 
         def rows_of(lane: int, k: int):

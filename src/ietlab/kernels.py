@@ -36,10 +36,10 @@ Orbit kernels report integer status codes (see ``errors``):
 0 ok, 1 singularity band, 2 truncation exceeded, 3 inconsistent data.
 Only ``iet_step`` and ``iet_step_inv`` detect truncation, and the orbit
 kernels pass their status on, with one exception: ``code_orbit`` takes the
-rotation, swap and odometer steps inline and tests ``j >= ntr`` itself.
-Without numba it is a long scalar loop with no lane twin (one orbit is one
-lane); on the odometer, ``measure.coded_orbit_stream`` codes starts on the
-2^-53 grid as a bit-reversed counter instead and calls it for the rest.
+rotation step inline and tests ``j >= ntr`` itself.  Without numba it is a
+long scalar loop with no lane twin (one orbit is one lane); on the odometer,
+``measure.coded_orbit_stream`` codes starts on the 2^-53 grid as a
+bit-reversed counter instead and calls it for the rest.
 """
 
 import math
@@ -399,11 +399,6 @@ def iet_step_inv(base, i, u):
 # ---------------------------------------------------------------------------
 # suspension flow: time-one map, canonical form, orbit accumulators
 # ---------------------------------------------------------------------------
-#
-# An orbit step is: band check, roof evaluation, base step (which reports
-# leaving the truncation).  The band check stays inline in each loop:
-# routing the orbit loops through ``time_one`` cost 1.08-1.10x per step in
-# pure Python.
 
 
 @kernel
@@ -473,7 +468,6 @@ def lyap_orbit(base, roof, i, u, y, cps, out_a, out_b, out_c, out_d, out_k,
     the current matrix, crossing count and state are stored.  On failure the
     offending step index lands in ``out_fail[0]``.
     """
-    lengths, bs, flat, band = roof
     a = 1.0
     bb = 0.0
     c = 0.0
@@ -484,24 +478,13 @@ def lyap_orbit(base, roof, i, u, y, cps, out_a, out_b, out_c, out_d, out_k,
     for ci in range(cps.shape[0]):
         target = cps[ci]
         while step < target:
-            l = lengths[i]
-            if u < band * l or u > l - band * l:
+            i, u, y, s, crossed, st = time_one(base, roof, i, u, y)
+            if st != OK:
                 out_fail[0] = step
-                return SINGULARITY
-            r, dr, piece = roof_eval(u, bs[i], l, flat)
-            if y + 1.0 < r:
-                y = y + 1.0
-            else:
-                j, v, st = iet_step(base, i, u)
-                if st != OK:
-                    out_fail[0] = step
-                    return st
-                s = -2.0 * dr
+                return st
+            if crossed:
                 c = s * a + c
                 d = s * bb + d
-                i = j
-                u = v
-                y = y + 1.0 - 2.0 * r
                 k += 1
             step += 1
         out_a[ci] = a
@@ -516,11 +499,10 @@ def lyap_orbit(base, roof, i, u, y, cps, out_a, out_b, out_c, out_d, out_k,
 
 
 @kernel
-def birkhoff_h_orbit(base, roof, i, u, cps, out_sum, h_const):
+def birkhoff_h_orbit(base, roof, i, u, cps, out_sum):
     """Birkhoff sums of h = 2 + 2|r'| along the base orbit.
 
-    ``out_sum[ci]`` receives sum_{m < cps[ci]} h(T^m x).  A positive
-    ``h_const`` replaces h by that constant (diagnostic hook).
+    ``out_sum[ci]`` receives sum_{m < cps[ci]} h(T^m x).
     """
     lengths, bs, flat, band = roof
     tot = 0.0
@@ -528,14 +510,11 @@ def birkhoff_h_orbit(base, roof, i, u, cps, out_sum, h_const):
     for ci in range(cps.shape[0]):
         target = cps[ci]
         while step < target:
-            if h_const > 0.0:
-                tot += h_const
-            else:
-                l = lengths[i]
-                if u < band * l or u > l - band * l:
-                    return SINGULARITY
-                r, dr, piece = roof_eval(u, bs[i], l, flat)
-                tot += 2.0 + 2.0 * abs(dr)
+            l = lengths[i]
+            if u < band * l or u > l - band * l:
+                return SINGULARITY
+            r, dr, piece = roof_eval(u, bs[i], l, flat)
+            tot += 2.0 + 2.0 * abs(dr)
             j, v, st = iet_step(base, i, u)
             if st != OK:
                 return st
@@ -570,7 +549,7 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
 
 
 @kernel
-def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
+def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
     """``birkhoff_h_orbit`` for a batch of starts (the lanes).
 
     Lane k starts at ``(idx[k], off[k])`` and writes row k of ``out_sum``
@@ -579,8 +558,7 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
     """
     bad = 0
     for k in range(idx.shape[0]):
-        st = birkhoff_h_orbit(base, roof, idx[k], off[k], cps, out_sum[k],
-                              h_const)
+        st = birkhoff_h_orbit(base, roof, idx[k], off[k], cps, out_sum[k])
         status[k] = st
         if st != OK:
             bad += 1
@@ -612,12 +590,11 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
 def code_orbit(base, i, u, alphabet, out):
     """Symbolic coding of the base orbit: symbol = min(index, alphabet - 1).
 
-    Each step writes its symbol, then takes ``iet_step``'s step with the
-    same float operations in the same order, one loop per family: a
-    rotation orbit stays in its block pair, a swap orbit alternates with
-    its partner, the odometer's step is inlined and a table loops over
-    ``iet_step``.  Returns ``iet_step``'s first status other than OK, at
-    the same step.
+    Each step writes its symbol, then takes ``iet_step``'s step.  A
+    rotation orbit stays in its block pair, so its loop takes that step
+    inline, with the same float operations in the same order; the other
+    families loop over ``iet_step``.  Returns ``iet_step``'s first status
+    other than OK, at the same step.
     """
     fam, theta, xs, aa, ys, yl, yi, ntr = base
     top = alphabet - 1
@@ -645,35 +622,6 @@ def code_orbit(base, i, u, alphabet, out):
                     i = lo
                 else:
                     u = u - cut
-            if i >= ntr:
-                return TRUNCATION
-        return OK
-    if fam == FAM_SWAP:
-        j = i + 1 if (i & 1) == 0 else i - 1
-        for step in range(out.shape[0]):
-            out[step] = i if i < top else top
-            i, j = j, i
-            if i >= ntr:
-                return TRUNCATION
-        return OK
-    if fam == FAM_ODOMETER:
-        for step in range(out.shape[0]):
-            out[step] = i if i < top else top
-            if i == 0:
-                x = 0.5 + u
-            else:
-                x = math.ldexp(1.0, -i - 1) + u
-            if x < 0.5:
-                i = 0
-                u = x
-            else:
-                g = 1.0 - x
-                m, e = math.frexp(g)
-                if m == 0.5:
-                    i = 1 - e
-                else:
-                    i = -e
-                u = math.ldexp(1.0, -i) - g
             if i >= ntr:
                 return TRUNCATION
         return OK

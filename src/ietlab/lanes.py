@@ -12,8 +12,7 @@ crossings, so that its time step only moves the heights.  Both take their
 base steps through ``_walk``, which moves a rotation lane inside its block
 pair as one running sum.  The measure command's per-point kernels,
 ``roof_eval_batch``, ``base_step_batch`` and ``flow_time_one_batch``, take
-one step per lane, in pieces of at most ``PIECE`` lanes so that their
-temporaries stay small.
+one step per lane over the whole call; their callers bound its size.
 On both backends, ``lab check``'s sandwich, beta and cocycle-algebra
 checks use ``locate``, ``iet_step_inv``, ``canonicalize_k`` and
 ``lyap_orbits`` through ``lane_geometry``, and the quadrature of
@@ -505,7 +504,7 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
     return count - lane.shape[0]
 
 
-def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
+def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
     """``kernels.birkhoff_h_orbits``, all lanes stepped in lockstep.
 
     The base orbit does not depend on h, so the lanes first take up to
@@ -529,20 +528,17 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
             orbit_i, orbit_u, first, code = _walk(base, i, u, span)
             i, u = orbit_i[span], orbit_u[span]
             orbit_i, orbit_u = orbit_i[:span], orbit_u[:span]
-            if h_const > 0.0:
-                h = np.full((span, count), h_const)
-            else:
-                l = lengths[orbit_i]
-                bad = _in_band(orbit_u, l, band)
-                if bad.any():
-                    hit = bad.any(axis=0)
-                    at = np.where(hit, np.argmax(bad, axis=0), span)
-                    # the band check comes before the base step of its step
-                    code = np.where(at <= first, SINGULARITY, code)
-                    first = np.minimum(at, first)
-                dr = roof_eval(orbit_u.ravel(), bs[orbit_i].ravel(), l.ravel(),
-                               flat, value=False)[1]
-                h = 2.0 + 2.0 * np.abs(dr).reshape(span, count)
+            l = lengths[orbit_i]
+            bad = _in_band(orbit_u, l, band)
+            if bad.any():
+                hit = bad.any(axis=0)
+                at = np.where(hit, np.argmax(bad, axis=0), span)
+                # the band check comes before the base step of its step
+                code = np.where(at <= first, SINGULARITY, code)
+                first = np.minimum(at, first)
+            dr = roof_eval(orbit_u.ravel(), bs[orbit_i].ravel(), l.ravel(),
+                           flat, value=False)[1]
+            h = 2.0 + 2.0 * np.abs(dr).reshape(span, count)
             failed = first < span
             if failed.any():
                 status[lane[failed]] = code[failed]
@@ -560,37 +556,21 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, h_const, status):
 # per-point batch kernels
 # ---------------------------------------------------------------------------
 
-#: Lanes per piece of the per-point batch kernels.
-PIECE = 1 << 16
-
-
-def _pieces(count):
-    """Bounds ``(lo, hi)`` of consecutive pieces of at most ``PIECE`` lanes."""
-    return [(lo, min(lo + PIECE, count)) for lo in range(0, count, PIECE)]
-
-
 def roof_eval_batch(roof, idx, off, out_r, out_dr):
     """``kernels.roof_eval_batch`` on lanes."""
     lengths, bs, flat, band = roof
-    for lo, hi in _pieces(idx.shape[0]):
-        i = idx[lo:hi]
-        out_r[lo:hi], out_dr[lo:hi] = roof_eval(off[lo:hi], bs[i], lengths[i],
-                                                flat)
+    out_r[:], out_dr[:] = roof_eval(off, bs[idx], lengths[idx], flat)
     return 0
 
 
 def base_step_batch(base, idx, off, status):
     """``kernels.base_step_batch`` on lanes: a failed lane keeps its point."""
-    bad = 0
-    for lo, hi in _pieces(idx.shape[0]):
-        i, u = idx[lo:hi], off[lo:hi]
-        j, v, st = iet_step(base, i, u)
-        ok = st == OK
-        np.copyto(i, j, where=ok)
-        np.copyto(u, v, where=ok)
-        status[lo:hi] = st
-        bad += hi - lo - int(np.count_nonzero(ok))
-    return bad
+    j, v, st = iet_step(base, idx, off)
+    ok = st == OK
+    np.copyto(idx, j, where=ok)
+    np.copyto(off, v, where=ok)
+    status[:] = st
+    return idx.shape[0] - int(np.count_nonzero(ok))
 
 
 def flow_time_one_batch(base, roof, idx, off, hei, status):
@@ -602,30 +582,26 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
     with the step's status if that fails.
     """
     lengths, bs, flat, band = roof
-    bad = 0
-    for lo, hi in _pieces(idx.shape[0]):
-        i, u, y = idx[lo:hi], off[lo:hi], hei[lo:hi]
-        l = lengths[i]
-        st = np.where(_in_band(u, l, band), SINGULARITY, OK)
-        live = np.flatnonzero(st == OK)
-        il = i[live]
-        r = roof_eval(u[live], bs[il], l[live], flat)[0]
-        y1 = y[live] + 1.0
-        under = y1 < r
-        y[live[under]] = y1[under]
-        cross = ~under
-        at = live[cross]
-        j, v, stepped = iet_step(base, il[cross], u[at])
-        st[at] = stepped
-        ok = stepped == OK
-        y_new = y1[cross][ok] - 2.0 * r[cross][ok]
-        at = at[ok]
-        i[at] = j[ok]
-        u[at] = v[ok]
-        y[at] = y_new
-        status[lo:hi] = st
-        bad += int(np.count_nonzero(st != OK))
-    return bad
+    l = lengths[idx]
+    st = np.where(_in_band(off, l, band), SINGULARITY, OK)
+    live = np.flatnonzero(st == OK)
+    il = idx[live]
+    r = roof_eval(off[live], bs[il], l[live], flat)[0]
+    y1 = hei[live] + 1.0
+    under = y1 < r
+    hei[live[under]] = y1[under]
+    cross = ~under
+    at = live[cross]
+    j, v, stepped = iet_step(base, il[cross], off[at])
+    st[at] = stepped
+    ok = stepped == OK
+    y_new = y1[cross][ok] - 2.0 * r[cross][ok]
+    at = at[ok]
+    idx[at] = j[ok]
+    off[at] = v[ok]
+    hei[at] = y_new
+    status[:] = st
+    return int(np.count_nonzero(st != OK))
 
 
 # ---------------------------------------------------------------------------

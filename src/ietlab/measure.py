@@ -138,9 +138,6 @@ class PointBatch:
         return SuspensionPoint(
             FiberPoint(int(self.idx[k]), float(self.off[k])), float(self.hei[k]))
 
-    def __iter__(self) -> Iterator[SuspensionPoint]:
-        return (self.point(k) for k in range(len(self)))
-
 
 def interval_lefts(iet: CountableIET) -> np.ndarray:
     """Left endpoints of every representable interval, indexed by interval."""
@@ -220,29 +217,16 @@ def _sampler_round(spec: RoofSpec, backend, draws: Iterator[np.ndarray],
 
     idx_a = sel[kept]
     off_a = u[kept]
-    y_a = y[kept]
-    up_a = upper[kept]
-    lower = ~up_a
-    if np.any(lower):
-        li = idx_a[lower].copy()
-        lo = off_a[lower].copy()
-        st = np.empty(li.shape[0], dtype=np.int64)
-        bad = backend.base_step_batch(spec.iet.pack(), li, lo, st)
-        if bad:
-            keep_st = st == kernels.OK
-            stats.step_discards += int(np.count_nonzero(~keep_st))
-            sel_keep = up_a.copy()
-            sel_keep[np.flatnonzero(lower)[keep_st]] = True
-            kept[np.flatnonzero(kept)[~sel_keep]] = False
-            idx_a[lower] = li
-            off_a[lower] = lo
-            idx_a = idx_a[sel_keep]
-            off_a = off_a[sel_keep]
-            y_a = y_a[sel_keep]
-        else:
-            idx_a[lower] = li
-            off_a[lower] = lo
-    return ratio, over, kept, idx_a, off_a, y_a
+    lower = ~upper[kept]
+    li, lo = idx_a[lower], off_a[lower]
+    st = np.empty(li.shape[0], dtype=np.int64)
+    stats.step_discards += backend.base_step_batch(spec.iet.pack(), li, lo, st)
+    idx_a[lower] = li
+    off_a[lower] = lo
+    good = np.ones(idx_a.shape[0], dtype=bool)
+    good[lower] = st == kernels.OK
+    kept[kept] = good
+    return ratio, over, kept, idx_a[good], off_a[good], y[kept]
 
 
 def _log_efficiency(efficiency: float) -> None:

@@ -73,7 +73,7 @@ def warm_kernels(golden_spec):
     kernels.lyap_orbit(p, s, 0, 0.01, 0.0, cps, *mats, out_k,
                        out_i, out_u, out_y, out_fail)
     out_sum = np.zeros(1, dtype=np.float64)
-    kernels.birkhoff_h_orbit(p, s, 0, 0.01, cps, out_sum, 0.0)
+    kernels.birkhoff_h_orbit(p, s, 0, 0.01, cps, out_sum)
     lane_i = np.zeros(1, dtype=np.int64)
     lane_u = np.full(1, 0.01)
     lane_status = np.zeros(1, dtype=np.int64)
@@ -81,7 +81,7 @@ def warm_kernels(golden_spec):
     kernels.lyap_orbits(p, s, lane_i, lane_u, out_y, cps, *rows, out_fail,
                         lane_status)
     kernels.birkhoff_h_orbits(p, s, lane_i, lane_u, cps,
-                              out_sum.reshape(1, 1), 0.0, lane_status)
+                              out_sum.reshape(1, 1), lane_status)
     idx = np.zeros(4, dtype=np.int64)
     off = np.full(4, 0.01)
     hei = np.zeros(4)
