@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from . import kernels
+
 
 class LabError(Exception):
     """Base class for all package-specific errors."""
@@ -29,23 +31,18 @@ class InsufficientDataError(LabError):
     """Not enough data for the requested statistical estimate."""
 
 
-#: Status codes used by the low-level kernels (exceptions cannot cross the
-#: JIT boundary, so orbit kernels report these integers instead).
-STATUS_OK = 0
-STATUS_SINGULARITY = 1
-STATUS_TRUNCATION = 2
-STATUS_INCONSISTENT = 3
-
+# The kernels report failures as the status codes of ``kernels`` (exceptions
+# cannot cross the JIT boundary); ``raise_for_status`` turns them back.
 _STATUS_EXC = {
-    STATUS_SINGULARITY: SingularityProximityError,
-    STATUS_TRUNCATION: TruncationExceededError,
-    STATUS_INCONSISTENT: ConsistencyError,
+    kernels.SINGULARITY: SingularityProximityError,
+    kernels.TRUNCATION: TruncationExceededError,
+    kernels.INCONSISTENT: ConsistencyError,
 }
 
 
 def raise_for_status(status: int, context: str = "") -> None:
     """Map a kernel status code to the corresponding exception."""
-    if status == STATUS_OK:
+    if status == kernels.OK:
         return
     exc = _STATUS_EXC.get(status, ConsistencyError)
     raise exc(context or f"kernel status {status}")

@@ -283,53 +283,22 @@ def cocycles(spec, z: Points, *steps):
 # random canonical points of the check suite
 # ---------------------------------------------------------------------------
 #
-# The scalar checks drew a random canonical point thus: x = random(); if x
-# locates, y = uniform(-2, 2), which is -2 + 4 random(), and the point is
-# canonicalized; a point that does not locate or canonicalize is drawn
-# again.  The draws below give its points bit for bit.
+# The checks draw their random canonical points in rounds of k tries, one
+# per point still wanted: x = random(k), then y = random(k).  A try whose x
+# locates and whose (x, -2 + 4y) canonicalizes gives a point; the rounds go
+# on until the check has its points.
 
 
-def _canonical_draws(spec, x, y):
-    """``(points, fails, located)`` of the draws ``(x, y)``: where a draw
-    fails, its point is a placeholder."""
+def _canonical_draws(spec, rng, k: int) -> Points:
+    """The points of a round of ``k`` tries, in draw order."""
+    x = rng.random(k)
+    y = rng.random(k)
     base = spec.iet.pack()
     i, u, located = locate(base, x)
-    located = located == OK
-    at = np.flatnonzero(located)
+    at = np.flatnonzero(located == OK)
     i, u, y, status = canonicalize_k(base, spec.pack(), i[at], u[at],
                                      -2.0 + 4.0 * y[at], MAX_GLUE)
-    z = Points(np.zeros(x.shape[0], dtype=np.int64), np.zeros(x.shape[0]),
-               np.zeros(x.shape[0]))
-    z.idx[at], z.off[at], z.hei[at] = i, u, y
-    fails = np.ones(x.shape[0], dtype=bool)
-    fails[at] = status != OK
-    return z, fails, located
-
-
-def _good_tries(spec, rng, draw, ahead: int):
-    """The tries before the first whose point fails, of ``ahead`` drawn.
-
-    ``draw()`` takes one try's draws from ``rng`` as the scalar loop does,
-    x and y of its point first.  Some draws take a varying number of raw
-    outputs, so the tries are drawn with a scalar loop that assumes no
-    point fails.  At the first point that does, the generator is rewound
-    to before the tries, those before it are drawn again, and then the
-    failed point's x (and its y, if x located), as the scalar loop left the
-    generator.  Returns the points and the other draws, as columns.
-    """
-    bg = rng.bit_generator
-    state = bg.state
-    cols = np.array([draw() for _ in range(ahead)]).reshape(ahead, -1).T
-    z, fails, located = _canonical_draws(spec, cols[0], cols[1])
-    good = int(np.argmax(fails)) if fails.any() else ahead
-    if good < ahead:
-        bg.state = state
-        for _ in range(good):
-            draw()
-        rng.random()
-        if located[good]:
-            rng.random()
-    return z.take(slice(good)), tuple(cols[2:, :good])
+    return Points(i, u, y).take(status == OK)
 
 
 def _joined(parts):
@@ -341,34 +310,16 @@ def _joined(parts):
     return type(first)(*fields) if hasattr(first, "_fields") else fields
 
 
-def _tries(spec, rng, draw, count: int):
-    """``count`` tries whose points canonicalize, drawn with ``draw`` as
-    the scalar loop draws them: ``(points, other draws)``."""
-    parts = []
-    done = 0
-    ahead = count  # tries drawn at once: about twice the last good run
-    while done < count:
-        z, rest = _good_tries(spec, rng, draw, min(ahead, count - done))
-        parts.append((z, rest))
-        done += z.idx.shape[0]
-        ahead = 2 * z.idx.shape[0] + 16
-    return _joined(parts)
-
-
 def sandwich_draws(spec, rng, count: int):
-    """The sandwich check's points and tangent vectors ``(z, dx, dy)``.
-
-    Each point draws (x, y) and then its vector (normal(), normal()), which
-    is ``0.0 + 1.0 * standard_normal()``, as ``Generator.normal`` computes
-    it.
-    """
-    random, normal = rng.random, rng.standard_normal
-
-    def draw():
-        return random(), random(), normal(), normal()
-
-    z, (nx, ny) = _tries(spec, rng, draw, count)
-    return z, 0.0 + 1.0 * nx, 0.0 + 1.0 * ny
+    """The sandwich check's points and tangent vectors ``(z, dx, dy)``:
+    ``count`` points, then the vectors from one ``standard_normal`` call."""
+    parts = []
+    found = 0
+    while found < count:
+        parts.append(_canonical_draws(spec, rng, count - found))
+        found += parts[-1].idx.shape[0]
+    dx, dy = rng.standard_normal((2, count))
+    return _joined(parts), dx, dy
 
 
 class CocycleTries(NamedTuple):
@@ -386,21 +337,17 @@ class CocycleTries(NamedTuple):
 def cocycle_tries(spec, rng, count: int) -> CocycleTries:
     """The cocycle-algebra check's tries, until ``count`` are not skipped.
 
-    Each try draws a point z, then n = integers(2, 200) and m =
-    integers(1, 100).  It is skipped where one of its three cocycles, or
-    the flow of z by n, fails; the cocycles of a skipped try are
-    placeholders.
+    Each round draws the points of as many tries as are still wanted, then
+    their step counts n = integers(2, 200) and m = integers(1, 100), one
+    array each.  A try is skipped where one of its three cocycles, or the
+    flow of z by n, fails; the cocycles of a skipped try are placeholders.
     """
-    random, integers = rng.random, rng.integers
-
-    def draw():
-        return random(), random(), integers(2, 200), integers(1, 100)
-
     parts = []
     done = 0
     while done < count:
-        z, steps = _tries(spec, rng, draw, count - done)
-        n, m = (a.astype(np.int64) for a in steps)
+        z = _canonical_draws(spec, rng, count - done)
+        k = z.idx.shape[0]
+        n, m = rng.integers(2, 200, k), rng.integers(1, 100, k)
         (whole, broken), (first, _) = cocycles(spec, z, n + m, n)
         z_n, flowed = flow(spec, z, n)
         # a failed flow leaves a point inside the truncation, whose
@@ -408,51 +355,23 @@ def cocycle_tries(spec, rng, count: int) -> CocycleTries:
         (second, lost), = cocycles(spec, z_n, m)
         skipped = broken | (flowed != OK) | lost
         parts.append(CocycleTries(z, n, m, skipped, whole, first, second))
-        done += n.shape[0] - int(np.count_nonzero(skipped))
+        done += k - int(np.count_nonzero(skipped))
     return _joined(parts)
-
-
-def _pair_starts(located):
-    """Where the draws (x, y) start in a stream of random() doubles.
-
-    An x that does not locate takes one double, and one that does takes
-    two.  Returns the positions of the x's that locate and have their y in
-    the stream, and the end of the last whole draw.
-    """
-    n = located.shape[0]
-    starts = []
-    p = 0
-    while True:
-        xs = np.arange(p, n - 1, 2)
-        miss = np.flatnonzero(~located[xs])
-        if not miss.size:
-            starts.append(xs)
-            return np.concatenate(starts), (int(xs[-1]) + 2 if xs.size else p)
-        starts.append(xs[:miss[0]])
-        p = int(xs[miss[0]]) + 1
 
 
 def beta_draws(spec, rng, count: int):
     """The beta check's points, their time-one Jacobians and images.
 
-    The doubles are drawn as arrays and read as the scalar draws would
-    read them; a point whose Jacobian or time-one image fails is skipped.
-    Doubles left over when ``count`` points are found go unused.
+    Each round draws the points of as many tries as are still wanted; a
+    point whose Jacobian or time-one image fails is skipped.
     """
-    base = spec.iet.pack()
     parts = []
     found = 0
-    rest = np.empty(0)
     while found < count:
-        d = np.concatenate((rest, rng.random(2 * (count - found) + 2)))
-        starts, end = _pair_starts(locate(base, d)[2] == OK)
-        rest = d[end:]
-        z, fails, _ = _canonical_draws(spec, d[starts], d[starts + 1])
-        z = z.take(~fails)
+        z = _canonical_draws(spec, rng, count - found)
         jac, jac_status = jacobian_step(spec, z)
         z1, flow_status = flow(spec, z, 1.0)
-        keep = np.flatnonzero((jac_status == OK)
-                              & (flow_status == OK))[:count - found]
+        keep = np.flatnonzero((jac_status == OK) & (flow_status == OK))
         parts.append((z.take(keep), jac[keep], z1.take(keep)))
         found += keep.shape[0]
     return tuple(_joined(parts))

@@ -2,13 +2,14 @@
 cocycle-algebra checks.
 
 ``reference_sandwich``, ``reference_beta`` and ``reference_cocycle`` are the
-three checks as they were written before they moved onto lanes: one point
-at a time through the scalar geometry formulas (``scalar_geometry``) and
-flow functions, recording what each point gives.  Their SHA-256 digests on specs of all four families,
-with shallow truncations so that draws are retried (and, for the cocycle
-check, tries are skipped), and one odometer whose beta check raises, were
-pinned from that code, and the lane checks must reproduce them: the same
-points in the same order, the same values bit for bit, the same error.
+three checks written one point at a time: each round's random doubles are
+drawn as the lane checks draw them, and every point then goes through the
+scalar geometry formulas (``scalar_geometry``) and flow functions,
+recording what it gives.  Their SHA-256 digests on specs of all four
+families, with shallow truncations so that tries fail (and, for the cocycle
+check, tries are skipped), and on one odometer whose beta check raises, are
+pinned, and the lane checks must reproduce them: the same points in the
+same order, the same values bit for bit, the same error.
 """
 
 import hashlib
@@ -39,9 +40,9 @@ COUNT = 2000
 SEEDS = (0, 1)
 TABLE = [(0.0, 0.3), (0.2, 0.3), (0.5, -0.5), (0.8, 0.0)]
 # A point beyond a shallow truncation fails to locate, and an orbit that
-# leaves it fails to canonicalize, so these specs retry many draws; the
+# leaves it fails to canonicalize, so these specs draw many rounds; the
 # five-interval odometer's beta check also skips points whose time-one step
-# fails, and at seed 0 its beta_factor raises, which ends the check.
+# fails, and at both seeds its beta_factor raises, which ends the check.
 SPECS = {
     "rotation": lambda: CountableIET.block_rotation(n_trunc=7),
     "swap": lambda: CountableIET.block_swap(n_trunc=9),
@@ -59,14 +60,30 @@ def _random_canonical(spec, rng):
             continue
 
 
+def _random_round(spec, rng, k):
+    """The points of a round of ``k`` tries: x and then y drawn as arrays,
+    then each try's point in turn, where it locates and canonicalizes."""
+    points = []
+    for x, y in zip(rng.random(k).tolist(), rng.random(k).tolist()):
+        try:
+            points.append(canonicalize(spec, spec.iet.locate(x),
+                                       -2.0 + 4.0 * y))
+        except LabError:
+            continue
+    return points
+
+
 def reference_sandwich(spec, params, seed, count):
     """The sandwich check point by point: rows (i, u, y, dx, dy, ne, nd, C)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
+    points = []
+    while len(points) < count:
+        points += _random_round(spec, rng, count - len(points))
+    dxs, dys = rng.standard_normal((2, count)).tolist()
     violations = 0
     rows = []
-    for _ in range(count):
-        z = _random_canonical(spec, rng)
-        v = TangentVec(rng.normal(), rng.normal())
+    for z, dx, dy in zip(points, dxs, dys):
+        v = TangentVec(dx, dy)
         ne = metric_norm(spec, params, z, v, kind="euclidean")
         nd = metric_norm(spec, params, z, v, kind="delta")
         c = constant_C(spec, z)
@@ -83,21 +100,21 @@ def reference_beta(spec, params, seed, count):
     tried = 0
     rows = []
     while tried < count:
-        z = _random_canonical(spec, rng)
-        try:
-            jac = jacobian_step(spec, z)
-            z1 = flow_point(spec, z, 1.0)
-        except LabError:
-            continue
-        tried += 1
-        g0 = metric_form(spec, params, z)
-        g1 = metric_form(spec, params, z1)
-        lhs = op_norm_between(g0, jac.matrix, g1)
-        rhs = (beta_factor(spec, params, z)
-               * op_norm_euclidean(jac.matrix))
-        if lhs > rhs * (1 + 1e-9):
-            violations += 1
-        rows.append([tried, z.index, z.offset, z.height, lhs, rhs])
+        for z in _random_round(spec, rng, count - tried):
+            try:
+                jac = jacobian_step(spec, z)
+                z1 = flow_point(spec, z, 1.0)
+            except LabError:
+                continue
+            tried += 1
+            g0 = metric_form(spec, params, z)
+            g1 = metric_form(spec, params, z1)
+            lhs = op_norm_between(g0, jac.matrix, g1)
+            rhs = (beta_factor(spec, params, z)
+                   * op_norm_euclidean(jac.matrix))
+            if lhs > rhs * (1 + 1e-9):
+                violations += 1
+            rows.append([tried, z.index, z.offset, z.height, lhs, rhs])
     return rows, f"violations={violations}/{count}"
 
 
@@ -114,27 +131,29 @@ def reference_cocycle(spec, seed, count):
     tried = 0
     rows = []
     while tried < count:
-        z = _random_canonical(spec, rng)
-        n = int(rng.integers(2, 200))
-        m = int(rng.integers(1, 100))
-        row = [z.index, z.offset, z.height, n, m]
-        try:
-            whole = cocycle(spec, z, n + m)
-            first = cocycle(spec, z, n)
-            z_n = flow_point(spec, z, float(n))
-            second = cocycle(spec, z_n, m)
-        except LabError:
-            rows.append(row + ["skipped"])
-            continue
-        tried += 1
-        prod = second.compose(first)
-        rows.append(row + _entries(whole) + _entries(prod))
-        if (whole.m11, whole.m12, whole.m22) != (1.0, 0.0, 1.0):
-            bad += 1
-            continue
-        tol = 1e-9 * max(1.0, abs(whole.m21))
-        if abs(prod.m21 - whole.m21) > tol or prod.crossings != whole.crossings:
-            bad += 1
+        points = _random_round(spec, rng, count - tried)
+        ns = rng.integers(2, 200, len(points)).tolist()
+        ms = rng.integers(1, 100, len(points)).tolist()
+        for z, n, m in zip(points, ns, ms):
+            row = [z.index, z.offset, z.height, n, m]
+            try:
+                whole = cocycle(spec, z, n + m)
+                first = cocycle(spec, z, n)
+                z_n = flow_point(spec, z, float(n))
+                second = cocycle(spec, z_n, m)
+            except LabError:
+                rows.append(row + ["skipped"])
+                continue
+            tried += 1
+            prod = second.compose(first)
+            rows.append(row + _entries(whole) + _entries(prod))
+            if (whole.m11, whole.m12, whole.m22) != (1.0, 0.0, 1.0):
+                bad += 1
+                continue
+            tol = 1e-9 * max(1.0, abs(whole.m21))
+            if (abs(prod.m21 - whole.m21) > tol
+                    or prod.crossings != whole.crossings):
+                bad += 1
     return rows, f"violations={bad}/{count}"
 
 
@@ -178,32 +197,33 @@ def outcome_digest(fn, *args):
     return hashlib.sha256(json.dumps(got).encode()).hexdigest()
 
 
-#: (family, seed) -> (sandwich digest, beta digest), from the scalar checks.
+#: (family, seed) -> (sandwich digest, beta digest), from the scalar
+#: references.
 PINNED = {
     ("rotation", 0): (
-        "da728a803cdb16281528eb8af4aa10178b30c261f7f40ad310ecd6b79b723982",
-        "d56bbf93ed35323f58f96d3299ed9a73df86d574b3067f730706232fd45b4802"),
+        "97bb241eac9594aeb65a612a0ac5abc7aac48c004eaa1c46103a04dfbfd2e9bd",
+        "e5f1338807825cf994ca75975266344158dfab611bde1d5fd713427aafbf97fb"),
     ("rotation", 1): (
-        "28f76c07bec1667cb597143093c1bb3eabd2344e4aa886e5c1954ddaca0dae6c",
-        "967286aa35740016a0cf45d0df3cb895ab99d3e10a5c844ab22b07cf779a3794"),
+        "2e29cc24db4983323c8506d7b6d5ff18c1c1b0c301dd448550691c4e5a3f579f",
+        "8b908bd7ce272299c0575cdd62d0d771fb64edc441178c3a50ab4c8c17849c3a"),
     ("swap", 0): (
-        "ac7e070d94d4c0d43913cf0c042a984b54984cdd95a05f054228824a54899d4a",
-        "6f4b6a697b70e837c82cbda24893d92747f591af5ed661d2321b79dd7d443ce8"),
+        "0e99efffe0d59adb47088d2ce6762757799b39705805199c94a7e610b5c8287a",
+        "bd38b2e6295d9481d5b21fba06ba981200fef2044a2ddd1b80f78a4ff854146d"),
     ("swap", 1): (
-        "aef3d9fe799c087d78f4ca4f048d953882661e588eb19b672e861909ce228157",
-        "29d52c37cd4f249d9b6ed256bd09e04dbdfb761b49416b8e7da6f26543fa751d"),
+        "e32b318b45267d49763082e9d8d0daaf16a7289e510d5e510d5b6a342bfb0a6c",
+        "0895990e06a7d0ec74a5c6531a68bd48263ce30e402cc4a8a0209cb6ae768331"),
     ("odometer", 0): (
-        "37b76074d55a7729534d58594ceea8380aad51e7d2d0f85c1989eee030c8e41b",
+        "9e774c5eae5bc47e99e42c546d205bf43c51205ff4bd2633ceda1df1ec900ea3",
         "06d58eb6d892cf8822e01f7f88ae0750c5907e58b4ef18037f42aa96da49fc93"),
     ("odometer", 1): (
-        "70ec82e6f1502fe7c87c9c4ecf5e0be5dd18d83b9f258a989dc0a008056d61a2",
-        "8fde49c7d6d392dc1c9bbd0e53ddced25d0bb9203e404332110e46b3c685c0f6"),
+        "e6e9768745fc7bca1971d1ec171e7c2bddd3d27b8bebce3a1f292e5d7b064e60",
+        "06d58eb6d892cf8822e01f7f88ae0750c5907e58b4ef18037f42aa96da49fc93"),
     ("table", 0): (
-        "2861e26adfbd4d21a012de460724ffef3b51bf0dbdc450139aa327a066c23dc2",
-        "9e309ff2be52c1e830a1cb18ea889255a19cd0b28c73996535831be01368dfa9"),
+        "263ef5555bfdbe57f5e02f9d199c7409f85fa514ce7c3b93ea312f02b05ab949",
+        "f81f7af955475eceef41b6dd5420dc63546a164f86d59ebc8139d52330ca7a6f"),
     ("table", 1): (
-        "be0f397a1f1a8f575d8604221ada6b22f51a3e98b94bcc05c855cbd0fed3cfaf",
-        "7ef4aeaffea576a2739e169c753c6ed89cad943abe581809f5c6147620727b52"),
+        "6e88f2880adcb349652009887760d6985de588d19b4c24d1750eb536e106ad78",
+        "81367acb84ceb4dc9478779820d849d547d1a2965356383f1d27e0c567ebb24e"),
 }
 
 CASES = [(name, seed) for name in SPECS for seed in SEEDS]
@@ -230,8 +250,8 @@ def test_lane_checks_match_pinned_digests(specs, name, seed):
     assert got == PINNED[name, seed]
 
 
-# The cocycle check's specs: tries on the rotation and swap are redrawn
-# (points beyond the truncation, orbits that leave it while they are
+# The cocycle check's specs: on the rotation and swap some tries give no
+# point (points beyond the truncation, orbits that leave it while they are
 # canonicalized), and most odometer tries are skipped (orbits that leave
 # the truncation within n + m steps).  "odometer64" is the diagnostics
 # workload's spec.
@@ -245,28 +265,28 @@ COCYCLE_SPECS = {
 COCYCLE_COUNT = 100
 
 #: (family, seed) -> digest of the cocycle check's tries, from the scalar
-#: check.
+#: reference.
 COCYCLE_PINNED = {
     ("rotation", 0):
-        "573b9cd2f9c63954b47a3f8aa187c50a75fdc1f175c0de3f87fa35624126ddbf",
+        "1522b8f744af2a132267ed7ffdaeb4078ee75904a9e48efbb26a172fc3b5b2d3",
     ("rotation", 1):
-        "f4c8043588260dfc69c2a11f2e9b0860bd3b5ccf6f506cda541b72f407fc7179",
+        "1dce1cf0609065e71a1e017c9f48621d7ed3017b66a62942f353bb1bb72d6d3b",
     ("swap", 0):
-        "7e837efdc90561c69cda0c2e935528df155fa99dff66bccc1b905ebcc4445b5e",
+        "bc4cc24be821d3e6049df2fcbfc089645902ce42c8c349765814f27669b96e1d",
     ("swap", 1):
-        "853d4cd3c4886daaef4a42ef38a5fb14fc5ad97640c92f1e2da4cec9e5a27e70",
+        "67a6f6b8a98fff48648151ebbfbbbdd8e4ea1248bd22438c4c878f936e77d657",
     ("odometer", 0):
-        "cdda4d432dd61269515b0adac3a047990bb12d260bd1339ba8c4e2de13fd23f9",
+        "55068b00d6369af6724cef36d3ac9d2ccc2b872295be18c314ee6f254877de32",
     ("odometer", 1):
-        "3ad9fbf72c2473926e010f2155afc532f8dd321b2dd9657b8bae5e67f20e871e",
+        "32adbc98ecee164f98da7d8fd34ee39f6a3d7f1b7648b17f0e4e09f68e76e7ed",
     ("table", 0):
-        "13b4ece4d4efabb964bead91066f5762a2579e9cbdcbe9e8d7afaa9b47be6756",
+        "faa227ce1b30be1d954d75c51f5b7ea1837f290cc14e0374968099328d9c2aa4",
     ("table", 1):
-        "4aa5cf2f2df9987faaffb2952d88a43a5bb8ad0e9446a80aab6fb3686ddb78f4",
+        "375691a12804a1fbda2334ecb7b90309768a807c8518bf985861a62df62307cb",
     ("odometer64", 0):
-        "914d6f7c1f9594b5f0a2abb70539b16ed0d58b5bec11a9732ccc90df3edb33d3",
+        "028bd71dd4a5538757c05ac053e4364ba51fcb904fab534b6380737ee670fbed",
     ("odometer64", 1):
-        "8e6f466ea293ff696763b50ad66d8432b06aef865531effe85d713a3c998aa7c",
+        "b228bc3df79658e5a22459247f0ce8b89bdd5c0c8f70df849333c4bb46112336",
 }
 
 COCYCLE_CASES = [(name, seed) for name in COCYCLE_SPECS for seed in SEEDS]

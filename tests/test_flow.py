@@ -219,19 +219,12 @@ def test_ftle_correction_uses_both_endpoints(golden_spec, params):
 # ---------------------------------------------------------------------------
 
 
-def test_aaronson_constant_h_closed_form(flat_spec):
+def test_aaronson_flat_roof_closed_form(flat_spec):
     # the flat roof has h = 2, so the average is log(2n) / n exactly
-    x = flat_spec.iet.locate(0.41)
-    for n in (100, 10000, 1000000):
-        got = aaronson_average(flat_spec, x, n)
+    for start, n in ((0.41, 100), (0.41, 10000), (0.41, 1000000),
+                     (0.77, 5000)):
+        got = aaronson_average(flat_spec, flat_spec.iet.locate(start), n)
         assert got == pytest.approx(math.log(2.0 * n) / n, rel=1e-12)
-
-
-def test_aaronson_flat_spec_needs_no_hook(flat_spec):
-    # the flat roof has h = 2 identically
-    x = flat_spec.iet.locate(0.77)
-    got = aaronson_average(flat_spec, x, 5000)
-    assert got == pytest.approx(math.log(2.0 * 5000) / 5000, rel=1e-12)
 
 
 def test_aaronson_dominates_log_n_over_n(golden_spec):

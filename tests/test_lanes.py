@@ -376,6 +376,43 @@ def test_birkhoff_h_orbits_match_scalar_orbits(name):
         assert np.count_nonzero(want_status == kernels.TRUNCATION) > 5
 
 
+CHUNKS = (0, 97, 211, 300)
+
+
+def chunked_orbits(spec, batch, cuts):
+    """Both lane batch kernels on ``batch``, one call per chunk between
+    consecutive ``cuts``: their failure counts and every output."""
+    base, roof = spec.iet.pack(), spec.pack()
+    count = batch.idx.shape[0]
+    lyap = lyap_outputs(count)
+    out_sum = np.full((count, CPS.shape[0]), -7.5)
+    status = np.full(count, -9, dtype=np.int64)
+    bad = [0, 0]
+    for a, b in zip(cuts, cuts[1:]):
+        idx, off, hei = batch.idx[a:b], batch.off[a:b], batch.hei[a:b]
+        bad[0] += lanes.lyap_orbits(base, roof, idx, off, hei, CPS,
+                                    *(out[a:b] for out in lyap))
+        bad[1] += lanes.birkhoff_h_orbits(base, roof, idx, off, CPS,
+                                          out_sum[a:b], status[a:b])
+    return bad, (*lyap, out_sum, status)
+
+
+@pytest.mark.parametrize("iet", [
+    CountableIET.block_rotation(),
+    CountableIET.von_neumann_kakutani(n_trunc=14),
+    CountableIET.block_swap(n_trunc=9)], ids=["rotation", "odometer", "swap"])
+def test_batch_lanes_give_the_same_bits_in_chunks(iet):
+    """Lanes are independent: one call and contiguous chunks of it write
+    the same outputs, failed lanes included."""
+    spec = RoofSpec.build(iet)
+    batch = sample_mu(spec, CHUNKS[-1], 11)
+    bad, whole = chunked_orbits(spec, batch, (0, CHUNKS[-1]))
+    chunked_bad, chunked = chunked_orbits(spec, batch, CHUNKS)
+    assert_same_outputs(chunked, whole)
+    assert chunked_bad == bad
+    assert (min(bad) > 0) == (iet.family != kernels.FAM_ROTATION)
+
+
 def reference_walk(base, i, u, span):
     """``lanes._walk`` as a loop over ``lanes.iet_step``, one step per row."""
     orbit_i, orbit_u = [i], [u]
