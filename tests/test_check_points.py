@@ -52,6 +52,7 @@ SPECS = {
 
 
 def _random_canonical(spec, rng):
+    """One random canonical point, drawn again until it exists."""
     while True:
         try:
             base = spec.iet.locate(rng.random())
