@@ -49,15 +49,12 @@ from .roof import RoofSpec
 class Cocycle2x2:
     """Product of time-one Jacobians plus the crossing count.
 
-    Every factor is lower-unipotent, so any product has m11 = m22 = 1 and
-    m12 = 0 exactly; the class stores all four entries anyway so the
-    invariant stays checkable rather than baked in.
+    Every factor is a shear (1, 0; s, 1), and shears multiply by adding
+    their s, so the product is the shear (1, 0; m21, 1): m21 and the
+    crossing count are all there is to store.
     """
 
-    m11: float = 1.0
-    m12: float = 0.0
     m21: float = 0.0
-    m22: float = 1.0
     crossings: int = 0
 
     @classmethod
@@ -66,23 +63,12 @@ class Cocycle2x2:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
+        return np.array([[1.0, 0.0], [self.m21, 1.0]])
 
     def compose(self, first: "Cocycle2x2") -> "Cocycle2x2":
         """Matrix product self @ first (self applied after first)."""
-        return Cocycle2x2(
-            m11=self.m11 * first.m11 + self.m12 * first.m21,
-            m12=self.m11 * first.m12 + self.m12 * first.m22,
-            m21=self.m21 * first.m11 + self.m22 * first.m21,
-            m22=self.m21 * first.m12 + self.m22 * first.m22,
-            crossings=self.crossings + first.crossings)
-
-    def inverse(self) -> "Cocycle2x2":
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        return Cocycle2x2(
-            m11=self.m22 / det, m12=-self.m12 / det,
-            m21=-self.m21 / det, m22=self.m11 / det,
-            crossings=self.crossings)
+        return Cocycle2x2(m21=self.m21 + first.m21,
+                          crossings=self.crossings + first.crossings)
 
 
 @dataclass(frozen=True)
@@ -131,10 +117,7 @@ def cocycle_checkpoints(
     if np.any(np.diff(cps) <= 0):
         raise ConstraintViolationError("checkpoints must be increasing")
     m = cps.shape[0]
-    out_a = np.empty(m)
-    out_b = np.empty(m)
-    out_c = np.empty(m)
-    out_d = np.empty(m)
+    out_m21 = np.empty(m)
     out_k = np.empty(m, dtype=np.int64)
     out_i = np.empty(m, dtype=np.int64)
     out_u = np.empty(m)
@@ -142,12 +125,10 @@ def cocycle_checkpoints(
     out_fail = np.empty(1, dtype=np.int64)
     status = kernels.lyap_orbit(
         spec.iet.pack(), spec.pack(), z.index, z.offset, z.height, cps,
-        out_a, out_b, out_c, out_d, out_k, out_i, out_u, out_y, out_fail)
+        out_m21, out_k, out_i, out_u, out_y, out_fail)
     if status != kernels.OK:
         raise_for_status(int(status), f"cocycle at step {int(out_fail[0])}")
-    mats = [Cocycle2x2(float(out_a[j]), float(out_b[j]), float(out_c[j]),
-                       float(out_d[j]), int(out_k[j]))
-            for j in range(m)]
+    mats = [Cocycle2x2(float(out_m21[j]), int(out_k[j])) for j in range(m)]
     pts = [SuspensionPoint(FiberPoint(int(out_i[j]), float(out_u[j])),
                            float(out_y[j]))
            for j in range(m)]
@@ -395,14 +376,14 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
         idx = np.array([z.index for z in starts], dtype=np.int64)
         off = np.array([z.offset for z in starts])
         hei = np.array([z.height for z in starts])
-        mats = [np.empty((count, m)) for _ in range(4)]
+        out_m21 = np.empty((count, m))
         out_k = np.empty((count, m), dtype=np.int64)
         out_i = np.empty((count, m), dtype=np.int64)
         out_u = np.empty((count, m))
         out_y = np.empty((count, m))
         out_fail = np.empty(count, dtype=np.int64)
         status = np.empty(count, dtype=np.int64)
-        outs = (*mats, out_k, out_i, out_u, out_y, out_fail, status)
+        outs = (out_m21, out_k, out_i, out_u, out_y, out_fail, status)
         _in_chunks(lambda lo, hi: orbits.lyap_orbits(
             base, roof, idx[lo:hi], off[lo:hi], hei[lo:hi], cps_arr,
             *(a[lo:hi] for a in outs)), count, threads)
@@ -417,7 +398,7 @@ def lyapunov_experiment(spec: RoofSpec, params: MetricParams, n: int,
         c, refused = (a.reshape(-1, m + 1)
                       for a in lane_geometry.sandwich_constants(spec, ends))
         norm_e = lane_geometry.op_norm_euclidean(
-            np.stack(mats, axis=-1)[ok].reshape(-1, 2, 2)).reshape(-1, m)
+            lane_geometry.shears(out_m21[ok].ravel())).reshape(-1, m)
 
         def rows_of(lane: int, k: int):
             st = int(status[lane])

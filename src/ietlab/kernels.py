@@ -182,13 +182,13 @@ def roof_eval(u, b, l, flat):
 
 
 @kernel
-def roof_eval_batch(roof, idx, off, out_r, out_dr):
+def roof_eval_batch(roof, idx, off, out_r, out_slope):
     lengths, bs, flat, band = roof
     for k in range(idx.shape[0]):
         i = idx[k]
         r, dr, piece = roof_eval(off[k], bs[i], lengths[i], flat)
         out_r[k] = r
-        out_dr[k] = dr
+        out_slope[k] = dr
     return 0
 
 
@@ -458,20 +458,17 @@ def canonicalize_k(base, roof, i, u, y, max_glue):
 
 
 @kernel
-def lyap_orbit(base, roof, i, u, y, cps, out_a, out_b, out_c, out_d, out_k,
-               out_i, out_u, out_y, out_fail):
-    """Iterate the time-one map, multiplying the flow Jacobians on the left.
+def lyap_orbit(base, roof, i, u, y, cps, out_m21, out_k, out_i, out_u, out_y,
+               out_fail):
+    """Iterate the time-one map, accumulating the flow's cocycle.
 
-    The cocycle matrix (a, b; c, d) starts at the identity; a crossing at
-    base point x multiplies by (1, 0; -2 r'(x), 1) on the left.  At each
-    checkpoint ``cps[ci]`` (a strictly increasing int64 array of step counts)
-    the current matrix, crossing count and state are stored.  On failure the
-    offending step index lands in ``out_fail[0]``.
+    Every factor is a shear (1, 0; -2 r'(x), 1), one per crossing at base
+    point x, so the cocycle is (1, 0; m21, 1) with m21 the running sum of
+    -2 r'.  At each checkpoint ``cps[ci]`` (a strictly increasing int64
+    array of step counts) m21, the crossing count and the state are stored.
+    On failure the offending step index lands in ``out_fail[0]``.
     """
-    a = 1.0
-    bb = 0.0
-    c = 0.0
-    d = 1.0
+    m21 = 0.0
     k = 0
     step = 0
     out_fail[0] = -1
@@ -483,14 +480,10 @@ def lyap_orbit(base, roof, i, u, y, cps, out_a, out_b, out_c, out_d, out_k,
                 out_fail[0] = step
                 return st
             if crossed:
-                c = s * a + c
-                d = s * bb + d
+                m21 = m21 + s
                 k += 1
             step += 1
-        out_a[ci] = a
-        out_b[ci] = bb
-        out_c[ci] = c
-        out_d[ci] = d
+        out_m21[ci] = m21
         out_k[ci] = k
         out_i[ci] = i
         out_u[ci] = u
@@ -526,8 +519,8 @@ def birkhoff_h_orbit(base, roof, i, u, cps, out_sum):
 
 
 @kernel
-def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
-                out_k, out_i, out_u, out_y, out_fail, status):
+def lyap_orbits(base, roof, idx, off, hei, cps, out_m21, out_k, out_i, out_u,
+                out_y, out_fail, status):
     """``lyap_orbit`` for a batch of starts (the lanes).
 
     Lane k starts at ``(idx[k], off[k], hei[k])`` and writes row k of each
@@ -539,9 +532,9 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
     """
     bad = 0
     for k in range(idx.shape[0]):
-        st = lyap_orbit(base, roof, idx[k], off[k], hei[k], cps, out_a[k],
-                        out_b[k], out_c[k], out_d[k], out_k[k], out_i[k],
-                        out_u[k], out_y[k], out_fail[k:k + 1])
+        st = lyap_orbit(base, roof, idx[k], off[k], hei[k], cps, out_m21[k],
+                        out_k[k], out_i[k], out_u[k], out_y[k],
+                        out_fail[k:k + 1])
         status[k] = st
         if st != OK:
             bad += 1

@@ -184,10 +184,16 @@ def jacobian_step(spec, z: Points):
     """``flow.jacobian_step`` on lanes: ``(matrices (n, 2, 2), status)``,
     SINGULARITY where the roof at the point is refused."""
     r, dr, refused = _roof_value(spec, z.idx, z.off)
-    m = np.zeros((r.shape[0], 2, 2))
+    return (shears(np.where(z.hei + 1.0 < r, 0.0, -2.0 * dr)),
+            np.where(refused, SINGULARITY, OK))
+
+
+def shears(m21):
+    """The matrices (1, 0; m21, 1), shape (n, 2, 2), for an array m21."""
+    m = np.zeros((m21.shape[0], 2, 2))
     m[:, 0, 0] = m[:, 1, 1] = 1.0
-    m[:, 1, 0] = np.where(z.hei + 1.0 < r, 0.0, -2.0 * dr)
-    return m, np.where(refused, SINGULARITY, OK)
+    m[:, 1, 0] = m21
+    return m
 
 
 def flow(spec, z: Points, t):
@@ -241,18 +247,13 @@ def op_norm_between(g_from, m, g_to):
 
 
 class Cocycles(NamedTuple):
-    """Cocycles of lanes, ``flow.Cocycle2x2`` entry by entry."""
+    """Cocycles of lanes, ``flow.Cocycle2x2`` field by field."""
 
-    m11: np.ndarray
-    m12: np.ndarray
     m21: np.ndarray
-    m22: np.ndarray
     crossings: np.ndarray
 
     def at(self, k: int) -> Cocycle2x2:
-        return Cocycle2x2(float(self.m11[k]), float(self.m12[k]),
-                          float(self.m21[k]), float(self.m22[k]),
-                          int(self.crossings[k]))
+        return Cocycle2x2(float(self.m21[k]), int(self.crossings[k]))
 
 
 def cocycles(spec, z: Points, *steps):
@@ -268,14 +269,14 @@ def cocycles(spec, z: Points, *steps):
     col = col.reshape(len(steps), -1)
     count = z.idx.shape[0]
     shape = (count, cps.shape[0])
-    a, b, c, d, u, y = (np.empty(shape) for _ in range(6))
+    m21, u, y = (np.empty(shape) for _ in range(3))
     k, i = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
     fail = np.empty(count, dtype=np.int64)
     status = np.empty(count, dtype=np.int64)
     lyap_orbits(spec.iet.pack(), spec.pack(), z.idx, z.off, z.hei, cps,
-                a, b, c, d, k, i, u, y, fail, status)
+                m21, k, i, u, y, fail, status)
     lane = np.arange(count)
-    return [(Cocycles(*(m[lane, at] for m in (a, b, c, d, k))),
+    return [(Cocycles(m21[lane, at], k[lane, at]),
              (status != OK) & (fail < n)) for at, n in zip(col, steps)]
 
 

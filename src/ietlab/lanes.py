@@ -8,9 +8,11 @@ call's cost is shared by every lane.  What depends only on the base orbit
 is computed ahead, for many steps per call: ``birkhoff_h_orbits`` takes
 its base steps in blocks of ``BLOCK`` and evaluates h on a whole block, and
 ``lyap_orbits`` reads the roof and the cocycle from windows of ``WINDOW``
-crossings, so that its time step only moves the heights.  Both take their
-base steps through ``_walk``, which moves a rotation lane inside its block
-pair as one running sum.  The measure command's per-point kernels,
+crossings, so that its time step only moves the heights.  Both walk the
+base orbit through ``_roof_walk``, which evaluates the roof along it and
+finds each lane's first band point or failed step; its base steps come
+from ``_walk``, which moves a rotation lane inside its block pair as one
+running sum.  The measure command's per-point kernels,
 ``roof_eval_batch``, ``base_step_batch`` and ``flow_time_one_batch``, take
 one step per lane over the whole call; their callers bound its size.
 On both backends, ``lab check``'s sandwich, beta and cocycle-algebra
@@ -388,52 +390,69 @@ def _walk(base, i, u, span):
     return orbit_i, orbit_u, first, code
 
 
-def _window(base, roof, i, u, c, d):
+def _roof_walk(base, roof, i, u, span, value=True):
+    """``span`` base steps from lanes ``(i, u)``, the roof along them, and
+    each lane's first event.
+
+    Returns ``(orbit_i, orbit_u, r, dr, at, code)``: the walk of ``_walk``;
+    ``roof_eval``'s r and dr at its first ``span`` rows, each of shape
+    ``(span, lanes)`` (r is None unless ``value``); and each lane's first
+    event as a step ``at`` with its status ``code``.  A row's band check
+    comes before its base step, so the event is the first row in the
+    exclusion band (SINGULARITY) or the first failed base step (its
+    status), whichever comes first, and ``(span, OK)`` if neither happens.
+    """
+    lengths, bs, flat, band = roof
+    orbit_i, orbit_u, first, code = _walk(base, i, u, span)
+    pi, pu = orbit_i[:span], orbit_u[:span]
+    l = lengths[pi]
+    bad = _in_band(pu, l, band)
+    at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), span)
+    code = np.where(at <= first, np.where(at < span, SINGULARITY, OK), code)
+    r, dr = roof_eval(pu.ravel(), bs[pi].ravel(), l.ravel(), flat, value)
+    shape = (span, i.shape[0])
+    if value:
+        r = r.reshape(shape)
+    return orbit_i, orbit_u, r, dr.reshape(shape), np.minimum(at, first), code
+
+
+def _window(base, roof, i, u, m21):
     """The next ``WINDOW`` crossings of cocycle lanes at base points
-    ``(i, u)`` whose cocycle's lower row is ``(c, d)``.
+    ``(i, u)`` whose cocycle's lower-left entry is ``m21``.
 
     Entry m of a lane's window is its state after m more crossings: the base
-    point, the roof there, and c and d.  Returns these as flat arrays, lane
+    point, the roof there, and m21.  Returns these as flat arrays, lane
     after lane (``WINDOW + 1`` entries each; the last entry's roof is never
     read), then each lane's event: the entry at which it stops and what
     happens there.  That is SINGULARITY for an entry in the exclusion band,
     the status of a failed base step for the entry past it, and OK for the
     window's end.
     """
-    lengths, bs, flat, band = roof
-    orbit_i, orbit_u, first, code = _walk(base, i, u, WINDOW)
-    pi, pu = orbit_i[:WINDOW], orbit_u[:WINDOW]
-    l = lengths[pi]
-    r, dr = roof_eval(pu.ravel(), bs[pi].ravel(), l.ravel(), flat)
-    s = -2.0 * dr.reshape(WINDOW, -1)
-    # the scalar loop's c = s*a + c and d = s*b + d, with a = 1.0, b = 0.0
-    c = np.add.accumulate(np.vstack((c, s)), axis=0)
-    d = np.add.accumulate(np.vstack((d, s * 0.0)), axis=0)
-    r = np.vstack((r.reshape(WINDOW, -1), np.zeros(i.shape[0])))
-    bad = _in_band(pu, l, band)
-    at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), WINDOW)
-    # the band check comes before the base step of its entry
-    stop = np.where(at <= first, at, first + 1)
-    event = np.where(at <= first, np.where(at < WINDOW, SINGULARITY, OK), code)
-    return (*(a.T.ravel() for a in (orbit_i, orbit_u, r, c, d)), stop, event)
+    orbit_i, orbit_u, r, dr, at, event = _roof_walk(base, roof, i, u, WINDOW)
+    # the scalar loop's m21 + s with s = -2 r', summed in the same order
+    m21 = np.add.accumulate(np.vstack((m21, -2.0 * dr)), axis=0)
+    r = np.vstack((r, np.zeros(i.shape[0])))
+    # a failed base step stops its lane at the entry past the step
+    stop = at + ((event != OK) & (event != SINGULARITY))
+    return (*(a.T.ravel() for a in (orbit_i, orbit_u, r, m21)), stop, event)
 
 
-def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
-                out_k, out_i, out_u, out_y, out_fail, status):
+def lyap_orbits(base, roof, idx, off, hei, cps, out_m21, out_k, out_i, out_u,
+                out_y, out_fail, status):
     """``kernels.lyap_orbits``, all lanes stepped in lockstep.
 
     Only the heights depend on time.  The base orbit, the roof along it and
     the cocycle come from windows of ``WINDOW`` crossings (``_window``), so
     a time step moves the heights and each crossing lane's pointer into its
-    window.  The cocycle there is exact: every factor (1, 0; -2 r', 1) is
-    lower unipotent, so the scalar loop's a and b stay 1.0 and 0.0, and its
-    c and d are running sums, which ``np.add.accumulate`` takes in the same
-    order.  When one lane reaches its window's end, every live lane gets a
-    new window from the entry it is at.  A lane moves at most one entry per
-    step, so steps run in rounds that end before any lane can reach its
-    event.  A failed lane retires, and its checkpoints are no longer
-    written: at the step of its failed crossing, or at the first step after
-    it reached a point in the exclusion band.
+    window.  The cocycle there is exact: it is the shear (1, 0; m21, 1),
+    and m21 is the scalar loop's running sum of -2 r', which
+    ``np.add.accumulate`` takes in the same order.  When one lane reaches
+    its window's end, every live lane gets a new window from the entry it
+    is at.  A lane moves at most one entry per step, so steps run in rounds
+    that end before any lane can reach its event.  A failed lane retires,
+    and its checkpoints are no longer written: at the step of its failed
+    crossing, or at the first step after it reached a point in the
+    exclusion band.
     """
     count = idx.shape[0]
     status[:] = OK
@@ -443,10 +462,10 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
     k0 = np.zeros(count, dtype=np.int64)  # crossings before entry 0
     win = row0 = pos = stop = event = None
 
-    def refill(i, u, c, d):
+    def refill(i, u, m21):
         """New windows for the live lanes, from their states."""
         nonlocal win, row0, pos, stop, event
-        *win, stop, event = _window(base, roof, i, u, c, d)
+        *win, stop, event = _window(base, roof, i, u, m21)
         row0 = np.arange(i.shape[0]) * (WINDOW + 1)
         pos = row0.copy()
         stop = row0 + stop
@@ -460,7 +479,7 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
             a[keep] for a in (lane, y, k0, row0, pos, stop, event))
 
     refill(np.array(idx, dtype=np.int64), np.array(off, dtype=np.float64),
-           np.zeros(count), np.ones(count))
+           np.zeros(count))
     step = 0
     for ci in range(cps.shape[0]):
         target = cps[ci]
@@ -468,9 +487,9 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
             due = pos == stop
             if due.any():
                 if np.any(due & (event == OK)):
-                    wi, wu, wr, wc, wd = win
+                    wi, wu, wr, wm = win
                     k0 = k0 + (pos - row0)
-                    refill(wi[pos], wu[pos], wc[pos], wd[pos])
+                    refill(wi[pos], wu[pos], wm[pos])
                     due = pos == stop
                 gone = due & (event == SINGULARITY)
                 if gone.any():
@@ -492,11 +511,8 @@ def lyap_orbits(base, roof, idx, off, hei, cps, out_a, out_b, out_c, out_d,
                 gone = due & (event != OK) & (event != SINGULARITY)
                 if gone.any():
                     retire(gone, event[gone], step - 1)
-        wi, wu, wr, wc, wd = win
-        out_a[lane, ci] = 1.0
-        out_b[lane, ci] = 0.0
-        out_c[lane, ci] = wc[pos]
-        out_d[lane, ci] = wd[pos]
+        wi, wu, wr, wm = win
+        out_m21[lane, ci] = wm[pos]
         out_k[lane, ci] = k0 + (pos - row0)
         out_i[lane, ci] = wi[pos]
         out_u[lane, ci] = wu[pos]
@@ -514,7 +530,6 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
     base step, whichever comes first; it retires, and its later checkpoints
     are not written.
     """
-    lengths, bs, flat, band = roof
     lane = np.arange(idx.shape[0])
     i = np.array(idx, dtype=np.int64)
     u = np.array(off, dtype=np.float64)
@@ -524,21 +539,10 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
     for ci in range(cps.shape[0]):
         while step < cps[ci] and lane.size:
             span = min(BLOCK, int(cps[ci]) - step)
-            count = lane.shape[0]
-            orbit_i, orbit_u, first, code = _walk(base, i, u, span)
+            orbit_i, orbit_u, _, dr, first, code = _roof_walk(
+                base, roof, i, u, span, value=False)
             i, u = orbit_i[span], orbit_u[span]
-            orbit_i, orbit_u = orbit_i[:span], orbit_u[:span]
-            l = lengths[orbit_i]
-            bad = _in_band(orbit_u, l, band)
-            if bad.any():
-                hit = bad.any(axis=0)
-                at = np.where(hit, np.argmax(bad, axis=0), span)
-                # the band check comes before the base step of its step
-                code = np.where(at <= first, SINGULARITY, code)
-                first = np.minimum(at, first)
-            dr = roof_eval(orbit_u.ravel(), bs[orbit_i].ravel(), l.ravel(),
-                           flat, value=False)[1]
-            h = 2.0 + 2.0 * np.abs(dr).reshape(span, count)
+            h = 2.0 + 2.0 * np.abs(dr)
             failed = first < span
             if failed.any():
                 status[lane[failed]] = code[failed]
@@ -556,10 +560,10 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
 # per-point batch kernels
 # ---------------------------------------------------------------------------
 
-def roof_eval_batch(roof, idx, off, out_r, out_dr):
+def roof_eval_batch(roof, idx, off, out_r, out_slope):
     """``kernels.roof_eval_batch`` on lanes."""
     lengths, bs, flat, band = roof
-    out_r[:], out_dr[:] = roof_eval(off, bs[idx], lengths[idx], flat)
+    out_r[:], out_slope[:] = roof_eval(off, bs[idx], lengths[idx], flat)
     return 0
 
 

@@ -68,16 +68,16 @@ def warm_kernels(golden_spec):
     out_y = np.zeros(1, dtype=np.float64)
     out_fail = np.zeros(1, dtype=np.int64)
     cps = np.array([10], dtype=np.int64)
-    mats = [np.zeros(1) for _ in range(4)]
+    out_m21 = np.zeros(1)
     out_k = np.zeros(1, dtype=np.int64)
-    kernels.lyap_orbit(p, s, 0, 0.01, 0.0, cps, *mats, out_k,
+    kernels.lyap_orbit(p, s, 0, 0.01, 0.0, cps, out_m21, out_k,
                        out_i, out_u, out_y, out_fail)
     out_sum = np.zeros(1, dtype=np.float64)
     kernels.birkhoff_h_orbit(p, s, 0, 0.01, cps, out_sum)
     lane_i = np.zeros(1, dtype=np.int64)
     lane_u = np.full(1, 0.01)
     lane_status = np.zeros(1, dtype=np.int64)
-    rows = [a.reshape(1, 1) for a in (*mats, out_k, out_i, out_u, out_y)]
+    rows = [a.reshape(1, 1) for a in (out_m21, out_k, out_i, out_u, out_y)]
     kernels.lyap_orbits(p, s, lane_i, lane_u, out_y, cps, *rows, out_fail,
                         lane_status)
     kernels.birkhoff_h_orbits(p, s, lane_i, lane_u, cps,

@@ -85,11 +85,9 @@ def test_cocycle_gate_trips_when_the_second_part_starts_late(monkeypatch,
     the product on about half of the tries.
 
     On the check's own tries the m21 entries agree within 1e-4 of the
-    tolerance, and the crossings exactly.  The other clause,
-    (m11, m12, m22) == (1, 0, 1), cannot fail on lanes: ``lyap_orbits``
-    writes m11 and m12 as the constants 1.0 and 0.0, and m22 is 1.0 plus
-    a sum of 0.0 * (-2 r') over crossings outside the exclusion band,
-    where r' is finite.
+    tolerance, and the crossings exactly.  Those are the check's only
+    clauses: a cocycle is the shear (1, 0; m21, 1), so its other entries
+    are not stored and cannot disagree.
     """
     spec = RoofSpec.build(FAMILIES[family]())
     assert cli._check_cocycle_algebra(spec, 0).status == "PASS"

@@ -63,7 +63,7 @@ def test_flat_roof_crossing_example(flat_spec):
     assert w.base == flat_spec.iet.step(base)
     assert w.height == -0.5
     jac = jacobian_step(flat_spec, z)
-    assert (jac.m11, jac.m12, jac.m21, jac.m22) == (1.0, 0.0, 0.0, 1.0)
+    assert jac.m21 == 0.0
     assert jac.crossings == 1
 
 
@@ -78,7 +78,6 @@ def test_crossing_jacobian_shear_value(golden_spec):
     jac = jacobian_step(golden_spec, z)
     assert jac.crossings == 1
     assert jac.m21 == pytest.approx(2.0 * math.e / b, rel=1e-12)
-    assert (jac.m11, jac.m12, jac.m22) == (1.0, 0.0, 1.0)
 
 
 def test_flow_time_must_be_finite(golden_spec):
@@ -93,12 +92,25 @@ def test_flow_time_must_be_finite(golden_spec):
 
 
 def test_cocycle_is_unipotent(golden_spec):
+    """The cocycle is the shear (1, 0; m21, 1): composing adds m21 and the
+    crossings, and the identity is neutral on either side.  Along orbits
+    m21 is finite and a step crosses the roof at most once."""
+    a = Cocycle2x2(m21=3.5, crossings=4)
+    b = Cocycle2x2(m21=-1.25, crossings=2)
+    assert a.compose(b) == b.compose(a) == Cocycle2x2(m21=2.25, crossings=6)
+    ident = Cocycle2x2.identity()
+    assert a.compose(ident) == ident.compose(a) == a
+    assert ident.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert op_norm_euclidean(ident.matrix) == 1.0
+    assert a.matrix.tolist() == [[1.0, 0.0], [3.5, 1.0]]
     rng = np.random.default_rng(45)
     for _ in range(100):
         z = draw_canonical(golden_spec, rng)
-        c = cocycle(golden_spec, z, int(rng.integers(1, 300)))
-        assert (c.m11, c.m12, c.m22) == (1.0, 0.0, 1.0)
-        assert c.crossings >= 0
+        n = int(rng.integers(1, 300))
+        c = cocycle(golden_spec, z, n)
+        assert math.isfinite(c.m21)
+        assert 0 <= c.crossings <= n
+        assert c.matrix.tolist() == [[1.0, 0.0], [c.m21, 1.0]]
 
 
 def test_cocycle_group_law(golden_spec):
@@ -143,18 +155,6 @@ def test_cocycle_norm_bounded_by_birkhoff_sum(golden_spec):
             bound += 2.0 + 2.0 * abs(golden_spec.value(base).derivative)
             base = golden_spec.iet.step(base)
         assert op_norm_euclidean(c.matrix) <= bound * (1 + 1e-12)
-
-
-def test_cocycle_inverse_and_identity():
-    a = Cocycle2x2(m21=3.5, crossings=4)
-    b = Cocycle2x2(m21=-1.25, crossings=2)
-    assert a.compose(a.inverse()).m21 == 0.0
-    assert a.inverse().m21 == -3.5
-    prod = a.compose(b)
-    assert prod.m21 == 2.25 and prod.crossings == 6
-    ident = Cocycle2x2.identity()
-    assert op_norm_euclidean(ident.matrix) == 1.0
-    assert a.compose(ident) == a
 
 
 def test_cocycle_op_norm_closed_form():

@@ -7,6 +7,7 @@ Every output is hashed byte-for-byte and compared with the committed
 ``GOLDEN`` digests, so each backend must reproduce them to the last bit.
 """
 
+import inspect
 import json
 import math
 import os
@@ -106,6 +107,48 @@ def test_canonicalize_k_budget_exhaustion(golden_spec):
     assert st == kernels.INCONSISTENT
     i, v, y, st = kernels.canonicalize_k(*args, 0, u, 50.0, 1000)
     assert st == kernels.OK
+
+
+@pytest.mark.parametrize("family", ["golden", "shallow_odometer"])
+def test_lyap_orbit_keeps_the_argument_names_the_tracer_reads(
+        monkeypatch, golden_spec, family):
+    """perfbench's tracer binds each ``kernels.lyap_orbit`` call to the
+    kernel's signature and counts its steps from ``cps`` (a clean orbit) or
+    ``out_fail`` (a failed one), by name: a renamed parameter would break
+    every traced call."""
+    from ietlab.errors import LabError
+    from ietlab.flow import cocycle
+    from ietlab.geometry import canonicalize
+    from ietlab.roof import RoofSpec
+
+    if family == "golden":
+        spec, steps = golden_spec, 300
+    else:
+        # leaves the six-interval truncation long before 10^5 steps
+        spec = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=6))
+        steps = 100000
+    calls = []
+    run = kernels.lyap_orbit
+
+    def record(*args, **kwargs):
+        status = run(*args, **kwargs)
+        calls.append((args, kwargs, status))
+        return status
+
+    monkeypatch.setattr(kernels, "lyap_orbit", record)
+    z = canonicalize(spec, spec.iet.locate(0.3), 0.0)
+    try:
+        cocycle(spec, z, steps)
+    except LabError:
+        pass
+    (args, kwargs, status), = calls
+    bound = inspect.signature(run).bind(*args, **kwargs).arguments
+    if family == "golden":
+        assert status == kernels.OK
+        assert bound["cps"].tolist() == [steps]
+    else:
+        assert status == kernels.TRUNCATION
+        assert 0 < bound["out_fail"][0] < steps
 
 
 def test_code_orbit_reports_truncation():

@@ -192,9 +192,10 @@ def batch_starts(spec, count, seed):
 
 
 def lyap_outputs(count, cps=CPS):
-    """``out_a`` to ``out_y``, ``out_fail`` and ``status``, all sentinels."""
+    """``out_m21`` to ``out_y``, ``out_fail`` and ``status``, all
+    sentinels."""
     shape = (count, cps.shape[0])
-    rows = [np.full(shape, -7.5) for _ in range(4)]
+    rows = [np.full(shape, -7.5)]
     rows += [np.full(shape, -7, dtype=np.int64) for _ in range(2)]
     rows += [np.full(shape, -7.5) for _ in range(2)]
     return (*rows, np.full(count, -9, dtype=np.int64),
@@ -260,7 +261,7 @@ def test_lyap_orbits_match_scalar_orbits(name, cps):
         # at step 150 the first spike lane has not crossed yet, while some
         # other lane has passed the end of two windows
         probe = scalar_lyap(spec.iet.pack(), spec.pack(), idx, off, hei,
-                            np.array([150]))[4][:, 0]
+                            np.array([150]))[1][:, 0]
         assert probe[0] == 0 and probe[2:-2].max() >= 2 * lanes.WINDOW
     elif cps is CPS:
         # lanes leave the truncation at many different steps
@@ -334,13 +335,13 @@ def test_lyap_orbits_write_a_band_crossing_at_its_checkpoint(last):
     want = assert_lyap_lanes_match_scalar(spec, idx, off, hei, cps)
     at = 1 if last else 0
     # one crossing, onto a point in the band
-    assert (want[4][0, at], want[5][0, at]) == (1, j)
-    assert want[6][0, at] < spec.band * float(spec.lengths[j])
+    assert (want[1][0, at], want[2][0, at]) == (1, j)
+    assert want[3][0, at] < spec.band * float(spec.lengths[j])
     if last:
         assert (want[-1][0], want[-2][0]) == (kernels.OK, -1)
     else:
         assert (want[-1][0], want[-2][0]) == (kernels.SINGULARITY, s + 1)
-        assert want[4][0, 1] == -7  # not written after the failure
+        assert want[1][0, 1] == -7  # not written after the failure
 
 
 @pytest.mark.parametrize("count", [0, 1])
