@@ -20,8 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ietlab import kernels
+from ietlab.errors import LabError
+from ietlab.flow import cocycle
+from ietlab.geometry import canonicalize
 from ietlab.iet import CountableIET, FiberPoint
 from ietlab.measure import _code_odometer, coded_orbit_stream
+from ietlab.roof import RoofSpec
 
 # ---------------------------------------------------------------------------
 # constants and scalar kernels
@@ -116,11 +120,6 @@ def test_lyap_orbit_keeps_the_argument_names_the_tracer_reads(
     kernel's signature and counts its steps from ``cps`` (a clean orbit) or
     ``out_fail`` (a failed one), by name: a renamed parameter would break
     every traced call."""
-    from ietlab.errors import LabError
-    from ietlab.flow import cocycle
-    from ietlab.geometry import canonicalize
-    from ietlab.roof import RoofSpec
-
     if family == "golden":
         spec, steps = golden_spec, 300
     else:
