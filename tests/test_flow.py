@@ -92,17 +92,8 @@ def test_flow_time_must_be_finite(golden_spec):
 
 
 def test_cocycle_is_unipotent(golden_spec):
-    """The cocycle is the shear (1, 0; m21, 1): composing adds m21 and the
-    crossings, and the identity is neutral on either side.  Along orbits
-    m21 is finite and a step crosses the roof at most once."""
-    a = Cocycle2x2(m21=3.5, crossings=4)
-    b = Cocycle2x2(m21=-1.25, crossings=2)
-    assert a.compose(b) == b.compose(a) == Cocycle2x2(m21=2.25, crossings=6)
-    ident = Cocycle2x2.identity()
-    assert a.compose(ident) == ident.compose(a) == a
-    assert ident.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert op_norm_euclidean(ident.matrix) == 1.0
-    assert a.matrix.tolist() == [[1.0, 0.0], [3.5, 1.0]]
+    """Along orbits the cocycle is the shear (1, 0; m21, 1) with a finite
+    m21, and a step crosses the roof at most once."""
     rng = np.random.default_rng(45)
     for _ in range(100):
         z = draw_canonical(golden_spec, rng)
@@ -155,6 +146,24 @@ def test_cocycle_norm_bounded_by_birkhoff_sum(golden_spec):
             bound += 2.0 + 2.0 * abs(golden_spec.value(base).derivative)
             base = golden_spec.iet.step(base)
         assert op_norm_euclidean(c.matrix) <= bound * (1 + 1e-12)
+
+
+def test_cocycle_inverse_and_identity():
+    """The cocycle is the shear (1, 0; m21, 1): composing adds m21 and the
+    crossings, the identity is neutral on either side, and the inverse
+    matrix is the shear with m21 negated."""
+    a = Cocycle2x2(m21=3.5, crossings=4)
+    b = Cocycle2x2(m21=-1.25, crossings=2)
+    assert a.compose(b) == b.compose(a) == Cocycle2x2(m21=2.25, crossings=6)
+    ident = Cocycle2x2.identity()
+    assert a.compose(ident) == ident.compose(a) == a
+    assert ident.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert op_norm_euclidean(ident.matrix) == 1.0
+    assert a.matrix.tolist() == [[1.0, 0.0], [3.5, 1.0]]
+    neg = Cocycle2x2(m21=-a.m21)
+    assert np.linalg.inv(a.matrix).tolist() == neg.matrix.tolist()
+    assert a.compose(neg).m21 == neg.compose(a).m21 == 0.0
+    assert a.compose(neg).matrix.tolist() == ident.matrix.tolist()
 
 
 def test_cocycle_op_norm_closed_form():
