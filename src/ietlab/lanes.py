@@ -14,7 +14,9 @@ finds each lane's first band point or failed step; its base steps come
 from ``_walk``, which moves a rotation lane inside its block pair as one
 running sum.  The measure command's per-point kernels,
 ``roof_eval_batch``, ``base_step_batch`` and ``flow_time_one_batch``, take
-one step per lane over the whole call; their callers bound its size.
+one step per lane: the first two over the whole call, whose size the
+sampler bounds by its blocks of ``POINT_BLOCK`` columns, and the time-one
+map ``POINT_BLOCK`` lanes at a time, so their temporaries are of block size.
 On both backends, ``lab check``'s sandwich, beta and cocycle-algebra
 checks use ``locate``, ``iet_step_inv``, ``canonicalize_k`` and
 ``lyap_orbits`` through ``lane_geometry``, and the quadrature of
@@ -560,6 +562,11 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
 # per-point batch kernels
 # ---------------------------------------------------------------------------
 
+#: Lanes per block of ``flow_time_one_batch`` and columns per block of a
+#: round of ``measure.sample_mu``, which bounds their temporaries.
+POINT_BLOCK = 8192
+
+
 def roof_eval_batch(roof, idx, off, out_r, out_slope):
     """``kernels.roof_eval_batch`` on lanes."""
     lengths, bs, flat, band = roof
@@ -578,34 +585,40 @@ def base_step_batch(base, idx, off, status):
 
 
 def flow_time_one_batch(base, roof, idx, off, hei, status):
-    """``kernels.flow_time_one_batch`` on lanes.
+    """``kernels.flow_time_one_batch`` on lanes, ``POINT_BLOCK`` at a time.
 
-    A lane in the exclusion band keeps its point with SINGULARITY, and the
-    roof is evaluated on the other lanes only.  A lane under the roof climbs
-    by one; a lane that crosses takes the base step, and keeps its point
-    with the step's status if that fails.
+    A lane in the exclusion band keeps its point with SINGULARITY.  Outside
+    the band r >= 1: the spikes lie above 1, a blend is 1 + a (-log t) with
+    a >= 0 and t <= 1, and the middle is 1.  So a lane with y + 1 < 1 climbs
+    by one without its roof, and the roof is evaluated on the other lanes
+    only.  A lane under the roof climbs by one; a lane that crosses takes
+    the base step, and keeps its point with the step's status if that fails.
     """
     lengths, bs, flat, band = roof
-    l = lengths[idx]
-    st = np.where(_in_band(off, l, band), SINGULARITY, OK)
-    live = np.flatnonzero(st == OK)
-    il = idx[live]
-    r = roof_eval(off[live], bs[il], l[live], flat)[0]
-    y1 = hei[live] + 1.0
-    under = y1 < r
-    hei[live[under]] = y1[under]
-    cross = ~under
-    at = live[cross]
-    j, v, stepped = iet_step(base, il[cross], off[at])
-    st[at] = stepped
-    ok = stepped == OK
-    y_new = y1[cross][ok] - 2.0 * r[cross][ok]
-    at = at[ok]
-    idx[at] = j[ok]
-    off[at] = v[ok]
-    hei[at] = y_new
-    status[:] = st
-    return int(np.count_nonzero(st != OK))
+    bad = 0
+    for lo in range(0, idx.shape[0], POINT_BLOCK):
+        i, u, y = (a[lo:lo + POINT_BLOCK] for a in (idx, off, hei))
+        l = lengths[i]
+        st = np.where(_in_band(u, l, band), SINGULARITY, OK)
+        y1 = y + 1.0
+        live = np.flatnonzero((st == OK) & ~(y1 < 1.0))
+        r = roof_eval(u[live], bs[i[live]], l[live], flat)[0]
+        cross = ~(y1[live] < r)
+        at = live[cross]
+        climb = st == OK
+        climb[at] = False
+        y[climb] = y1[climb]
+        j, v, stepped = iet_step(base, i[at], u[at])
+        st[at] = stepped
+        ok = stepped == OK
+        y_new = y1[at[ok]] - 2.0 * r[cross][ok]
+        at = at[ok]
+        i[at] = j[ok]
+        u[at] = v[ok]
+        y[at] = y_new
+        status[lo:lo + POINT_BLOCK] = st
+        bad += int(np.count_nonzero(st != OK))
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -163,22 +163,30 @@ def _stall_error() -> ConsistencyError:
     return ConsistencyError("rejection sampler stalled; check roof")
 
 
-def _sampler_round(spec: RoofSpec, backend, draws: Iterator[np.ndarray],
+def _envelope_table(spec: RoofSpec) -> tuple:
+    """What every round of the sampler reads: the roof's and the base's
+    packs, and the envelope's cumulative mass by interval."""
+    roof = spec.pack()
+    lengths, bs, flat, _ = roof
+    cum = np.cumsum(lengths + (0.0 if flat else 2.0 * bs))
+    return roof, spec.iet.pack(), cum
+
+
+def _sampler_round(table: tuple, backend, draws: Iterator[np.ndarray],
                    k: int, stats: PointBatch):
     """One round of envelope rejection on ``k`` independent proposals.
 
-    ``draws`` yields the round's uniforms as ``k``-arrays, one row at a
-    time, in the order sel, q, u1, u2, coin, accept, upper, frac.  Every
-    operation is elementwise, so proposal j depends on column j alone.
-    Returns ``(ratio, over, kept, idx, off, hei)``: the acceptance ratios,
-    the proposals whose ratio exceeds 1 (never accepted), the mask of the
-    accepted proposals whose lower-side step succeeded, and those samples
-    in proposal order.  ``stats`` counts proposals, band rejects and step
-    discards.
+    ``table`` is ``_envelope_table(spec)``.  ``draws`` yields the round's
+    uniforms as ``k``-arrays, one row at a time, in the order sel, q, u1,
+    u2, coin, accept, upper, frac.  Every operation is elementwise, so
+    proposal j depends on column j alone.  Returns ``(ratio, over, kept,
+    idx, off, hei)``: the acceptance ratios, the proposals whose ratio
+    exceeds 1 (never accepted), the mask of the accepted proposals whose
+    lower-side step succeeded, and those samples in proposal order.
+    ``stats`` counts proposals, band rejects and step discards.
     """
-    roof = spec.pack()
+    roof, base, cum = table
     lengths, bs, flat, band = roof
-    cum = np.cumsum(lengths + (0.0 if flat else 2.0 * bs))
     stats.proposals += k
     sel = np.searchsorted(cum, next(draws) * float(cum[-1]), side="right")
     sel = np.minimum(sel, lengths.shape[0] - 1).astype(np.int64)
@@ -220,7 +228,7 @@ def _sampler_round(spec: RoofSpec, backend, draws: Iterator[np.ndarray],
     lower = ~upper[kept]
     li, lo = idx_a[lower], off_a[lower]
     st = np.empty(li.shape[0], dtype=np.int64)
-    stats.step_discards += backend.base_step_batch(spec.iet.pack(), li, lo, st)
+    stats.step_discards += backend.base_step_batch(base, li, lo, st)
     idx_a[lower] = li
     off_a[lower] = lo
     good = np.ones(idx_a.shape[0], dtype=bool)
@@ -256,6 +264,37 @@ def _chunk_sizes(count: int) -> list[int]:
             for pos in range(0, count, SAMPLE_CHUNK)]
 
 
+def _round_blocks(rng: np.random.Generator, k: int):
+    """A sampler round's uniforms, in blocks of ``lanes.POINT_BLOCK`` of its
+    ``k`` columns.
+
+    Yields ``(lo, hi, rows)`` for the columns [lo, hi) of each block, in
+    order; ``rows`` yields that block's columns of the round's
+    ``DRAWS_PER_ROUND`` rows, as ``_sampler_round`` reads them, and must be
+    used up before the next block is taken.  Row j's columns are the
+    words j * k + lo onward of the generator's stream from the round's
+    start, which the block reaches by jump-ahead (``advance``): one word
+    per double, so the doubles of ``rng.random(k)`` drawn once per row.
+    The last block's last row ends where the round's whole rows end, and
+    leaves the generator there.
+    """
+    from . import lanes
+    bitgen = rng.bit_generator
+    start = bitgen.state
+
+    def rows(lo, hi):
+        bitgen.state = start
+        bitgen.advance(lo)
+        for row in range(DRAWS_PER_ROUND):
+            if row:
+                bitgen.advance(k - (hi - lo))
+            yield rng.random(hi - lo)
+
+    for lo in range(0, k, lanes.POINT_BLOCK):
+        hi = min(lo + lanes.POINT_BLOCK, k)
+        yield lo, hi, rows(lo, hi)
+
+
 def sample_mu(spec: RoofSpec, count: int, seed: int | tuple, *,
               chunk: int = 0) -> PointBatch:
     """Draw ``count`` exact samples from the normalized suspension measure.
@@ -269,37 +308,52 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple, *,
     onward.  Mass beyond the index truncation is not representable and is
     skipped; its relative weight is below the truncation tail bound.  The
     batch counts its proposals; its callers log the sampler's efficiency.
+
+    A round of k proposals runs in blocks of ``lanes.POINT_BLOCK`` of its
+    columns (``_round_blocks``), each block's uniforms reached by
+    jump-ahead in the chunk's generator, and its accepted samples are
+    written in proposal order.  ``default_rng``'s PCG64 spends one 64-bit
+    word per double, so the blocks draw the bits of the round's whole
+    rows, and the samples and counts are those of one round on all k
+    columns
+    (``tests/test_measure.py::test_round_blocks_draw_the_rows_of_whole_round_draws``
+    pins the draws).  So the sampler's temporaries are of block size,
+    whatever the chunk size.  An envelope violation raises after its
+    round, with the round's largest ratio.
     """
     backend = kernels.batch_kernels()
+    table = _envelope_table(spec)
     sizes = _chunk_sizes(count)
     out_idx = np.empty(count, dtype=np.int64)
     out_off = np.empty(count, dtype=np.float64)
     out_hei = np.empty(count, dtype=np.float64)
     stats = PointBatch(out_idx, out_off, out_hei)
 
-    filled = 0
+    pos = 0
     for ci, want in enumerate(sizes, start=chunk):
         rng = _chunk_rng(seed, ci)
-        got = 0
+        end = pos + want
         rounds = 0
-        while got < want:
+        while pos < end:
             rounds += 1
             if rounds > SAMPLE_MAX_ROUNDS:
                 raise _stall_error()
-            k = want - got
-            # one row of uniforms at a time, drawn as the round needs it
-            draws = (rng.random(k) for _ in range(DRAWS_PER_ROUND))
-            ratio, over, _, idx_a, off_a, y_a = _sampler_round(
-                spec, backend, draws, k, stats)
-            if np.any(over):
-                raise _envelope_error(float(np.max(ratio)))
-            take = min(idx_a.shape[0], want - got)
-            out_idx[filled + got:filled + got + take] = idx_a[:take]
-            out_off[filled + got:filled + got + take] = off_a[:take]
-            out_hei[filled + got:filled + got + take] = y_a[:take]
-            got += take
-            stats.accepted += take
-        filled += want
+            peaks = []
+            violated = False
+            for lo, hi, rows in _round_blocks(rng, end - pos):
+                ratio, over, _, idx_a, off_a, y_a = _sampler_round(
+                    table, backend, rows, hi - lo, stats)
+                peaks.append(np.max(ratio))
+                violated |= bool(np.any(over))
+                # accepted samples in proposal order, up to the chunk's end
+                take = min(idx_a.shape[0], end - pos)
+                out_idx[pos:pos + take] = idx_a[:take]
+                out_off[pos:pos + take] = off_a[:take]
+                out_hei[pos:pos + take] = y_a[:take]
+                pos += take
+                stats.accepted += take
+            if violated:
+                raise _envelope_error(float(np.max(peaks)))
     return stats
 
 
@@ -315,6 +369,7 @@ def sample_starts(spec: RoofSpec, seeds: Sequence[tuple]) -> list:
     generator.  The sampler's efficiency is logged once per batch.
     """
     backend = kernels.batch_kernels()
+    table = _envelope_table(spec)
     rngs = [_chunk_rng(seed, 0) for seed in seeds]
     out: list = [None] * len(rngs)
     live = np.arange(len(rngs))
@@ -325,7 +380,7 @@ def sample_starts(spec: RoofSpec, seeds: Sequence[tuple]) -> list:
         draws = np.array([rngs[j].random(DRAWS_PER_ROUND)
                           for j in live.tolist()]).T
         ratio, over, kept, idx, off, hei = _sampler_round(
-            spec, backend, iter(draws), live.shape[0], stats)
+            table, backend, iter(draws), live.shape[0], stats)
         for j, w in zip(live[over].tolist(), ratio[over].tolist()):
             out[j] = _envelope_error(w)
         for j, i, u, y in zip(live[kept].tolist(), idx.tolist(), off.tolist(),

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ietlab import kernels, measure
+from ietlab import kernels, lanes, measure
 from ietlab.errors import (ConstraintViolationError, LabError,
                            TruncationExceededError)
 from ietlab.flow import (
@@ -30,6 +30,7 @@ from ietlab.iet import CountableIET, FiberPoint
 from ietlab.roof import RoofSpec
 
 from canonical_points import draw_canonical
+from whole_rounds import sample_mu_whole_rounds
 
 # the package's ``flow`` is the function of that name
 flow_module = importlib.import_module("ietlab.flow")
@@ -400,6 +401,35 @@ def test_batched_starts_fail_as_draws_one_by_one(monkeypatch, golden_spec,
     batched = run()
     monkeypatch.setattr(flow_module, "sample_starts", draws_one_by_one)
     assert batched == run() == want[failed[0]]
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, lanes.POINT_BLOCK,
+                                   measure.SAMPLE_CHUNK + 1])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_sample_mu_fails_as_whole_rounds_at_every_block_size(
+        monkeypatch, golden_spec, fault, block):
+    change, rounds = FAULTS[fault]
+    backend = kernels.batch_kernels()
+    evaluate = backend.roof_eval_batch
+
+    def faulty(roof, idx, off, out_r, out_dr):
+        evaluate(roof, idx, off, out_r, out_dr)
+        out_r[:] = change(off / roof[0][idx], out_r)
+        return 0
+
+    monkeypatch.setattr(backend, "roof_eval_batch", faulty)
+    monkeypatch.setattr(measure, "SAMPLE_MAX_ROUNDS", rounds)
+    # several blocks a round, but for the block past a whole chunk
+    count = min(600 * block, measure.SAMPLE_CHUNK + 300)
+    with pytest.raises(LabError) as want:
+        sample_mu_whole_rounds(golden_spec, count, 3)
+    monkeypatch.setattr(lanes, "POINT_BLOCK", block)
+    with pytest.raises(LabError) as got:
+        measure.sample_mu(golden_spec, count, 3)
+    assert outcome(got.value) == outcome(want.value)
+    # each fault fails with its own error
+    assert str(want.value).startswith(
+        "envelope violated" if fault == "envelope" else "rejection sampler")
 
 
 def test_threads_split_lanes_only_under_numba():

@@ -617,6 +617,31 @@ def test_time_one_lanes_mix_every_status():
     assert (got_idx[5], got_off[5], got_hei[5]) == (2, 0.5 * l2, -4.0)
 
 
+@pytest.mark.parametrize("size", [0, 1, lanes.POINT_BLOCK - 1,
+                                  lanes.POINT_BLOCK + 1,
+                                  3 * lanes.POINT_BLOCK + 5])
+def test_flow_time_one_batch_lanes_match_scalar_batch_across_blocks(size):
+    # samples of an odd truncation, whose last interval's crossings leave
+    # it, with some lanes moved into the band and heights at the climb
+    # test's edge: y + 1 < 1 holds for y = -2^-53 and not for -2^-54
+    spec = SPECS["rotation_odd"]
+    batch = sample_mu(spec, size + 1, (3, size))
+    idx, off, hei = batch.idx[:size], batch.off[:size], batch.hei[:size]
+    off[5::11] = 0.0
+    hei[::7] = -2.0 ** -53
+    hei[3::7] = -2.0 ** -54
+    low = hei + 1.0 < 1.0
+    runs = run_both("flow_time_one_batch", (spec.iet.pack(), spec.pack()),
+                    [idx, off, hei, statuses(size)])
+    assert_same_runs(runs)
+    status = runs[1][1][3]
+    if size > 1:
+        assert low.any() and not low.all()
+    if size > lanes.POINT_BLOCK:
+        assert {kernels.OK, kernels.SINGULARITY,
+                kernels.TRUNCATION} <= set(status.tolist())
+
+
 # 2^16 + 1 lanes: more than the largest batch a sampler round or an
 # invariance chunk passes, in one call
 @pytest.mark.parametrize("count", [0, 1, (1 << 16) + 1])

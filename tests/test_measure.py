@@ -8,12 +8,13 @@ for roof-weighted marginals, explicit python orbit loops for the coding).
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from ietlab import kernels
+from ietlab import kernels, lanes, measure
 from ietlab.errors import (
     ConsistencyError,
     ConstraintViolationError,
@@ -22,6 +23,7 @@ from ietlab.errors import (
 )
 from ietlab.iet import CountableIET, FiberPoint
 from ietlab.measure import (
+    DRAWS_PER_ROUND,
     MIN_EFFICIENCY,
     SAMPLE_CHUNK,
     InvarianceRow,
@@ -42,6 +44,9 @@ from ietlab.measure import (
     total_mass,
     write_symbols,
 )
+from ietlab.roof import RoofSpec
+
+from whole_rounds import sample_mu_whole_rounds
 
 SAMPLES = 200_000
 
@@ -185,6 +190,49 @@ def test_sampler_rejects_bad_count(golden_spec):
         sample_mu(golden_spec, 0, seed=1)
 
 
+@pytest.mark.parametrize("k", [1, 7, lanes.POINT_BLOCK - 1,
+                               lanes.POINT_BLOCK + 1, SAMPLE_CHUNK])
+def test_round_blocks_draw_the_rows_of_whole_round_draws(k):
+    # default_rng's PCG64 spends one 64-bit word per double, so a block
+    # reached by jump-ahead draws the columns of the whole round's rows
+    whole, blocked = (np.random.default_rng(np.random.SeedSequence((5, k)))
+                      for _ in range(2))
+    whole.random(3)  # a round that starts inside the stream
+    blocked.random(3)
+    want = np.stack([whole.random(k) for _ in range(DRAWS_PER_ROUND)])
+    got = np.full_like(want, -1.0)
+    edges = []
+    for lo, hi, rows in measure._round_blocks(blocked, k):
+        edges.append((lo, hi))
+        got[:, lo:hi] = np.stack(list(rows))
+    assert edges == [(lo, min(lo + lanes.POINT_BLOCK, k))
+                     for lo in range(0, k, lanes.POINT_BLOCK)]
+    assert got.tobytes() == want.tobytes()
+    # the generator ends where the whole round's rows leave it
+    assert blocked.bit_generator.state == whole.bit_generator.state
+    assert blocked.random(5).tobytes() == whole.random(5).tobytes()
+
+
+@pytest.mark.parametrize("block, count", [
+    (1, 150), (7, 2500), (4096, SAMPLE_CHUNK + 300),
+    (lanes.POINT_BLOCK, 2 * SAMPLE_CHUNK + 123),
+    (SAMPLE_CHUNK + 1, SAMPLE_CHUNK + 300)])
+def test_sample_mu_bits_do_not_depend_on_the_block_size(monkeypatch, block,
+                                                        count):
+    # five intervals: a lower-side step from interval 4 leaves the
+    # truncation, and a wider band rejects proposals
+    spec = RoofSpec.build(CountableIET.block_rotation(n_trunc=5), band=1e-3)
+    *want, counts = sample_mu_whole_rounds(spec, count, (9, 1))
+    monkeypatch.setattr(lanes, "POINT_BLOCK", block)
+    got = sample_mu(spec, count, (9, 1))
+    for a, b in zip((got.idx, got.off, got.hei), want):
+        assert a.tobytes() == b.tobytes()
+    assert (got.proposals, got.accepted, got.band_rejects,
+            got.step_discards) == counts
+    assert got.proposals > count
+    assert got.band_rejects > 0 and got.step_discards > 0
+
+
 # ---------------------------------------------------------------------------
 # invariance under the time-one map
 # ---------------------------------------------------------------------------
@@ -234,6 +282,20 @@ def test_invariance_all_discarded_raises(golden_spec):
 
     with pytest.raises(ConsistencyError):
         invariance_check(golden_spec, count=1000, seed=3, step_fn=kill)
+
+
+def test_invariance_check_memory_does_not_grow_with_the_chunk(golden_spec):
+    # a chunk's samples and box coordinates, and block-sized temporaries
+    # for its sampler rounds and its step: about 4.5 MB, and 13.6 MB with
+    # rounds and steps on the whole chunk at once
+    invariance_check(golden_spec, count=10, seed=1)
+    tracemalloc.start()
+    try:
+        invariance_check(golden_spec, count=2 * SAMPLE_CHUNK + 123, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def whole_batch_check(spec, count, seed, step):
