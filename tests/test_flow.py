@@ -368,9 +368,8 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_batched_starts_fail_as_draws_one_by_one(monkeypatch, golden_spec,
-                                                 params, fault):
+def inject_fault(monkeypatch, fault):
+    """The sampler sees the roof of ``FAULTS[fault]``, under its round cap."""
     change, rounds = FAULTS[fault]
     backend = kernels.batch_kernels()
     evaluate = backend.roof_eval_batch
@@ -382,6 +381,12 @@ def test_batched_starts_fail_as_draws_one_by_one(monkeypatch, golden_spec,
 
     monkeypatch.setattr(backend, "roof_eval_batch", faulty)
     monkeypatch.setattr(measure, "SAMPLE_MAX_ROUNDS", rounds)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_batched_starts_fail_as_draws_one_by_one(monkeypatch, golden_spec,
+                                                 params, fault):
+    inject_fault(monkeypatch, fault)
     seeds = [(7, k, 0) for k in range(40)]
     want = [outcome(e) for e in draws_one_by_one(golden_spec, seeds)]
     got = [outcome(e) for e in measure.sample_starts(golden_spec, seeds)]
@@ -408,17 +413,7 @@ def test_batched_starts_fail_as_draws_one_by_one(monkeypatch, golden_spec,
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_sample_mu_fails_as_whole_rounds_at_every_block_size(
         monkeypatch, golden_spec, fault, block):
-    change, rounds = FAULTS[fault]
-    backend = kernels.batch_kernels()
-    evaluate = backend.roof_eval_batch
-
-    def faulty(roof, idx, off, out_r, out_dr):
-        evaluate(roof, idx, off, out_r, out_dr)
-        out_r[:] = change(off / roof[0][idx], out_r)
-        return 0
-
-    monkeypatch.setattr(backend, "roof_eval_batch", faulty)
-    monkeypatch.setattr(measure, "SAMPLE_MAX_ROUNDS", rounds)
+    inject_fault(monkeypatch, fault)
     # several blocks a round, but for the block past a whole chunk
     count = min(600 * block, measure.SAMPLE_CHUNK + 300)
     with pytest.raises(LabError) as want:
