@@ -184,14 +184,10 @@ class CountableIET:
         self._check_index(i)
         fam = self.family
         if fam in (kernels.FAM_ROTATION, kernels.FAM_SWAP):
-            n = i >> 1
-            start = 1.0 - math.ldexp(1.0, -n)
-            if i & 1:
-                block = math.ldexp(1.0, -n - 1)
-                cut = (1.0 - self.theta) * block if fam == kernels.FAM_ROTATION \
-                    else 0.5 * block
-                start += cut
-            return start
+            # block i >> 1 starts at 1 - 2^-(i >> 1), its right interval
+            # where its left one ends
+            start = 1.0 - math.ldexp(1.0, -(i >> 1))
+            return start + self.length(i - 1) if i & 1 else start
         if fam == kernels.FAM_ODOMETER:
             return 0.0 if i == 0 else 1.0 - math.ldexp(1.0, -i)
         nf = self.n_finite
@@ -311,10 +307,10 @@ class CheckReport:
         }
 
 
-def validate(iet: CountableIET, n_check: int | None = None) -> CheckReport:
+def validate(iet: CountableIET) -> CheckReport:
     """Check the truncated map against the structural requirements.
 
-    Three checks run over the first ``n_check`` intervals:
+    Three checks run over the ``n_trunc`` intervals of the truncation:
 
     * partition: left endpoints start at 0, increase strictly, stay below 1;
     * isolation: each image endpoint outside the unchecked tail zone must
@@ -326,9 +322,7 @@ def validate(iet: CountableIET, n_check: int | None = None) -> CheckReport:
     whose endpoints legitimately pile up at 1 are not penalized however
     deep the truncation reaches.
     """
-    if n_check is None:
-        n_check = iet.n_trunc
-    n_check = min(n_check, iet.n_trunc)
+    n_check = iet.n_trunc
     report = CheckReport(family=iet.name, n_checked=n_check, tail_bound=0.0,
                          cond_partition=True, cond_isolation=True,
                          cond_covering=True)
@@ -469,19 +463,18 @@ def _octave_trend(lengths: np.ndarray) -> tuple[str, float]:
     return "UNKNOWN", math.nan
 
 
-def partition_entropy(iet: CountableIET, n_terms: int | None = None) -> PartitionEntropy:
+def partition_entropy(iet: CountableIET) -> PartitionEntropy:
     """Sum of -l log l over the map's defining partition.
 
     Built-in families use their countable enumeration: the partial sum runs
-    over the first ``n_terms`` intervals (default: the truncation index) and
+    over the ``n_trunc`` intervals of the truncation and
     the tail is summed term by term to machine precision, which is exact
     because the tails decay geometrically.  Explicit tables use their own
     cells: the finite table entries plus the identity tail as a single cell
     (a degenerate one-pair table therefore has entropy 0), with the verdict
     inferred from the shrinkage of per-octave chunks of the finite series.
     """
-    if n_terms is None:
-        n_terms = iet.n_trunc
+    n_terms = iet.n_trunc
     if iet.family == kernels.FAM_EXPLICIT:
         nf = iet.n_finite
         lengths = np.diff(iet.xs)

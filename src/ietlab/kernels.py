@@ -32,6 +32,11 @@ Base points are fiber coordinates ``(interval index i, offset u)`` with
 coordinates inside kernels, so relative precision is uniform however close
 the interval sits to the accumulation point at 1.
 
+Each roof and base-map rule is one kernel, of the shape of its twin of
+the same name in ``lanes`` (private there but for ``roof_eval``):
+``in_band``, ``roof_eval``, ``last_at_or_below``, ``block_index``,
+``rotation_block`` and ``step_status``.
+
 Orbit kernels report integer status codes (see ``errors``):
 0 ok, 1 singularity band, 2 truncation exceeded, 3 inconsistent data.
 Only ``iet_step`` and ``iet_step_inv`` detect truncation, and the orbit
@@ -102,19 +107,14 @@ INCONSISTENT = 3
 
 @kernel
 def smooth_sigma(t):
-    """exp(-1/t) extended by 0 for t <= 0 (flat to all orders at 0)."""
+    """sigma(t) = exp(-1/t), extended by 0 for t <= 0 (flat to all orders at
+    0), and its derivative exp(-1/t) / t^2: ``(sigma, sigma')``."""
     if t <= 1e-6:
         # exp(-1/t) underflows below t ~ 1.4e-3; cutting early keeps the
         # derivative formula free of 0 * inf.
-        return 0.0
-    return math.exp(-1.0 / t)
-
-
-@kernel
-def smooth_sigma_prime(t):
-    if t <= 1e-6:
-        return 0.0
-    return math.exp(-1.0 / t) / (t * t)
+        return 0.0, 0.0
+    e = math.exp(-1.0 / t)
+    return e, e / (t * t)
 
 
 @kernel
@@ -128,11 +128,10 @@ def smooth_step(t):
         return 1.0, 0.0
     if t >= 1.0:
         return 0.0, 0.0
-    num = smooth_sigma(1.0 - t)
-    oth = smooth_sigma(t)
+    num, dnum = smooth_sigma(1.0 - t)
+    oth, doth = smooth_sigma(t)
+    dnum = -dnum
     den = num + oth
-    dnum = -smooth_sigma_prime(1.0 - t)
-    doth = smooth_sigma_prime(t)
     a = num / den
     da = (dnum * den - num * (doth + dnum)) / (den * den)
     return a, da
@@ -144,13 +143,21 @@ def smooth_step(t):
 
 
 @kernel
+def in_band(u, l, band):
+    """True when offset ``u`` is within ``band * l`` of an end of [0, l)."""
+    return u < band * l or u > l - band * l
+
+
+@kernel
 def roof_eval(u, b, l, flat):
     """Roof value and derivative at offset ``u`` in an interval of length ``l``.
 
     The interval splits at b/2, b, l-b, l-b/2 into five pieces: logarithmic
     spikes at both ends, blend pieces driven by the smooth step, and a flat
     middle at height 1.  ``b`` is the blend width (0 < b < l/2).  ``flat``
-    selects the diagnostic constant roof r = 1.
+    selects the diagnostic constant roof r = 1.  The ends mirror each
+    other, with w the distance to the nearer end; every piece is closed on
+    the left, so the tests on v = l - u admit equality and those on u not.
 
     Returns ``(r, dr, piece)`` with piece in 1..5.  Offsets at or outside the
     interval ends return infinities instead of raising so that the JIT and
@@ -163,22 +170,20 @@ def roof_eval(u, b, l, flat):
     if u >= l:
         return math.inf, math.inf, 5
     half = 0.5 * b
-    if u < half:
-        return 1.0 - math.log(u / b), -1.0 / u, 1
-    if u < b:
-        t = u / b
-        a, da = smooth_step(2.0 * t - 1.0)
-        fm1 = -math.log(t)
-        return 1.0 + a * fm1, da * (2.0 / b) * fm1 - a / u, 2
     v = l - u
-    if v > b:
+    left = u < v
+    w = u if left else v
+    if u < half or not v > half:
+        r = 1.0 - math.log(w / b)
+        return r, (-1.0 if left else 1.0) / w, 1 if left else 5
+    if v > b and not u < b:
         return 1.0, 0.0, 3
-    if v > half:
-        t = v / b
-        a, da = smooth_step(2.0 * t - 1.0)
-        fm1 = -math.log(t)
-        return 1.0 + a * fm1, -da * (2.0 / b) * fm1 + a / v, 4
-    return 1.0 - math.log(v / b), 1.0 / v, 5
+    t = w / b
+    a, da = smooth_step(2.0 * t - 1.0)
+    fm1 = -math.log(t)
+    g = (da if left else -da) * (2.0 / b) * fm1
+    aw = a / w
+    return 1.0 + a * fm1, g - aw if left else g + aw, 2 if left else 4
 
 
 @kernel
@@ -198,6 +203,15 @@ def roof_eval_batch(roof, idx, off, out_r, out_slope):
 
 
 @kernel
+def block_index(ratio):
+    """Exponent n with ratio in (2^-n-1, 2^-n], as in the dyadic blocks."""
+    m, e = math.frexp(ratio)
+    if m == 0.5:
+        return 1 - e
+    return -e
+
+
+@kernel
 def dyadic_block(x):
     """Block index n and offset w for the partition [1-2^-n, 1-2^-n-1).
 
@@ -208,13 +222,8 @@ def dyadic_block(x):
     if x < 0.5:
         return 0, x
     g = 1.0 - x
-    m, e = math.frexp(g)
-    if m == 0.5:
-        n = 1 - e
-    else:
-        n = -e
-    w = math.ldexp(1.0, -n) - g
-    return n, w
+    n = block_index(g)
+    return n, math.ldexp(1.0, -n) - g
 
 
 @kernel
@@ -226,11 +235,7 @@ def scaled_dyadic_block(x, start):
     ratio = g / big
     if ratio > 1.0:
         ratio = 1.0
-    m, e = math.frexp(ratio)
-    if m == 0.5:
-        n = 1 - e
-    else:
-        n = -e
+    n = block_index(ratio)
     w = math.ldexp(big, -n) - g
     if w < 0.0:
         w = 0.0
@@ -243,13 +248,40 @@ def scaled_dyadic_block(x, start):
 
 
 @kernel
+def rotation_block(theta, n):
+    """Length 2^-n-1 of rotation block n, and its cut (1 - theta) 2^-n-1."""
+    block = math.ldexp(1.0, int(-n - 1))
+    return block, (1.0 - theta) * block
+
+
+@kernel
+def last_at_or_below(table, n, x):
+    """Bisection of the sorted ``table[:n]``: last k with table[k] <= x."""
+    lo = 0
+    hi = n
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if x < table[mid]:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@kernel
+def step_status(j, ntr):
+    """TRUNCATION when a step reaches interval ``j >= ntr``, else OK."""
+    if j >= ntr:
+        return TRUNCATION
+    return OK
+
+
+@kernel
 def iet_length(base, i):
     """Length of interval ``i`` of the base map ``base``."""
     fam, theta, xs, aa, ys, yl, yi, ntr = base
     if fam == FAM_ROTATION:
-        n = i >> 1
-        block = math.ldexp(1.0, int(-n - 1))
-        cut = (1.0 - theta) * block
+        block, cut = rotation_block(theta, i >> 1)
         if (i & 1) == 0:
             return cut
         return block - cut
@@ -271,14 +303,7 @@ def explicit_locate(xs, x):
     if x >= tail_start:
         m, w = scaled_dyadic_block(x, tail_start)
         return nfinite + m, w
-    lo = 0
-    hi = nfinite
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if x < xs[mid]:
-            hi = mid
-        else:
-            lo = mid
+    lo = last_at_or_below(xs, nfinite, x)
     return lo, x - xs[lo]
 
 
@@ -292,9 +317,7 @@ def iet_step(base, i, u):
     """
     fam, theta, xs, aa, ys, yl, yi, ntr = base
     if fam == FAM_ROTATION:
-        n = i >> 1
-        block = math.ldexp(1.0, int(-n - 1))
-        cut = (1.0 - theta) * block
+        block, cut = rotation_block(theta, i >> 1)
         if (i & 1) == 0:
             w = u + (block - cut)
             if w < cut:
@@ -327,9 +350,7 @@ def iet_step(base, i, u):
         if x < 0.0 or x >= 1.0:
             return i, u, INCONSISTENT
         j, v = explicit_locate(xs, x)
-    if j >= ntr:
-        return j, v, TRUNCATION
-    return j, v, OK
+    return j, v, step_status(j, ntr)
 
 
 @kernel
@@ -338,8 +359,7 @@ def iet_step_inv(base, i, u):
     fam, theta, xs, aa, ys, yl, yi, ntr = base
     if fam == FAM_ROTATION:
         n = i >> 1
-        block = math.ldexp(1.0, int(-n - 1))
-        cut = (1.0 - theta) * block
+        block, cut = rotation_block(theta, n)
         w = u if (i & 1) == 0 else cut + u
         w = w + cut
         if w >= block:
@@ -379,21 +399,12 @@ def iet_step_inv(base, i, u):
             j = nfinite + m
         else:
             # ys holds the sorted image starts of the finite intervals
-            lo = 0
-            hi = nfinite
-            while hi - lo > 1:
-                mid = (lo + hi) >> 1
-                if x < ys[mid]:
-                    hi = mid
-                else:
-                    lo = mid
+            lo = last_at_or_below(ys, nfinite, x)
             if not (x >= ys[lo] and x < ys[lo] + yl[lo]):
                 return i, u, INCONSISTENT
             j = yi[lo]
             v = x - ys[lo]
-    if j >= ntr:
-        return j, v, TRUNCATION
-    return j, v, OK
+    return j, v, step_status(j, ntr)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +421,7 @@ def time_one(base, roof, i, u, y):
     """
     lengths, bs, flat, band = roof
     l = lengths[i]
-    if u < band * l or u > l - band * l:
+    if in_band(u, l, band):
         return i, u, y, 0.0, 0, SINGULARITY
     r, dr, piece = roof_eval(u, bs[i], l, flat)
     if y + 1.0 < r:
@@ -430,7 +441,7 @@ def canonicalize_k(base, roof, i, u, y, max_glue):
     lengths, bs, flat, band = roof
     for _ in range(max_glue):
         l = lengths[i]
-        if u < band * l or u > l - band * l:
+        if in_band(u, l, band):
             return i, u, y, SINGULARITY
         r, dr, piece = roof_eval(u, bs[i], l, flat)
         if y >= r:
@@ -445,7 +456,7 @@ def canonicalize_k(base, roof, i, u, y, max_glue):
         if st != OK:
             return i, u, y, st
         lj = lengths[j]
-        if v < band * lj or v > lj - band * lj:
+        if in_band(v, lj, band):
             return i, u, y, SINGULARITY
         rp, drp, piecep = roof_eval(v, bs[j], lj, flat)
         if y < -rp:
@@ -504,7 +515,7 @@ def birkhoff_h_orbit(base, roof, i, u, cps, out_sum):
         target = cps[ci]
         while step < target:
             l = lengths[i]
-            if u < band * l or u > l - band * l:
+            if in_band(u, l, band):
                 return SINGULARITY
             r, dr, piece = roof_eval(u, bs[i], l, flat)
             tot += 2.0 + 2.0 * abs(dr)
@@ -595,8 +606,7 @@ def code_orbit(base, i, u, alphabet, out):
         n = i >> 1
         lo = n << 1
         hi = lo + 1
-        block = math.ldexp(1.0, int(-n - 1))
-        cut = (1.0 - theta) * block
+        block, cut = rotation_block(theta, n)
         shift = block - cut
         sym_lo = lo if lo < top else top
         sym_hi = hi if hi < top else top

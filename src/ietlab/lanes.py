@@ -5,14 +5,13 @@ microseconds per orbit step or point.  ``lyap_orbits`` and
 ``birkhoff_h_orbits`` here take a batch of starts and move all of them in
 lockstep, with numpy calls over the whole batch (the lanes), so that each
 call's cost is shared by every lane.  What depends only on the base orbit
-is computed ahead, for many steps per call: ``birkhoff_h_orbits`` takes
-its base steps in blocks of ``BLOCK`` and evaluates h on a whole block, and
-``lyap_orbits`` reads the roof and the cocycle from windows of ``WINDOW``
-crossings, so that its time step only moves the heights.  Both walk the
-base orbit through ``_roof_walk``, which evaluates the roof along it and
-finds each lane's first band point or failed step; its base steps come
-from ``_walk``, which moves a rotation lane inside its block pair as one
-running sum.  The measure command's per-point kernels,
+is computed ahead, ``WINDOW`` steps per call of ``_roof_walk``, which walks
+the base orbit, evaluates the roof along it and finds each lane's first
+band point or failed step: ``birkhoff_h_orbits`` evaluates h on a whole
+walk, and ``lyap_orbits`` reads the roof and the cocycle from a window of
+crossings, so that its time step only moves the heights.  The walk's base
+steps come from ``_walk``, which moves a rotation lane inside its block
+pair as one running sum.  The measure command's per-point kernels,
 ``roof_eval_batch``, ``base_step_batch`` and ``flow_time_one_batch``, take
 one step per lane: the first two over the whole call, whose size the
 sampler bounds by its blocks of ``POINT_BLOCK`` columns, and the time-one
@@ -25,12 +24,14 @@ command that integrates the roof) evaluates ``roof_eval`` on all blend
 pieces at once.
 
 Each lane gives the floats and status codes of the scalar kernel bit for
-bit.  Only IEEE-exact operations are vectorised: + - * /, comparisons, abs,
-``ldexp``, ``frexp`` and ``searchsorted``, and sums taken in the scalar
-loop's order (``np.add.accumulate``).  Every ``log``, ``exp`` and
-``hypot`` goes through ``math``, lane by lane, because numpy's versions
-round differently from ``math`` on some inputs.  The roof functions assume
-the invariant that ``RoofSpec`` enforces, 0 < b < l/2 on every interval.
+bit, and each roof and base-map rule, the sampler's band test included, is
+one function here, the twin of one kernel.  Only IEEE-exact operations are
+vectorised: + - * /, comparisons, abs, ``ldexp``, ``frexp`` and
+``searchsorted``, and sums taken in the scalar loop's order
+(``np.add.accumulate``).  Every ``log``, ``exp`` and ``hypot`` goes through
+``math``, lane by lane, because numpy's versions round differently from
+``math`` on some inputs.  The roof functions assume the invariant that
+``RoofSpec`` enforces, 0 < b < l/2 on every interval.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _math(fn, *xs):
 
 
 def _block_index(ratio):
-    """Exponent n with ratio in [2^-n-1, 2^-n), as in the dyadic blocks."""
+    """Exponent n with ratio in (2^-n-1, 2^-n], as in the dyadic blocks."""
     m, e = np.frexp(ratio)
     e = e.astype(np.int64)
     return np.where(m == 0.5, 1 - e, -e)
@@ -88,6 +89,12 @@ def scaled_dyadic_block(x, start):
     n = _block_index(np.where(ratio > 1.0, 1.0, ratio))
     w = np.ldexp(big, -n) - g
     return n, np.where(w < 0.0, 0.0, w)
+
+
+def _rotation_block(theta, n):
+    """``kernels.rotation_block`` on lanes: arrays ``(block, cut)``."""
+    block = np.ldexp(1.0, -n - 1)
+    return block, (1.0 - theta) * block
 
 
 def _last_at_or_below(table, x):
@@ -148,8 +155,7 @@ def _dyadic_tables(theta: float, ntr: int):
     The same operations as the scalar step, done once per interval.
     """
     i = np.arange(ntr)
-    block = np.ldexp(1.0, -(i >> 1) - 1)
-    cut = (1.0 - theta) * block
+    block, cut = _rotation_block(theta, i >> 1)
     tables = (np.ldexp(1.0, -i - 1), cut, block - cut)
     for table in tables:
         table.setflags(write=False)  # shared by every caller
@@ -201,8 +207,7 @@ def iet_step_inv(base, i, u):
     bad = None
     if fam == FAM_ROTATION:
         n = i >> 1
-        block = np.ldexp(1.0, -n - 1)
-        cut = (1.0 - theta) * block
+        block, cut = _rotation_block(theta, n)
         w = np.where((i & 1) == 0, u, cut + u) + cut
         w = np.where(w >= block, w - block, w)
         right = ~(w < cut)
@@ -237,7 +242,7 @@ def locate(base, x):
         else:
             # the left piece of block n is (1 - theta) or 1/2 of its length
             if fam == FAM_ROTATION:
-                piece = (1.0 - theta) * np.ldexp(1.0, -n - 1)
+                piece = _rotation_block(theta, n)[1]
             else:
                 piece = np.ldexp(1.0, -n - 2)
             right = ~(w < piece)
@@ -337,9 +342,8 @@ def roof_eval(u, b, l, flat, value=True):
 # batch orbit kernels
 # ---------------------------------------------------------------------------
 
-#: Base steps per block of ``birkhoff_h_orbits``.
-BLOCK = 32
-#: Base points per look-ahead window of ``lyap_orbits``.
+#: Base steps per ``_roof_walk`` call: per look-ahead window of
+#: ``lyap_orbits`` and per block of ``birkhoff_h_orbits``.
 WINDOW = 32
 
 
@@ -526,8 +530,8 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
     """``kernels.birkhoff_h_orbits``, all lanes stepped in lockstep.
 
     The base orbit does not depend on h, so the lanes first take up to
-    ``BLOCK`` base steps, and h is then evaluated at all points of the
-    block at once and summed step by step, in the scalar loop's order.  A
+    ``WINDOW`` base steps, and h is then evaluated at all points of the
+    walk at once and summed step by step, in the scalar loop's order.  A
     lane fails at its first point in the exclusion band or its first failed
     base step, whichever comes first; it retires, and its later checkpoints
     are not written.
@@ -540,7 +544,7 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
     step = 0
     for ci in range(cps.shape[0]):
         while step < cps[ci] and lane.size:
-            span = min(BLOCK, int(cps[ci]) - step)
+            span = min(WINDOW, int(cps[ci]) - step)
             orbit_i, orbit_u, _, dr, first, code = _roof_walk(
                 base, roof, i, u, span, value=False)
             i, u = orbit_i[span], orbit_u[span]

@@ -96,10 +96,10 @@ class MeasureReport:
         }
 
 
-def total_mass(spec: RoofSpec, quad_tol: float = 1e-12) -> MeasureReport:
+def total_mass(spec: RoofSpec) -> MeasureReport:
     """Mass of the suspension region: one roof integral per fiber side."""
-    top = roof_integral(spec, quad_tol=quad_tol, scheme="simpson")
-    bottom = roof_integral(spec, quad_tol=quad_tol, scheme="gauss")
+    top = roof_integral(spec, scheme="simpson")
+    bottom = roof_integral(spec, scheme="gauss")
     return MeasureReport(
         integral_r=top.value,
         integral_r_alt=bottom.value,
@@ -185,6 +185,7 @@ def _sampler_round(table: tuple, backend, draws: Iterator[np.ndarray],
     lower-side step succeeded, and those samples in proposal order.
     ``stats`` counts proposals, band rejects and step discards.
     """
+    from . import lanes
     roof, base, cum = table
     lengths, bs, flat, band = roof
     stats.proposals += k
@@ -208,7 +209,7 @@ def _sampler_round(table: tuple, backend, draws: Iterator[np.ndarray],
         t_eff = np.where(left_spike, u / b,
                          np.where(right_spike, (l - u) / b, 1.0))
         env = 1.0 - np.log(np.maximum(t_eff, 5e-324))
-    ok = (u > band * l) & (u < l * (1.0 - band))
+    ok = ~lanes._in_band(u, l, band)
     stats.band_rejects += int(k - np.count_nonzero(ok))
 
     r = np.empty(k)
@@ -466,9 +467,9 @@ StepFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
 
 
 def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
-                     boxes: Sequence[Region] | None = None,
                      step_fn: StepFn | None = None) -> InvarianceReport:
-    """Compare box frequencies before and after one unit of flow time.
+    """Compare the frequencies of the ``standard_boxes`` before and after
+    one unit of flow time.
 
     The ``count`` samples of ``sample_mu(spec, count, seed)`` are drawn and
     stepped one chunk at a time, so no array holds all of them: each chunk
@@ -481,8 +482,7 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
     is called once per chunk, in order, must mutate the arrays in place and
     fill status.  The sampler's efficiency is logged once per check.
     """
-    if boxes is None:
-        boxes = standard_boxes()
+    boxes = standard_boxes()
     lefts = interval_lefts(spec.iet)
     if step_fn is None:
         step_fn = functools.partial(

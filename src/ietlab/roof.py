@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,25 +29,12 @@ from .iet import CountableIET, FiberPoint, partition_entropy
 EXCLUSION_BAND = 1e-12
 
 
-class RoofValue(tuple):
+class RoofValue(NamedTuple):
     """(value, derivative, tag) with tag in 1..5 (pieces I1..I5)."""
 
-    __slots__ = ()
-
-    def __new__(cls, value: float, derivative: float, tag: int):
-        return tuple.__new__(cls, (value, derivative, tag))
-
-    @property
-    def value(self) -> float:
-        return self[0]
-
-    @property
-    def derivative(self) -> float:
-        return self[1]
-
-    @property
-    def tag(self) -> int:
-        return self[2]
+    value: float
+    derivative: float
+    tag: int
 
 
 @lru_cache(maxsize=1)
@@ -247,8 +234,7 @@ class RoofSpec:
         return (self.lengths, self.widths, 1 if self.flat else 0, self.band)
 
     def in_band(self, p: FiberPoint) -> bool:
-        l = self.lengths[p.index]
-        return p.offset < self.band * l or p.offset > l - self.band * l
+        return kernels.in_band(p.offset, self.lengths[p.index], self.band)
 
     def value(self, p: FiberPoint) -> RoofValue:
         """Roof value, analytic derivative and piece tag at a fiber point."""
@@ -291,6 +277,8 @@ def choose_b_and_check(iet: CountableIET, policy=None,
 
 #: Most nodes expanded in one round of ``adaptive_simpson``.
 SIMPSON_ROUND = 4096
+#: Deepest refinement of ``adaptive_simpson``.
+SIMPSON_MAX_DEPTH = 48
 
 
 def _in_order(terms: np.ndarray) -> np.ndarray:
@@ -304,7 +292,7 @@ def _simpson(x0, x2, f0, f1, f2):
 
 
 def adaptive_simpson(f: Callable, a: np.ndarray, b: np.ndarray,
-                     tol: float = 1e-12, max_depth: int = 48) -> np.ndarray:
+                     tol: float = 1e-12) -> np.ndarray:
     """Adaptive Simpson on each piece [a[k], b[k]]; ``f(x, k)`` evaluates
     the integrand of the pieces ``k`` at the points ``x``.
 
@@ -315,9 +303,10 @@ def adaptive_simpson(f: Callable, a: np.ndarray, b: np.ndarray,
     first, that loop adds each piece's leaves in descending x0; here the
     nodes of all pieces are expanded breadth first, in rounds of at most
     ``SIMPSON_ROUND``, and each piece's leaves are added in that same
-    order.  A leaf at ``max_depth`` that misses its tolerance stalls the
-    quadrature, and the error names the one the stack would reach first:
-    in the first piece that stalls, the one with the largest x0.
+    order.  A leaf at ``SIMPSON_MAX_DEPTH`` that misses its tolerance
+    stalls the quadrature, and the error names the one the stack would
+    reach first: in the first piece that stalls, the one with the largest
+    x0.
     """
     pieces = np.arange(a.shape[0])
     m = 0.5 * (a + b)
@@ -336,7 +325,7 @@ def adaptive_simpson(f: Callable, a: np.ndarray, b: np.ndarray,
         left = _simpson(x0, xm, f0, fl, f1)
         right = _simpson(xm, x2, f1, fr, f2)
         err = left + right - est
-        if depth >= max_depth:
+        if depth >= SIMPSON_MAX_DEPTH:
             stalled = np.abs(err) > 15.0 * eps
             if stalled.any():
                 j = int(np.argmax(stalled))
