@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .flow import aaronson_experiment, lyapunov_experiment
+from .flow import _percentile, aaronson_experiment, lyapunov_experiment
 from .measure import (
     abramov,
     bernoulli_stream,
@@ -242,30 +242,6 @@ def run_check_suite(spec: RoofSpec, params: MetricParams,
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
-
-
-def _percentile(values: np.ndarray, q: int) -> float:
-    """``np.percentile(values, q)`` bit for bit, without the import of
-    ``numpy.ma`` that costs its first call in a process about 11 ms.
-
-    The steps of numpy's default (linear) method: the same partition (so
-    that tied zeros keep numpy's signs), index, weight and interpolation,
-    and the last value when that is NaN.
-    """
-    n = values.shape[0]
-    index = (n - 1) * (q / 100)
-    # at the top, numpy takes the last value twice, with weight index + 1
-    lo = math.floor(index) if index < n - 1 else -1
-    hi = lo + 1 if lo >= 0 else -1
-    part = np.partition(values, sorted({0, -1, lo, hi}))
-    if math.isnan(part[-1]):
-        return float(part[-1])
-    gamma = index - lo
-    a, b = float(part[lo]), float(part[hi])
-    diff = b - a
-    if gamma >= 0.5:
-        return b - diff * (1 - gamma)
-    return a + diff * gamma
 
 
 def _quantiles(values: np.ndarray) -> dict:

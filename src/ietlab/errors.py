@@ -40,9 +40,10 @@ _STATUS_EXC = {
 }
 
 
-def raise_for_status(status: int, context: str = "") -> None:
-    """Map a kernel status code to the corresponding exception."""
+def raise_for_status(status: int, context: str) -> None:
+    """Map a kernel status code to the corresponding exception, whose
+    message is ``context``."""
     if status == kernels.OK:
         return
     exc = _STATUS_EXC.get(status, ConsistencyError)
-    raise exc(context or f"kernel status {status}")
+    raise exc(context)

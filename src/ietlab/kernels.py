@@ -25,7 +25,7 @@ Base transformations are dispatched on an integer family code:
 
 The base map travels as one tuple ``base = (family, theta, xs, aa, ys, yl,
 yi, ntr)`` (``CountableIET.pack()``) and the roof as ``roof = (lengths,
-widths, flat, band)`` (``RoofSpec.pack()``).
+widths, band)`` (``RoofSpec.pack()``).
 
 Base points are fiber coordinates ``(interval index i, offset u)`` with
 ``0 <= u < length(i)``.  Offsets are never converted to absolute
@@ -149,22 +149,20 @@ def in_band(u, l, band):
 
 
 @kernel
-def roof_eval(u, b, l, flat):
+def roof_eval(u, b, l):
     """Roof value and derivative at offset ``u`` in an interval of length ``l``.
 
     The interval splits at b/2, b, l-b, l-b/2 into five pieces: logarithmic
     spikes at both ends, blend pieces driven by the smooth step, and a flat
-    middle at height 1.  ``b`` is the blend width (0 < b < l/2).  ``flat``
-    selects the diagnostic constant roof r = 1.  The ends mirror each
-    other, with w the distance to the nearer end; every piece is closed on
-    the left, so the tests on v = l - u admit equality and those on u not.
+    middle at height 1.  ``b`` is the blend width (0 < b < l/2).  The ends
+    mirror each other, with w the distance to the nearer end; every piece is
+    closed on the left, so the tests on v = l - u admit equality and those
+    on u not.
 
     Returns ``(r, dr, piece)`` with piece in 1..5.  Offsets at or outside the
     interval ends return infinities instead of raising so that the JIT and
     plain paths behave identically.
     """
-    if flat != 0:
-        return 1.0, 0.0, 3
     if u <= 0.0:
         return math.inf, -math.inf, 1
     if u >= l:
@@ -188,10 +186,10 @@ def roof_eval(u, b, l, flat):
 
 @kernel
 def roof_eval_batch(roof, idx, off, out_r, out_slope):
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     for k in range(idx.shape[0]):
         i = idx[k]
-        r, dr, piece = roof_eval(off[k], bs[i], lengths[i], flat)
+        r, dr, piece = roof_eval(off[k], bs[i], lengths[i])
         out_r[k] = r
         out_slope[k] = dr
     return 0
@@ -419,11 +417,11 @@ def time_one(base, roof, i, u, y):
     Returns ``(i, u, y, m21_increment, crossed, status)``.  A crossing
     contributes ``-2 r'(x)`` to the lower-left cocycle entry.
     """
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     l = lengths[i]
     if in_band(u, l, band):
         return i, u, y, 0.0, 0, SINGULARITY
-    r, dr, piece = roof_eval(u, bs[i], l, flat)
+    r, dr, piece = roof_eval(u, bs[i], l)
     if y + 1.0 < r:
         return i, u, y + 1.0, 0.0, 0, OK
     j, v, st = iet_step(base, i, u)
@@ -438,12 +436,12 @@ def canonicalize_k(base, roof, i, u, y, max_glue):
 
     Returns ``(i, u, y, status)``.
     """
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     for _ in range(max_glue):
         l = lengths[i]
         if in_band(u, l, band):
             return i, u, y, SINGULARITY
-        r, dr, piece = roof_eval(u, bs[i], l, flat)
+        r, dr, piece = roof_eval(u, bs[i], l)
         if y >= r:
             j, v, st = iet_step(base, i, u)
             if st != OK:
@@ -458,7 +456,7 @@ def canonicalize_k(base, roof, i, u, y, max_glue):
         lj = lengths[j]
         if in_band(v, lj, band):
             return i, u, y, SINGULARITY
-        rp, drp, piecep = roof_eval(v, bs[j], lj, flat)
+        rp, drp, piecep = roof_eval(v, bs[j], lj)
         if y < -rp:
             i = j
             u = v
@@ -508,7 +506,7 @@ def birkhoff_h_orbit(base, roof, i, u, cps, out_sum):
 
     ``out_sum[ci]`` receives sum_{m < cps[ci]} h(T^m x).
     """
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     tot = 0.0
     step = 0
     for ci in range(cps.shape[0]):
@@ -517,7 +515,7 @@ def birkhoff_h_orbit(base, roof, i, u, cps, out_sum):
             l = lengths[i]
             if in_band(u, l, band):
                 return SINGULARITY
-            r, dr, piece = roof_eval(u, bs[i], l, flat)
+            r, dr, piece = roof_eval(u, bs[i], l)
             tot += 2.0 + 2.0 * abs(dr)
             j, v, st = iet_step(base, i, u)
             if st != OK:

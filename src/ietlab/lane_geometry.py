@@ -60,9 +60,9 @@ class Points(NamedTuple):
 def _roof_value(spec, i, u):
     """``RoofSpec.value`` on lanes: arrays ``(r, dr, refused)``, refused
     in the exclusion band, where the scalar version raises."""
-    lengths, bs, flat, band = spec.pack()
+    lengths, bs, band = spec.pack()
     l = lengths[i]
-    return (*roof_eval(u, bs[i], l, flat), _in_band(u, l, band))
+    return (*roof_eval(u, bs[i], l), _in_band(u, l, band))
 
 
 def fiber_edges(spec, idx, off, check: bool = True):

@@ -286,7 +286,7 @@ def _smooth_step(s):
     return num / den, (dnum * den - num * (doth + dnum)) / (den * den)
 
 
-def roof_eval(u, b, l, flat, value=True):
+def roof_eval(u, b, l, value=True):
     """``kernels.roof_eval`` on lanes: arrays ``(r, dr)``, bit for bit.
 
     ``b`` and ``l`` hold each lane's blend width and interval length, with
@@ -296,8 +296,6 @@ def roof_eval(u, b, l, flat, value=True):
     n = u.shape[0]
     r = np.ones(n) if value else None
     dr = np.zeros(n)
-    if flat != 0:
-        return r, dr
     half = 0.5 * b
     v = l - u
     # b < l/2 makes every lane with u < b a left lane with v > b, and every
@@ -308,7 +306,7 @@ def roof_eval(u, b, l, flat, value=True):
     if edge.any():
         for k in np.flatnonzero(edge).tolist():
             rk, drk, _ = kernels.roof_eval(float(u[k]), float(b[k]),
-                                           float(l[k]), flat)
+                                           float(l[k]))
             if value:
                 r[k] = rk
             dr[k] = drk
@@ -408,14 +406,14 @@ def _roof_walk(base, roof, i, u, span, value=True):
     exclusion band (SINGULARITY) or the first failed base step (its
     status), whichever comes first, and ``(span, OK)`` if neither happens.
     """
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     orbit_i, orbit_u, first, code = _walk(base, i, u, span)
     pi, pu = orbit_i[:span], orbit_u[:span]
     l = lengths[pi]
     bad = _in_band(pu, l, band)
     at = np.where(bad.any(axis=0), np.argmax(bad, axis=0), span)
     code = np.where(at <= first, np.where(at < span, SINGULARITY, OK), code)
-    r, dr = roof_eval(pu.ravel(), bs[pi].ravel(), l.ravel(), flat, value)
+    r, dr = roof_eval(pu.ravel(), bs[pi].ravel(), l.ravel(), value)
     shape = (span, i.shape[0])
     if value:
         r = r.reshape(shape)
@@ -573,8 +571,8 @@ POINT_BLOCK = 8192
 
 def roof_eval_batch(roof, idx, off, out_r, out_slope):
     """``kernels.roof_eval_batch`` on lanes."""
-    lengths, bs, flat, band = roof
-    out_r[:], out_slope[:] = roof_eval(off, bs[idx], lengths[idx], flat)
+    lengths, bs, band = roof
+    out_r[:], out_slope[:] = roof_eval(off, bs[idx], lengths[idx])
     return 0
 
 
@@ -598,7 +596,7 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
     only.  A lane under the roof climbs by one; a lane that crosses takes
     the base step, and keeps its point with the step's status if that fails.
     """
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     bad = 0
     for lo in range(0, idx.shape[0], POINT_BLOCK):
         i, u, y = (a[lo:lo + POINT_BLOCK] for a in (idx, off, hei))
@@ -606,7 +604,7 @@ def flow_time_one_batch(base, roof, idx, off, hei, status):
         st = np.where(_in_band(u, l, band), SINGULARITY, OK)
         y1 = y + 1.0
         live = np.flatnonzero((st == OK) & ~(y1 < 1.0))
-        r = roof_eval(u[live], bs[i[live]], l[live], flat)[0]
+        r = roof_eval(u[live], bs[i[live]], l[live])[0]
         cross = ~(y1[live] < r)
         at = live[cross]
         climb = st == OK
@@ -638,7 +636,7 @@ def canonicalize_k(base, roof, idx, off, hei, max_glue):
     failing step; lanes still gluing after ``max_glue`` rounds come back
     INCONSISTENT.
     """
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     i = np.array(idx, dtype=np.int64)
     u = np.array(off, dtype=np.float64)
     y = np.array(hei, dtype=np.float64)
@@ -652,7 +650,7 @@ def canonicalize_k(base, roof, idx, off, hei, max_glue):
         l = lengths[li]
         code[_in_band(lu, l, band)] = SINGULARITY
         ok = np.flatnonzero(code < 0)
-        r = roof_eval(lu[ok], bs[li[ok]], l[ok], flat)[0]
+        r = roof_eval(lu[ok], bs[li[ok]], l[ok])[0]
         up = ly[ok] >= r
         # up: (x, y) -> (Tx, y - 2 r(x))
         at = ok[up]
@@ -672,7 +670,7 @@ def canonicalize_k(base, roof, idx, off, hei, max_glue):
         near = _in_band(v, lj, band)
         code[at[near]] = SINGULARITY
         at, j, v, lj = at[~near], j[~near], v[~near], lj[~near]
-        rp = roof_eval(v, bs[j], lj, flat)[0]
+        rp = roof_eval(v, bs[j], lj)[0]
         glue = ly[at] < -rp
         code[at[~glue]] = OK
         at = at[glue]

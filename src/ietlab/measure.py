@@ -167,8 +167,8 @@ def _envelope_table(spec: RoofSpec) -> tuple:
     """What every round of the sampler reads: the roof's and the base's
     packs, and the envelope's cumulative mass by interval."""
     roof = spec.pack()
-    lengths, bs, flat, _ = roof
-    cum = np.cumsum(lengths + (0.0 if flat else 2.0 * bs))
+    lengths, bs, _ = roof
+    cum = np.cumsum(lengths + 2.0 * bs)
     return roof, spec.iet.pack(), cum
 
 
@@ -187,28 +187,24 @@ def _sampler_round(table: tuple, backend, draws: Iterator[np.ndarray],
     """
     from . import lanes
     roof, base, cum = table
-    lengths, bs, flat, band = roof
+    lengths, bs, band = roof
     stats.proposals += k
     sel = np.searchsorted(cum, next(draws) * float(cum[-1]), side="right")
     sel = np.minimum(sel, lengths.shape[0] - 1).astype(np.int64)
     l = lengths[sel]
     b = bs[sel]
-    q = next(draws) * (l + (0.0 if flat else 2.0 * b))
+    q = next(draws) * (l + 2.0 * b)
     v = _spike_fraction(next(draws), next(draws), next(draws))
-    if flat:
-        u = q
-        env = np.ones(k)
-    else:
-        left_spike = q < 2.0 * b
-        right_spike = (~left_spike) & (q < 4.0 * b)
-        u = np.where(left_spike, b * v,
-                     np.where(right_spike, l - b * v, b + (q - 4.0 * b)))
-        # evaluate the envelope at the stored offset with the same
-        # expressions the roof kernel uses, so rounding of u cannot
-        # push the acceptance ratio past 1
-        t_eff = np.where(left_spike, u / b,
-                         np.where(right_spike, (l - u) / b, 1.0))
-        env = 1.0 - np.log(np.maximum(t_eff, 5e-324))
+    left_spike = q < 2.0 * b
+    right_spike = (~left_spike) & (q < 4.0 * b)
+    u = np.where(left_spike, b * v,
+                 np.where(right_spike, l - b * v, b + (q - 4.0 * b)))
+    # evaluate the envelope at the stored offset with the same expressions
+    # the roof kernel uses, so rounding of u cannot push the acceptance
+    # ratio past 1
+    t_eff = np.where(left_spike, u / b,
+                     np.where(right_spike, (l - u) / b, 1.0))
+    env = 1.0 - np.log(np.maximum(t_eff, 5e-324))
     ok = ~lanes._in_band(u, l, band)
     stats.band_rejects += int(k - np.count_nonzero(ok))
 

@@ -173,21 +173,19 @@ class RoofSpec:
     """Immutable roof over a truncated base map.
 
     Use ``build`` (policy-driven, with the summability certificate) rather
-    than the raw constructor.  ``flat=True`` replaces the roof by the
-    constant 1 (diagnostic mode for homogeneity checks); widths are kept so
-    the rest of the pipeline is unchanged.
+    than the raw constructor.  The interval lengths are the map's own,
+    ``iet.length(i)`` for each truncated interval.
     """
 
-    __slots__ = ("iet", "widths", "lengths", "flat", "band",
+    __slots__ = ("iet", "widths", "lengths", "band",
                  "tail_width_sum", "summability")
 
-    def __init__(self, iet: CountableIET, lengths: np.ndarray,
-                 widths: np.ndarray, flat: bool, band: float,
+    def __init__(self, iet: CountableIET, widths: np.ndarray, band: float,
                  tail_width_sum: float, summability: SummabilityReport):
         self.iet = iet
         self.widths = np.ascontiguousarray(widths, dtype=np.float64)
-        self.lengths = np.ascontiguousarray(lengths, dtype=np.float64)
-        if not self.widths.shape == self.lengths.shape == (iet.n_trunc,):
+        self.lengths = np.array([iet.length(i) for i in range(iet.n_trunc)])
+        if not self.widths.shape == self.lengths.shape:
             raise ConstraintViolationError("one width per truncated interval")
         bad = (self.widths <= 0.0) | (self.widths >= 0.5 * self.lengths)
         if np.any(bad):
@@ -195,17 +193,16 @@ class RoofSpec:
             raise ConstraintViolationError(
                 f"width {float(self.widths[i])!r} violates 0 < b < l/2 = "
                 f"{float(0.5 * self.lengths[i])!r} on interval {i}")
-        self.flat = bool(flat)
         self.band = float(band)
         self.tail_width_sum = float(tail_width_sum)
         self.summability = summability
 
     @classmethod
-    def build(cls, iet: CountableIET, policy=None, flat: bool = False,
+    def build(cls, iet: CountableIET, policy=None,
               band: float = EXCLUSION_BAND) -> "RoofSpec":
         policy = policy if policy is not None else DefaultPolicy()
         n = iet.n_trunc
-        lengths, widths = [], []
+        widths = []
         # interval by interval, so that a deep truncation fails at its
         # first bad width instead of after computing all of them
         for i in range(n):
@@ -219,19 +216,18 @@ class RoofSpec:
                         f"interval {i}; the largest usable n_trunc is {i}")
                 raise ConstraintViolationError(
                     f"policy width {b!r} violates 0 < b < l/2 on interval {i}")
-            lengths.append(l)
             widths.append(b)
-        lengths, widths = np.array(lengths), np.array(widths)
+        widths = np.array(widths)
         partial = float(np.sum(-widths * np.log(widths)))
         tail_l = max(0.0, 1.0 - iet.right(n - 1))
         tail_bound, verdict = policy.tail_blog_bound(iet, n)
         report = SummabilityReport(partial, tail_bound, verdict)
         tws = policy.tail_width_sum(iet, n, tail_l)
-        return cls(iet, lengths, widths, flat, band, tws, report)
+        return cls(iet, widths, band, tws, report)
 
     def pack(self):
         """Positional arguments shared by the roof-aware kernels."""
-        return (self.lengths, self.widths, 1 if self.flat else 0, self.band)
+        return (self.lengths, self.widths, self.band)
 
     def in_band(self, p: FiberPoint) -> bool:
         return kernels.in_band(p.offset, self.lengths[p.index], self.band)
@@ -246,22 +242,20 @@ class RoofSpec:
     def value_raw(self, p: FiberPoint) -> RoofValue:
         """Band-free evaluation; for divergence diagnostics, not orbits."""
         r, dr, tag = kernels.roof_eval(
-            p.offset, self.widths[p.index], self.lengths[p.index],
-            1 if self.flat else 0)
+            p.offset, self.widths[p.index], self.lengths[p.index])
         return RoofValue(float(r), float(dr), int(tag))
 
     def __repr__(self) -> str:
-        mode = "flat" if self.flat else "log-spiked"
-        return f"RoofSpec({self.iet.name}, {mode}, band={self.band!r})"
+        return f"RoofSpec({self.iet.name}, band={self.band!r})"
 
 
-def choose_b_and_check(iet: CountableIET, policy=None,
-                       flat: bool = False) -> tuple[RoofSpec, SummabilityReport]:
+def choose_b_and_check(iet: CountableIET,
+                       policy=None) -> tuple[RoofSpec, SummabilityReport]:
     """Assign blend widths by policy and certify -sum b log b.
 
     Raises ``ConstraintViolationError`` when the policy breaks 0 < b < l/2.
     """
-    spec = RoofSpec.build(iet, policy, flat=flat)
+    spec = RoofSpec.build(iet, policy)
     return spec, spec.summability
 
 
@@ -390,7 +384,7 @@ def _blend_integrals(spec: RoofSpec, n: int, derivative: bool, scheme: str,
     bs, ls = np.repeat(b, 2), np.repeat(l, 2)
 
     def f(u, k):
-        r, dr = lanes.roof_eval(u, bs[k], ls[k], 0, value=not derivative)
+        r, dr = lanes.roof_eval(u, bs[k], ls[k], value=not derivative)
         return lanes._math(math.log1p, np.abs(dr)) if derivative else r
 
     if scheme == "simpson":
@@ -423,15 +417,11 @@ def roof_integral(spec: RoofSpec, n_terms: int | None = None,
     Spike pieces in closed form (each pair contributes b(2 + log 2)), flat
     middles exactly, blend pieces by quadrature.  The tail beyond the
     truncation is bounded by sum (l_i + 4 b_i), using the policy's width
-    tail; for flat roofs the tail is exactly the missing length.
+    tail.
     """
     iet = spec.iet
     n = iet.n_trunc if n_terms is None else min(n_terms, iet.n_trunc)
     tail_l = max(0.0, 1.0 - iet.right(n - 1))
-    if spec.flat:
-        value = float(np.sum(spec.lengths[:n]))
-        return RoofIntegral(value, tail_l, 0.0)
-
     b = spec.widths[:n]
     l = spec.lengths[:n]
     closed = b * (2.0 + math.log(2.0)) + (l - 2.0 * b)
@@ -457,9 +447,6 @@ def log_derivative_integral(spec: RoofSpec, n_terms: int | None = None,
     cap = bump_sup_derivative()
     bound = 3.0 + math.log(2.0 * cap) + spec.summability.partial_sum \
         + spec.summability.tail_bound
-    if spec.flat:
-        return 0.0, bound
-
     from . import lanes
     b = spec.widths[:n]
     half = 0.5 * b

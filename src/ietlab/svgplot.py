@@ -207,24 +207,24 @@ def document(panels: list[Panel]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def roof_panel(spec: RoofSpec, n_intervals: int = 4,
-               points_per_interval: int = 240, clip: float = 6.0) -> Panel:
-    """Graph of the roof over the first few intervals, spikes clipped."""
+def roof_panel(spec: RoofSpec) -> Panel:
+    """Graph of the roof at 240 points of each of the first four intervals,
+    spikes clipped at height 6."""
     panel = Panel(title="roof over the first intervals",
                   x_label="base coordinate", y_label="roof height")
     iet = spec.iet
-    n_show = min(n_intervals, iet.n_trunc)
+    n_show = min(4, iet.n_trunc)
     xs_all: list[float] = []
     ys_all: list[float] = []
     for i in range(n_show):
         left = iet.left(i)
         l = iet.length(i)
-        ts = np.linspace(1e-6, 1.0 - 1e-6, points_per_interval)
+        ts = np.linspace(1e-6, 1.0 - 1e-6, 240)
         for t in ts:
             u = float(t) * l
             val = spec.value_raw(FiberPoint(i, u)).value
             xs_all.append(left + u)
-            ys_all.append(min(val, clip))
+            ys_all.append(min(val, 6.0))
         panel.add_vline(left + l)
     panel.add_series("r(x), clipped", xs_all, ys_all)
     return panel

@@ -7,7 +7,7 @@ import pytest
 
 from ietlab.geometry import MetricParams
 from ietlab.iet import CountableIET
-from ietlab.roof import RoofSpec, choose_b_and_check
+from ietlab.roof import choose_b_and_check
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -28,11 +28,6 @@ def golden_iet():
 @pytest.fixture(scope="session")
 def golden_spec(golden_iet):
     return choose_b_and_check(golden_iet)[0]
-
-
-@pytest.fixture(scope="session")
-def flat_spec(golden_iet):
-    return RoofSpec.build(golden_iet, flat=True)
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +52,7 @@ def warm_kernels(golden_spec):
     p = golden_spec.iet.pack()
     s = golden_spec.pack()
     kernels.smooth_step(0.3)
-    kernels.roof_eval(0.01, 0.03125, 0.1, 0)
+    kernels.roof_eval(0.01, 0.03125, 0.1)
     kernels.iet_step(p, 0, 0.01)
     kernels.iet_step_inv(p, 0, 0.01)
     kernels.iet_length(p, 0)

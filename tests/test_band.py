@@ -13,7 +13,7 @@ import pytest
 
 from ietlab import kernels, lanes
 from ietlab.iet import CountableIET, FiberPoint
-from ietlab.roof import EXCLUSION_BAND, RoofSpec, SummabilityReport
+from ietlab.roof import ProportionalPolicy, RoofSpec
 
 TABLE = [(0.0, 0.3), (0.2, 0.3), (0.5, -0.5), (0.8, 0.0)]
 
@@ -28,13 +28,17 @@ def edge_offsets(l, band):
 
 
 def random_spec(count, seed):
-    """A raw spec over ``count`` random lengths spread over 60 octaves."""
+    """A spec over an identity table of ``count`` random lengths spread
+    over 60 octaves, shortest first so that every endpoint keeps the
+    lengths before it, scaled by a power of two to end below 1/2."""
     rng = np.random.default_rng(seed)
-    lengths = rng.uniform(0.5, 1.0, count) * np.ldexp(1.0, -rng.integers(
-        1, 60, count))
-    return RoofSpec(CountableIET.block_swap(n_trunc=count), lengths,
-                    0.25 * lengths, False, EXCLUSION_BAND, 0.0,
-                    SummabilityReport(0.0, 0.0, "UNKNOWN"))
+    lengths = np.sort(rng.uniform(0.5, 1.0, count) * np.ldexp(
+        1.0, -rng.integers(1, 60, count)))
+    lengths = np.ldexp(lengths, -int(np.ceil(np.log2(lengths.sum()))) - 1)
+    xs = np.concatenate(([0.0], np.cumsum(lengths)))
+    iet = CountableIET.explicit_table([(x, 0.0) for x in xs.tolist()],
+                                      n_trunc=count + 2)
+    return RoofSpec.build(iet, ProportionalPolicy(0.25))
 
 
 SPECS = {

@@ -22,6 +22,7 @@ from ietlab.geometry import (
     metric_norm,
     op_norm_between,
 )
+from ietlab.iet import FiberPoint
 
 from canonical_points import draw_canonical
 from scalar_geometry import edge_distance, in_K_delta, is_canonical, rho_blend
@@ -101,15 +102,27 @@ def test_fiber_edges_and_distance(golden_spec):
         assert d >= 0.0
 
 
-def test_flat_roof_canonical_domain(flat_spec):
-    # with r = 1 every fiber is [-1, 1); gluing is y -> y - 2
-    z = canonicalize(flat_spec, flat_spec.iet.locate(0.3), 5.0)
-    base3 = flat_spec.iet.locate(0.3)
-    expect_base = base3
-    for _ in range(3):  # 5.0 -> 3.0 -> 1.0 -> -1.0, three steps forward
-        expect_base = flat_spec.iet.step(expect_base)
-    assert z.base == expect_base
-    assert z.height == -1.0
+def test_canonicalize_glues_like_the_reference_loop(golden_spec):
+    # from the flat middle of an interval (r = 1) far above or below the
+    # fiber, gluing takes several steps: up (x, y) -> (Tx, y - 2 r(x)),
+    # down (x, y) -> (T^-1 x, y + 2 r(T^-1 x)), with r from spec.value
+    iet = golden_spec.iet
+    for i in range(6):
+        mid = FiberPoint(i, 0.5 * iet.length(i))
+        for y0 in (5.0, -5.0):
+            p, y, glues = mid, y0, 0
+            while y >= golden_spec.value(p).value:
+                y -= 2.0 * golden_spec.value(p).value
+                p = iet.step(p)
+                glues += 1
+            while y < -golden_spec.value(iet.step_back(p)).value:
+                p = iet.step_back(p)
+                y += 2.0 * golden_spec.value(p).value
+                glues += 1
+            assert glues >= 2
+            z = canonicalize(golden_spec, mid, y0)
+            assert z.base == p
+            assert z.height == y
 
 
 # ---------------------------------------------------------------------------

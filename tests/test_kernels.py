@@ -95,7 +95,7 @@ def test_time_one_crossing_matches_python_step(golden_spec):
 
 def test_time_one_singularity_band(golden_spec):
     iet = golden_spec.iet
-    band = golden_spec.pack()[3]
+    band = golden_spec.band
     u = 0.5 * band * iet.length(0)
     i, v, y, inc, crossed, st = kernels.time_one(
         iet.pack(), golden_spec.pack(), 0, u, 0.0)
@@ -426,6 +426,7 @@ def test_base_step_batch_matches_python_steps(golden_iet):
 DIGEST_SCRIPT = r"""
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -656,18 +657,19 @@ def aaronson_rows(*args, **kw):
 
 params = MetricParams(delta=0.25)
 exps = []
+os.environ["LAB_THREADS"] = "1"
 for base in families.values():
     s = RoofSpec.build(base)
-    exps.append(outcome(lambda: lyapunov_rows(s, params, 1000, 8, 4,
-                                              threads=1)))
-    exps.append(outcome(lambda: aaronson_rows(s, 1000, 8, 4, threads=1)))
+    exps.append(outcome(lambda: lyapunov_rows(s, params, 1000, 8, 4)))
+    exps.append(outcome(lambda: aaronson_rows(s, 1000, 8, 4)))
 # orbits leave the truncation now and then, so some attempts are redrawn
 deep = RoofSpec.build(CountableIET.von_neumann_kakutani(n_trunc=11))
-shallow_runs = [lyapunov_rows(deep, params, 3000, 12, 6, threads=1),
-                aaronson_rows(deep, 1000, 12, 6, threads=1)]
+shallow_runs = [lyapunov_rows(deep, params, 3000, 12, 6),
+                aaronson_rows(deep, 1000, 12, 6)]
 exps.extend(shallow_runs)
-threaded_runs = [lyapunov_rows(deep, params, 3000, 12, 6, threads=3),
-                 aaronson_rows(deep, 1000, 12, 6, threads=3)]
+os.environ["LAB_THREADS"] = "3"
+threaded_runs = [lyapunov_rows(deep, params, 3000, 12, 6),
+                 aaronson_rows(deep, 1000, 12, 6)]
 exps.extend(threaded_runs)
 # every attempt leaves a six-interval truncation, so the experiments give up
 exps.append(outcome(lambda: lyapunov_rows(shallow_spec, params, 1000, 3, 6)))

@@ -46,7 +46,6 @@ FAMILIES = {
     "table_tail_only": CountableIET.explicit_table([(0.0, 0.0)], n_trunc=8),
 }
 SPEC = RoofSpec.build(FAMILIES["rotation"])
-FLAT = RoofSpec.build(FAMILIES["rotation"], flat=True)
 
 
 def bits(x):
@@ -123,7 +122,7 @@ def test_step_lanes_cover_every_status_and_branch():
 
 @st.composite
 def roof_lanes(draw, min_count=1):
-    spec = draw(st.sampled_from([SPEC, FLAT]))
+    spec = SPEC
     count = draw(st.integers(min_value=min_count, max_value=24))
     idx, off = [], []
     for _ in range(count):
@@ -148,15 +147,14 @@ def roof_lanes(draw, min_count=1):
 @given(case=roof_lanes())
 def test_roof_lanes_match_scalar_roof(case):
     spec, idx, off = case
-    flat = 1 if spec.flat else 0
     b, l = spec.widths[idx], spec.lengths[idx]
-    r, dr = lanes.roof_eval(off, b, l, flat)
+    r, dr = lanes.roof_eval(off, b, l)
     want = [kernels.roof_eval(float(u), float(spec.widths[i]),
-                              float(spec.lengths[i]), flat)
+                              float(spec.lengths[i]))
             for i, u in zip(idx, off)]
     assert_same_floats(r, [w[0] for w in want])
     assert_same_floats(dr, [w[1] for w in want])
-    no_value, dr_only = lanes.roof_eval(off, b, l, flat, value=False)
+    no_value, dr_only = lanes.roof_eval(off, b, l, value=False)
     assert no_value is None
     assert_same_floats(dr_only, dr)
 
@@ -165,10 +163,10 @@ def test_roof_lanes_visit_every_piece():
     i = 3
     l, b = float(SPEC.lengths[i]), float(SPEC.widths[i])
     off = np.array([0.2 * b, 0.7 * b, 0.5 * l, l - 0.7 * b, l - 0.2 * b])
-    pieces = [kernels.roof_eval(float(u), b, l, 0)[2] for u in off]
+    pieces = [kernels.roof_eval(float(u), b, l)[2] for u in off]
     assert pieces == [1, 2, 3, 4, 5]
-    r, dr = lanes.roof_eval(off, np.full(5, b), np.full(5, l), 0)
-    want = [kernels.roof_eval(float(u), b, l, 0) for u in off]
+    r, dr = lanes.roof_eval(off, np.full(5, b), np.full(5, l))
+    want = [kernels.roof_eval(float(u), b, l) for u in off]
     assert_same_floats(r, [w[0] for w in want])
     assert_same_floats(dr, [w[1] for w in want])
 
@@ -281,7 +279,7 @@ def orbit_to(spec, j, v, m):
 def first_event(spec, i, u, steps):
     """(step, status) of the first band point or failed step of the base
     orbit from ``(i, u)``, in the order of the scalar loop."""
-    base, (lengths, _, _, band) = spec.iet.pack(), spec.pack()
+    base, (lengths, _, band) = spec.iet.pack(), spec.pack()
     for m in range(steps):
         l = lengths[i]
         if u < band * l or u > l - band * l:
@@ -326,8 +324,8 @@ def test_lyap_orbits_write_a_band_crossing_at_its_checkpoint(last):
     j, v = 5, 0.5 * spec.band * float(spec.lengths[5])
     i, u = orbit_to(spec, j, v, 1)
     s = 20  # the step of the crossing
-    r = kernels.roof_eval(u, float(spec.widths[i]), float(spec.lengths[i]),
-                          0)[0]
+    r = kernels.roof_eval(u, float(spec.widths[i]),
+                          float(spec.lengths[i]))[0]
     cps = np.array([10, s + 1] if last else [s + 1, s + 40], dtype=np.int64)
     starts = zip((np.array([i]), np.array([u]), np.array([r - s - 0.5])),
                  batch_starts(spec, 6, seed=3))
@@ -489,7 +487,6 @@ def test_rotation_walk_leaves_an_odd_truncation_from_its_last_pair():
 # the scalar kernels divide numpy scalars: 1/u overflows on subnormal u
 OVERFLOW = "ignore:overflow encountered in:RuntimeWarning"
 SPECS = {name: RoofSpec.build(iet) for name, iet in FAMILIES.items()}
-SPECS["flat"] = FLAT
 STATUS_CODES = {SingularityProximityError: kernels.SINGULARITY,
                 TruncationExceededError: kernels.TRUNCATION,
                 ConsistencyError: kernels.INCONSISTENT}
@@ -530,8 +527,7 @@ def time_one_lanes(draw):
             u = draw(st.sampled_from(time_one_offsets(spec, i)))
         r = 1.0
         if 0.0 < u < l:
-            r = kernels.roof_eval(u, float(spec.widths[i]), l,
-                                  1 if spec.flat else 0)[0]
+            r = kernels.roof_eval(u, float(spec.widths[i]), l)[0]
         # heights anywhere in the fiber, and at the crossing threshold
         edge = r - 1.0
         y = draw(st.one_of(st.floats(-2.0 * r, 2.0 * r),
@@ -799,8 +795,7 @@ def canonical_lanes(draw):
                                      + inverse_offsets(spec.iet, i)))
         r = 1.0
         if 0.0 < u < l:
-            r = kernels.roof_eval(u, float(spec.widths[i]), l,
-                                  1 if spec.flat else 0)[0]
+            r = kernels.roof_eval(u, float(spec.widths[i]), l)[0]
         # heights anywhere, and at the top and bottom edges of the fiber
         y = draw(st.one_of(
             st.floats(-6.0, 6.0),

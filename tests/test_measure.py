@@ -73,15 +73,6 @@ def test_total_mass_identity(golden_spec):
     assert all(isinstance(v, float) for v in d.values())
 
 
-def test_total_mass_flat_roof(flat_spec):
-    rep = total_mass(flat_spec)
-    # r == 1, so each side integrates to the covered base length (just
-    # short of 1 because of the index truncation)
-    covered = sum(flat_spec.iet.length(i) for i in range(flat_spec.iet.n_trunc))
-    assert rep.total_mass == pytest.approx(2.0 * covered, rel=1e-14)
-    assert rep.identity_gap <= 1e-15
-
-
 # ---------------------------------------------------------------------------
 # exact sampling
 # ---------------------------------------------------------------------------
@@ -98,7 +89,7 @@ def test_sampler_shapes_support_and_efficiency(golden_spec, batch):
     assert batch.proposals >= batch.accepted
     assert batch.efficiency >= MIN_EFFICIENCY
 
-    lengths, _, _, band = golden_spec.pack()
+    lengths, _, band = golden_spec.pack()
     assert np.all(batch.idx >= 0)
     assert np.all(batch.idx < golden_spec.iet.n_trunc)
     l = lengths[batch.idx]
@@ -147,7 +138,7 @@ def test_sampler_base_uniform_in_low_band(golden_spec, batch):
 def test_sampler_block_marginals_match_quadrature(golden_spec, batch):
     # Each dyadic block is invariant under the base map, so both fiber
     # sides give the block probability (integral of r over the block) / M.
-    lengths, bs, _, _ = golden_spec.pack()
+    lengths, bs, _ = golden_spec.pack()
     mass = total_mass(golden_spec).total_mass
     xs = interval_lefts(golden_spec.iet)[batch.idx] + batch.off
     upper = batch.hei >= 0.0

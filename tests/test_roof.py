@@ -106,20 +106,6 @@ def test_exclusion_band(golden_spec):
     golden_spec.value(ok)
 
 
-def test_flat_spec_is_constant_one(flat_spec):
-    rng = np.random.default_rng(9)
-    for i in range(6):
-        l = float(flat_spec.lengths[i])
-        for u in rng.uniform(1e-6 * l, l * (1 - 1e-6), 100):
-            rv = flat_spec.value_raw(FiberPoint(i, float(u)))
-            assert rv.value == 1.0
-            assert rv.derivative == 0.0
-    v, bound = log_derivative_integral(flat_spec)
-    assert v == 0.0
-    assert roof_integral(flat_spec).value == pytest.approx(
-        float(np.sum(flat_spec.lengths)), rel=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # the smooth step
 # ---------------------------------------------------------------------------
@@ -200,6 +186,19 @@ def test_explicit_policy_and_width_constraint(golden_iet):
     with pytest.raises(ConstraintViolationError):
         choose_b_and_check(golden_iet, ExplicitPolicy(values=good[:5]))
 
+
+
+@pytest.mark.parametrize("iet", [
+    CountableIET.block_rotation(), CountableIET.block_rotation(n_trunc=7),
+    CountableIET.block_swap(), CountableIET.von_neumann_kakutani(),
+    CountableIET.explicit_table(
+        [(0.0, 0.3), (0.2, 0.3), (0.5, -0.5), (0.8, 0.0)], n_trunc=16)],
+    ids=["rotation", "rotation_odd", "swap", "odometer", "table"])
+def test_spec_lengths_are_the_maps_lengths(iet):
+    spec = RoofSpec.build(iet)
+    assert spec.lengths.shape == (iet.n_trunc,)
+    for i in range(iet.n_trunc):
+        assert spec.lengths[i] == iet.length(i)
 
 
 def test_default_policy_underflow_names_largest_truncation():
