@@ -314,7 +314,7 @@ def run_measure(spec, params, exp: ExperimentSpec,
                 out_path: Path) -> tuple[int, dict, None]:
     # the invariance check sets the command's peak memory, and arrays the
     # quadrature leaves on the heap before it raise that peak (max RSS
-    # 42.3 MB in this order and 44.1 MB in the other, at 4x10^5 samples)
+    # 40.5 MB in this order and 42.2 MB in the other, at 4x10^5 samples)
     inv = invariance_check(spec, count=exp.n, seed=exp.seed)
     mass = total_mass(spec)
     rows = [(r.region.name, r.region.x_lo, r.region.x_hi, r.region.y_lo,

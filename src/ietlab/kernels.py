@@ -35,7 +35,9 @@ the interval sits to the accumulation point at 1.
 Each roof and base-map rule is one kernel, of the shape of its twin of
 the same name in ``lanes`` (private there but for ``roof_eval``):
 ``in_band``, ``roof_eval``, ``last_at_or_below``, ``block_index``,
-``rotation_block`` and ``step_status``.
+``rotation_block`` and ``step_status``.  The time-one rule is one kernel,
+``time_one_under``, which ``time_one`` calls with the roof it evaluates and
+``flow_time_one_batch`` with the roof its caller passes.
 
 Orbit kernels report integer status codes (see ``errors``):
 0 ok, 1 singularity band, 2 truncation exceeded, 3 inconsistent data.
@@ -418,10 +420,17 @@ def time_one(base, roof, i, u, y):
     contributes ``-2 r'(x)`` to the lower-left cocycle entry.
     """
     lengths, bs, band = roof
-    l = lengths[i]
-    if in_band(u, l, band):
+    r, dr, piece = roof_eval(u, bs[i], lengths[i])
+    return time_one_under(base, roof, i, u, y, r, dr)
+
+
+@kernel
+def time_one_under(base, roof, i, u, y, r, dr):
+    """``time_one`` with the roof ``r`` and slope ``dr`` given: for y < 0,
+    r(T^-1 x) decides as r(x) does, since y + 1 < 1 <= r off the band."""
+    lengths, bs, band = roof
+    if in_band(u, lengths[i], band):
         return i, u, y, 0.0, 0, SINGULARITY
-    r, dr, piece = roof_eval(u, bs[i], l)
     if y + 1.0 < r:
         return i, u, y + 1.0, 0.0, 0, OK
     j, v, st = iet_step(base, i, u)
@@ -568,16 +577,18 @@ def birkhoff_h_orbits(base, roof, idx, off, cps, out_sum, status):
 
 
 @kernel
-def flow_time_one_batch(base, roof, idx, off, hei, status):
-    """Apply the time-one map in place to arrays of points.
+def flow_time_one_batch(base, roof, idx, off, hei, r, status):
+    """Apply the time-one map in place to arrays of points, under the
+    roofs ``r`` (``PointBatch.roof``, or ``roof_eval_batch``'s r).
 
     Per-point status codes are written to ``status``; returns the number of
     failures.
     """
     bad = 0
     for kk in range(idx.shape[0]):
-        i, u, y, ds, crossed, st = time_one(base, roof, idx[kk], off[kk],
-                                            hei[kk])
+        i, u, y, ds, crossed, st = time_one_under(base, roof, idx[kk],
+                                                  off[kk], hei[kk], r[kk],
+                                                  0.0)
         status[kk] = st
         if st == OK:
             idx[kk] = i

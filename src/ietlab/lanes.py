@@ -16,6 +16,7 @@ pair as one running sum.  The measure command's per-point kernels,
 one step per lane: the first two over the whole call, whose size the
 sampler bounds by its blocks of ``POINT_BLOCK`` columns, and the time-one
 map ``POINT_BLOCK`` lanes at a time, so their temporaries are of block size.
+The time-one map reads each lane's roof from its caller.
 On both backends, ``lab check``'s sandwich, beta and cocycle-algebra
 checks use ``locate``, ``iet_step_inv``, ``canonicalize_k`` and
 ``lyap_orbits`` through ``lane_geometry``, and the quadrature of
@@ -586,38 +587,30 @@ def base_step_batch(base, idx, off, status):
     return idx.shape[0] - int(np.count_nonzero(ok))
 
 
-def flow_time_one_batch(base, roof, idx, off, hei, status):
+def flow_time_one_batch(base, roof, idx, off, hei, r, status):
     """``kernels.flow_time_one_batch`` on lanes, ``POINT_BLOCK`` at a time.
 
-    A lane in the exclusion band keeps its point with SINGULARITY.  Outside
-    the band r >= 1: the spikes lie above 1, a blend is 1 + a (-log t) with
-    a >= 0 and t <= 1, and the middle is 1.  So a lane with y + 1 < 1 climbs
-    by one without its roof, and the roof is evaluated on the other lanes
-    only.  A lane under the roof climbs by one; a lane that crosses takes
-    the base step, and keeps its point with the step's status if that fails.
+    A lane in the exclusion band keeps its point with SINGULARITY.  A lane
+    with y + 1 < r climbs by one; any other crosses, taking the base step,
+    and keeps its point with the step's status if that fails.
     """
-    lengths, bs, band = roof
+    lengths, _, band = roof
     bad = 0
     for lo in range(0, idx.shape[0], POINT_BLOCK):
-        i, u, y = (a[lo:lo + POINT_BLOCK] for a in (idx, off, hei))
-        l = lengths[i]
-        st = np.where(_in_band(u, l, band), SINGULARITY, OK)
+        i, u, y, top = (a[lo:lo + POINT_BLOCK] for a in (idx, off, hei, r))
+        st = np.where(_in_band(u, lengths[i], band), SINGULARITY, OK)
         y1 = y + 1.0
-        live = np.flatnonzero((st == OK) & ~(y1 < 1.0))
-        r = roof_eval(u[live], bs[i[live]], l[live])[0]
-        cross = ~(y1[live] < r)
-        at = live[cross]
         climb = st == OK
+        at = np.flatnonzero(climb & ~(y1 < top))
         climb[at] = False
         y[climb] = y1[climb]
         j, v, stepped = iet_step(base, i[at], u[at])
         st[at] = stepped
         ok = stepped == OK
-        y_new = y1[at[ok]] - 2.0 * r[cross][ok]
         at = at[ok]
         i[at] = j[ok]
         u[at] = v[ok]
-        y[at] = y_new
+        y[at] = y1[at] - 2.0 * top[at]
         status[lo:lo + POINT_BLOCK] = st
         bad += int(np.count_nonzero(st != OK))
     return bad

@@ -115,11 +115,16 @@ def total_mass(spec: RoofSpec) -> MeasureReport:
 
 @dataclass
 class PointBatch:
-    """Samples from the normalized suspension measure, stored as arrays."""
+    """Samples from the normalized suspension measure, stored as arrays.
+
+    ``roof`` is the roof the sampler evaluated at each accepted proposal,
+    which bounds the sample's fiber side: r(x) if y >= 0, else r(T^-1 x).
+    """
 
     idx: np.ndarray
     off: np.ndarray
     hei: np.ndarray
+    roof: np.ndarray
     proposals: int = 0
     accepted: int = 0
     band_rejects: int = 0
@@ -180,9 +185,9 @@ def _sampler_round(table: tuple, backend, draws: Iterator[np.ndarray],
     uniforms as ``k``-arrays, one row at a time, in the order sel, q, u1,
     u2, coin, accept, upper, frac.  Every operation is elementwise, so
     proposal j depends on column j alone.  Returns ``(ratio, over, kept,
-    idx, off, hei)``: the acceptance ratios, the proposals whose ratio
+    idx, off, hei, r)``: the acceptance ratios, the proposals whose ratio
     exceeds 1 (never accepted), the mask of the accepted proposals whose
-    lower-side step succeeded, and those samples in proposal order.
+    lower-side step succeeded, and those samples and roofs in proposal order.
     ``stats`` counts proposals, band rejects and step discards.
     """
     from . import lanes
@@ -231,7 +236,7 @@ def _sampler_round(table: tuple, backend, draws: Iterator[np.ndarray],
     good = np.ones(idx_a.shape[0], dtype=bool)
     good[lower] = st == kernels.OK
     kept[kept] = good
-    return ratio, over, kept, idx_a[good], off_a[good], y[kept]
+    return ratio, over, kept, idx_a[good], off_a[good], y[kept], r[kept]
 
 
 def _log_efficiency(efficiency: float) -> None:
@@ -324,7 +329,8 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple, *,
     out_idx = np.empty(count, dtype=np.int64)
     out_off = np.empty(count, dtype=np.float64)
     out_hei = np.empty(count, dtype=np.float64)
-    stats = PointBatch(out_idx, out_off, out_hei)
+    out_roof = np.empty(count, dtype=np.float64)
+    stats = PointBatch(out_idx, out_off, out_hei, out_roof)
 
     pos = 0
     for ci, want in enumerate(sizes, start=chunk):
@@ -338,7 +344,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple, *,
             peaks = []
             violated = False
             for lo, hi, rows in _round_blocks(rng, end - pos):
-                ratio, over, _, idx_a, off_a, y_a = _sampler_round(
+                ratio, over, _, idx_a, off_a, y_a, r_a = _sampler_round(
                     table, backend, rows, hi - lo, stats)
                 peaks.append(np.max(ratio))
                 violated |= bool(np.any(over))
@@ -347,6 +353,7 @@ def sample_mu(spec: RoofSpec, count: int, seed: int | tuple, *,
                 out_idx[pos:pos + take] = idx_a[:take]
                 out_off[pos:pos + take] = off_a[:take]
                 out_hei[pos:pos + take] = y_a[:take]
+                out_roof[pos:pos + take] = r_a[:take]
                 pos += take
                 stats.accepted += take
             if violated:
@@ -370,13 +377,13 @@ def sample_starts(spec: RoofSpec, seeds: Sequence[tuple]) -> list:
     rngs = [_chunk_rng(seed, 0) for seed in seeds]
     out: list = [None] * len(rngs)
     live = np.arange(len(rngs))
-    stats = PointBatch(*(np.empty(0) for _ in range(3)))
+    stats = PointBatch(*(np.empty(0) for _ in range(4)))
     for _ in range(SAMPLE_MAX_ROUNDS):
         if not live.size:
             break
         draws = np.array([rngs[j].random(DRAWS_PER_ROUND)
                           for j in live.tolist()]).T
-        ratio, over, kept, idx, off, hei = _sampler_round(
+        ratio, over, kept, idx, off, hei, _ = _sampler_round(
             table, backend, iter(draws), live.shape[0], stats)
         for j, w in zip(live[over].tolist(), ratio[over].tolist()):
             out[j] = _envelope_error(w)
@@ -415,14 +422,33 @@ class Region:
                 "y_lo": self.y_lo, "y_hi": self.y_hi}
 
 
+_NO_BOX = 8  # the box id of a point in no standard box
+
+
 def standard_boxes() -> tuple[Region, ...]:
-    """Eight boxes inside the suspension region for every roof (r >= 1)."""
+    """Eight disjoint boxes inside the suspension region for every roof
+    (r >= 1)."""
     out = []
     for j in range(4):
         x_lo, x_hi = 0.25 * j, 0.25 * (j + 1)
         out.append(Region(f"x{j}y-", x_lo, x_hi, -0.75, 0.0))
         out.append(Region(f"x{j}y+", x_lo, x_hi, 0.0, 0.75))
     return tuple(out)
+
+
+def _box_ids(lefts: np.ndarray, idx: np.ndarray, off: np.ndarray,
+            hei: np.ndarray) -> np.ndarray:
+    """Each point's index in ``standard_boxes()``, or ``_NO_BOX``, as int8.
+    4x is exact, so floor(4x) tests the columns as ``Region.contains`` does."""
+    x = lefts[idx]
+    x += off
+    x *= 4.0
+    inside = (x >= 0.0) & (x < 4.0) & (hei >= -0.75) & (hei < 0.75)
+    np.floor(x, out=x)
+    x *= 2.0
+    x += hei >= 0.0
+    x[~inside] = _NO_BOX
+    return x.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -459,7 +485,8 @@ class InvarianceReport:
                 "rows": [row.as_dict() for row in self.rows]}
 
 
-StepFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
+StepFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                   np.ndarray], int]
 
 
 def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
@@ -469,14 +496,14 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
 
     The ``count`` samples of ``sample_mu(spec, count, seed)`` are drawn and
     stepped one chunk at a time, so no array holds all of them: each chunk
-    comes from its own ``sample_mu`` call, adds its box counts before the
-    step, is stepped in place once, and adds its survivors and its box
-    counts after the step.  Every kernel works point by point, so the counts
-    are those of the whole sample stepped at once.  Pairs whose forward step
-    fails (exclusion band, truncation) are dropped from both sides.
-    ``step_fn`` replaces the time-one map for fault injection in tests; it
-    is called once per chunk, in order, must mutate the arrays in place and
-    fill status.  The sampler's efficiency is logged once per check.
+    comes from its own ``sample_mu`` call, takes its box ids, is stepped in
+    place once with the sampler's roofs, and takes its ids again.  Every
+    kernel works point by point, so the counts are those of the whole
+    sample stepped at once.  Pairs whose forward step fails (exclusion
+    band, truncation) are dropped from both sides.  ``step_fn`` replaces
+    ``flow_time_one_batch`` after its packs, for fault injection in tests;
+    it is called once per chunk, in order, must mutate the arrays in place
+    and fill status.  The sampler's efficiency is logged once per check.
     """
     boxes = standard_boxes()
     lefts = interval_lefts(spec.iet)
@@ -491,20 +518,19 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
     for c, want in enumerate(_chunk_sizes(count)):
         batch = sample_mu(spec, want, seed, chunk=c)
         proposals += batch.proposals
-        idx, off, hei = batch.idx, batch.off, batch.hei
-        xs_pre = lefts[idx] + off
-        ys_pre = hei.copy()
+        before = _box_ids(lefts, batch.idx, batch.off, batch.hei)
         status = np.empty(want, dtype=np.int64)
-        step_fn(idx, off, hei, status)
-        keep = status == kernels.OK
-        used += int(np.count_nonzero(keep))
-        xs_pre, ys_pre = xs_pre[keep], ys_pre[keep]
-        xs_post, ys_post = lefts[idx[keep]] + off[keep], hei[keep]
-        for j, box in enumerate(boxes):
-            pre[j] += int(np.count_nonzero(box.contains(xs_pre, ys_pre)))
-            post[j] += int(np.count_nonzero(box.contains(xs_post, ys_post)))
+        step_fn(batch.idx, batch.off, batch.hei, batch.roof, status)
+        after = _box_ids(lefts, batch.idx, batch.off, batch.hei)
+        lost = status != kernels.OK
+        used += want - int(np.count_nonzero(lost))
+        before[lost] = _NO_BOX
+        after[lost] = _NO_BOX
+        for j in range(len(boxes)):
+            pre[j] += int(np.count_nonzero(before == j))
+            post[j] += int(np.count_nonzero(after == j))
         # free the chunk before the next one is drawn
-        del batch, idx, off, hei, xs_pre, ys_pre, xs_post, ys_post
+        del batch, before, after, status, lost
     _log_efficiency(count / proposals)
     if used == 0:
         raise ConsistencyError("no surviving samples in invariance check")

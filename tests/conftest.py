@@ -81,7 +81,9 @@ def warm_kernels(golden_spec):
     off = np.full(4, 0.01)
     hei = np.zeros(4)
     status = np.zeros(4, dtype=np.int64)
-    kernels.flow_time_one_batch(p, s, idx, off, hei, status)
+    r = np.zeros(4)
+    kernels.roof_eval_batch(s, idx, off, r, np.zeros(4))
+    kernels.flow_time_one_batch(p, s, idx, off, hei, r, status)
     kernels.base_step_batch(p, idx, off, status)
     sym = np.zeros(8, dtype=np.int64)
     kernels.code_orbit(p, 0, 0.01, 16, sym)

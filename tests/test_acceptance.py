@@ -8,8 +8,10 @@ green only because the failure is declared.
 
 Criterion 11 is the headline combination: vanishing finite-time exponents
 (criterion 6) next to a strictly positive flow entropy rate produced by the
-time-change formula (criterion 10).  It consumes the numbers cached by the
-earlier tests instead of recomputing them.
+time-change formula (criterion 10).  It reads the roof integral and the
+exponent medians from the session fixtures that criteria 1 and 6 read, so
+it runs and can fail on its own, and the Lyapunov experiment runs once per
+session however many of the three are selected.
 """
 
 import math
@@ -39,8 +41,6 @@ from ietlab.measure import (
 )
 from ietlab.roof import log_derivative_integral, roof_integral
 
-RESULTS: dict = {}
-
 # One line per criterion; conftest echoes these in the terminal summary so
 # they survive pytest's stdout capture.
 EMITTED: list[str] = []
@@ -52,18 +52,36 @@ def emit(num: str, ok: bool, detail: str) -> None:
     print(line)
 
 
-def test_criterion_01_roof_integral_bounded_and_scheme_agreement(
-        golden_spec, warm_kernels):
+@pytest.fixture(scope="session")
+def roof_integrals(golden_spec, warm_kernels):
+    """The roof integral under both schemes and the seconds the two took:
+    ``(simpson, gauss, elapsed)``, for criteria 1 and 11."""
     start = time.perf_counter()
     simpson = roof_integral(golden_spec, scheme="simpson")
     gauss = roof_integral(golden_spec, scheme="gauss")
+    return simpson, gauss, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def ftle_medians(golden_spec, params, warm_kernels):
+    """The median of ``value_delta`` at n = 10^3, 10^4 and 10^5 over 200
+    samples, and the experiment's seconds: ``(medians, elapsed)``, for
+    criteria 6 and 11."""
+    start = time.perf_counter()
+    res = lyapunov_experiment(golden_spec, params, 100_000, 200, seed=1)
     elapsed = time.perf_counter() - start
+    return ({n: res.median(n, "value_delta") for n in (1000, 10_000, 100_000)},
+            elapsed)
+
+
+def test_criterion_01_roof_integral_bounded_and_scheme_agreement(
+        roof_integrals):
+    simpson, gauss, elapsed = roof_integrals
     gap = abs(simpson.value - gauss.value)
     ok = (simpson.value + simpson.error_bound <= 3.0
           and gauss.value + gauss.error_bound <= 3.0
           and gap <= 1e-8
           and elapsed < 5.0)
-    RESULTS["integral_r"] = simpson.value
     emit("01", ok, f"integral_r={simpson.value:.9f} scheme_gap={gap:.3e} "
                    f"bound=3 elapsed={elapsed:.2f}s")
     assert ok
@@ -162,15 +180,10 @@ def test_criterion_05_cocycle_structure_and_growth_bound(
     assert ok
 
 
-def test_criterion_06_finite_time_exponents_vanish(
-        golden_spec, params, warm_kernels):
-    start = time.perf_counter()
-    res = lyapunov_experiment(golden_spec, params, 100_000, 200, seed=1)
-    elapsed = time.perf_counter() - start
-    med = {n: res.median(n, "value_delta") for n in (1000, 10_000, 100_000)}
+def test_criterion_06_finite_time_exponents_vanish(ftle_medians):
+    med, elapsed = ftle_medians
     decreasing = med[1000] > med[10_000] > med[100_000]
     ok = med[100_000] <= 0.01 and decreasing and elapsed < 600.0
-    RESULTS["ftle_delta_1e5"] = med[100_000]
     emit("06", ok, f"median_ftle_delta(1e3,1e4,1e5)=({med[1000]:.6f},"
                    f"{med[10_000]:.6f},{med[100_000]:.6f}) "
                    f"threshold=0.01 elapsed={elapsed:.1f}s")
@@ -181,7 +194,6 @@ def test_criterion_07_birkhoff_growth_proxy_small(golden_spec, warm_kernels):
     res = aaronson_experiment(golden_spec, 1_000_000, 200, seed=2)
     p95 = res.percentile(1_000_000, 95, "value")
     ok = p95 <= 0.02
-    RESULTS["aaronson_p95_1e6"] = p95
     emit("07", ok, f"p95_growth_proxy_at_1e6={p95:.3e} threshold=0.02")
     assert ok
 
@@ -245,11 +257,9 @@ def test_criterion_10_time_change_exact_and_infinity():
     assert ok
 
 
-def test_criterion_11_headline_combination(golden_spec):
-    if "ftle_delta_1e5" not in RESULTS or "integral_r" not in RESULTS:
-        pytest.skip("criteria 1 and 6 must run first")
-    med = RESULTS["ftle_delta_1e5"]
-    flow_rate = abramov(math.log(2.0), RESULTS["integral_r"]).h_flow
+def test_criterion_11_headline_combination(roof_integrals, ftle_medians):
+    med = ftle_medians[0][100_000]
+    flow_rate = abramov(math.log(2.0), roof_integrals[0].value).h_flow
     ok = med <= 0.01 and flow_rate > 0.0
     emit("11", ok,
          f"exponents vanish (median_ftle_delta={med:.3e} <= 0.01) while the "

@@ -525,8 +525,11 @@ for base in (*families.values(), shallow):
     for k, f in enumerate((0.0, 0.5 * s.band, 1.0 - 0.5 * s.band)):
         off[k] = f * s.lengths[idx[k]]
     status = np.full(idx.shape[0], -1, dtype=np.int64)
+    r = np.empty(idx.shape[0])
+    kernels.batch_kernels().roof_eval_batch(s.pack(), idx, off, r,
+                                            np.empty(idx.shape[0]))
     bad = kernels.batch_kernels().flow_time_one_batch(
-        base.pack(), s.pack(), idx, off, hei, status)
+        base.pack(), s.pack(), idx, off, hei, r, status)
     stepped.append(array_digest(idx, off, hei, status) + f":{bad}")
     step_codes.update(status.tolist())
 out["time_one"] = digest(stepped)

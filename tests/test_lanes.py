@@ -5,6 +5,8 @@ Every float is compared through its int64 bit pattern, so a difference in
 the last bit (or in the sign of a zero) fails.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -517,7 +519,7 @@ def time_one_lanes(draw):
     if name == "table" and draw(st.booleans()):
         base = broken_table()
     count = draw(st.integers(min_value=0, max_value=24))
-    idx, off, hei = [], [], []
+    idx, off, hei, tops = [], [], [], []
     for _ in range(count):
         i = draw(st.integers(min_value=0, max_value=spec.iet.n_trunc - 1))
         l = float(spec.lengths[i])
@@ -528,16 +530,21 @@ def time_one_lanes(draw):
         r = 1.0
         if 0.0 < u < l:
             r = kernels.roof_eval(u, float(spec.widths[i]), l)[0]
+        # the roof argument: the roof at the point, another roof (as at
+        # T^-1 x), or no roof at all
+        top = draw(st.one_of(st.just(r), st.floats(1.0, 50.0),
+                             st.sampled_from([math.inf, math.nan])))
         # heights anywhere in the fiber, and at the crossing threshold
-        edge = r - 1.0
+        edge = (top if math.isfinite(top) else r) - 1.0
         y = draw(st.one_of(st.floats(-2.0 * r, 2.0 * r),
                            st.sampled_from([edge, np.nextafter(edge, -1e9),
                                             np.nextafter(edge, 1e9)])))
         idx.append(i)
         off.append(u)
         hei.append(y)
+        tops.append(top)
     return (base, spec.pack(), np.array(idx, dtype=np.int64), np.array(off),
-            np.array(hei))
+            np.array(hei), np.array(tops))
 
 
 def run_both(name, packs, arrays):
@@ -558,6 +565,13 @@ def assert_same_runs(runs):
 
 def statuses(count):
     return np.full(count, -9, dtype=np.int64)
+
+
+def roof_at(roof, idx, off):
+    """The roof at each point, as ``roof_eval_batch`` evaluates it."""
+    r = np.empty(idx.shape[0])
+    kernels.roof_eval_batch(roof, idx, off, r, np.empty(idx.shape[0]))
+    return r
 
 
 @pytest.mark.filterwarnings(OVERFLOW)
@@ -583,9 +597,12 @@ def test_base_step_batch_lanes_match_scalar_batch(case):
 @settings(max_examples=400, **COMMON)
 @given(case=time_one_lanes())
 def test_flow_time_one_batch_lanes_match_scalar_batch(case):
-    base, roof, idx, off, hei = case
-    assert_same_runs(run_both("flow_time_one_batch", (base, roof),
-                              [idx, off, hei, statuses(idx.shape[0])]))
+    base, roof, idx, off, hei, top = case
+    runs = run_both("flow_time_one_batch", (base, roof),
+                    [idx, off, hei, top, statuses(idx.shape[0])])
+    assert_same_runs(runs)
+    # the roof argument is read, not written
+    assert_same_floats(runs[1][1][3], top)
 
 
 def test_time_one_lanes_mix_every_status():
@@ -598,9 +615,10 @@ def test_time_one_lanes_mix_every_status():
                     0.5 * l2])
     hei = np.array([50.0, 50.0, 50.0, 50.0, 50.0, -5.0])
     runs = run_both("flow_time_one_batch", (broken_table(), spec.pack()),
-                    [idx, off, hei, statuses(6)])
+                    [idx, off, hei, roof_at(spec.pack(), idx, off),
+                     statuses(6)])
     assert_same_runs(runs)
-    got_idx, got_off, got_hei, status = runs[1][1]
+    got_idx, got_off, got_hei, _, status = runs[1][1]
     assert status.tolist() == [kernels.OK, kernels.TRUNCATION,
                                kernels.INCONSISTENT, kernels.OK,
                                kernels.SINGULARITY, kernels.OK]
@@ -618,19 +636,22 @@ def test_time_one_lanes_mix_every_status():
                                   3 * lanes.POINT_BLOCK + 5])
 def test_flow_time_one_batch_lanes_match_scalar_batch_across_blocks(size):
     # samples of an odd truncation, whose last interval's crossings leave
-    # it, with some lanes moved into the band and heights at the climb
-    # test's edge: y + 1 < 1 holds for y = -2^-53 and not for -2^-54
+    # it, with the roofs the sampler carried, some lanes moved into the
+    # band and heights at the climb test's edge: y + 1 = 1 - 2^-53 climbs
+    # under every roof, and y + 1 = 1 (from y = -2^-54) crosses a roof of 1
     spec = SPECS["rotation_odd"]
     batch = sample_mu(spec, size + 1, (3, size))
-    idx, off, hei = batch.idx[:size], batch.off[:size], batch.hei[:size]
+    idx, off, hei, top = (a[:size] for a in (batch.idx, batch.off,
+                                             batch.hei, batch.roof))
     off[5::11] = 0.0
     hei[::7] = -2.0 ** -53
     hei[3::7] = -2.0 ** -54
+    top[3::14] = 1.0
     low = hei + 1.0 < 1.0
     runs = run_both("flow_time_one_batch", (spec.iet.pack(), spec.pack()),
-                    [idx, off, hei, statuses(size)])
+                    [idx, off, hei, top, statuses(size)])
     assert_same_runs(runs)
-    status = runs[1][1][3]
+    status = runs[1][1][4]
     if size > 1:
         assert low.any() and not low.all()
     if size > lanes.POINT_BLOCK:
@@ -652,7 +673,7 @@ def test_per_point_lanes_take_empty_and_single_batches(count):
              [idx, off, np.full(count, -7.5), np.full(count, -7.5)]),
             ("base_step_batch", (base,), [idx, off, statuses(count)]),
             ("flow_time_one_batch", (base, roof),
-             [idx, off, hei, statuses(count)])):
+             [idx, off, hei, roof_at(roof, idx, off), statuses(count)])):
         runs = run_both(name, packs, arrays)
         assert_same_runs(runs)
         assert runs[1][0] == 0

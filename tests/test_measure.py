@@ -6,6 +6,7 @@ probabilities; everything else is exact or oracle-backed (scipy quadrature
 for roof-weighted marginals, explicit python orbit loops for the coding).
 """
 
+import itertools
 import logging
 import math
 import tracemalloc
@@ -216,12 +217,66 @@ def test_sample_mu_bits_do_not_depend_on_the_block_size(monkeypatch, block,
     *want, counts = sample_mu_whole_rounds(spec, count, (9, 1))
     monkeypatch.setattr(lanes, "POINT_BLOCK", block)
     got = sample_mu(spec, count, (9, 1))
-    for a, b in zip((got.idx, got.off, got.hei), want):
+    for a, b in zip((got.idx, got.off, got.hei, got.roof), want):
         assert a.tobytes() == b.tobytes()
     assert (got.proposals, got.accepted, got.band_rejects,
             got.step_discards) == counts
     assert got.proposals > count
     assert got.band_rejects > 0 and got.step_discards > 0
+
+
+def roof_at(spec, idx, off):
+    """The roof at each point, as ``roof_eval_batch`` evaluates it."""
+    r = np.empty(idx.shape[0])
+    kernels.batch_kernels().roof_eval_batch(spec.pack(), idx, off, r,
+                                            np.empty(idx.shape[0]))
+    return r
+
+
+@pytest.mark.parametrize("iet", [
+    CountableIET.block_rotation(n_trunc=5), CountableIET.block_swap(n_trunc=9),
+    CountableIET.von_neumann_kakutani(n_trunc=9),
+    CountableIET.explicit_table(
+        [(0.0, 0.3), (0.2, 0.3), (0.5, -0.5), (0.8, 0.0)], n_trunc=16)],
+    ids=["rotation", "swap", "odometer", "table"])
+def test_sampler_carries_the_roof_of_each_samples_fiber_side(monkeypatch,
+                                                             iet):
+    # an upper sample carries r at its point; a lower one, r at the
+    # proposal x that the sampler stepped to the stored point Tx, which is
+    # r(T^-1 Tx) where the backward step gives back the bits of x
+    spec = RoofSpec.build(iet)
+    backend = kernels.batch_kernels()
+    step = backend.base_step_batch
+    stepped = []
+
+    def recorded(base, idx, off, status):
+        pre = idx.copy(), off.copy()
+        bad = step(base, idx, off, status)
+        ok = status == kernels.OK
+        stepped.append((pre[0][ok], pre[1][ok]))
+        return bad
+
+    monkeypatch.setattr(backend, "base_step_batch", recorded)
+    batch = sample_mu(spec, 20_000, 4)
+    monkeypatch.undo()
+    upper = batch.hei >= 0.0
+    assert batch.roof[upper].tobytes() == roof_at(
+        spec, batch.idx[upper], batch.off[upper]).tobytes()
+
+    # one chunk: its lower samples are the first successful steps, in order
+    lower = ~upper
+    i, u = batch.idx[lower], batch.off[lower]
+    pre_i, pre_u = (np.concatenate(a)[:i.shape[0]] for a in zip(*stepped))
+    j, v, st = lanes.iet_step(iet.pack(), pre_i, pre_u)
+    assert (st == kernels.OK).all()
+    assert j.tobytes() == i.tobytes() and v.tobytes() == u.tobytes()
+    assert batch.roof[lower].tobytes() == roof_at(spec, pre_i,
+                                                  pre_u).tobytes()
+    back_i, back_u, _ = lanes.iet_step_inv(iet.pack(), i, u)
+    same = (back_i == pre_i) & (back_u.view(np.int64) == pre_u.view(np.int64))
+    assert same.all() if iet.family == kernels.FAM_SWAP else same.any()
+    assert batch.roof[lower][same].tobytes() == roof_at(
+        spec, back_i[same], back_u[same]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +298,29 @@ def test_invariance_under_time_one_map(golden_spec):
     assert all(row["deviation"] <= rep.threshold for row in d["rows"])
 
 
+def test_invariance_check_evaluates_the_roof_in_the_sampler_only(
+        monkeypatch, golden_spec):
+    # the time-one step reads the roofs the sampler carried, so the check
+    # evaluates the roof once per proposal, as its sample_mu calls do
+    count = SAMPLE_CHUNK + 300
+    points = [0]
+    roof_eval = lanes.roof_eval
+
+    def counted(u, b, l, value=True):
+        points[0] += u.shape[0]
+        return roof_eval(u, b, l, value)
+
+    monkeypatch.setattr(kernels, "batch_kernels", lambda: lanes)
+    monkeypatch.setattr(lanes, "roof_eval", counted)
+    invariance_check(golden_spec, count=count, seed=2)
+    in_check, points[0] = points[0], 0
+    proposals = sum(sample_mu(golden_spec, want, 2, chunk=c).proposals
+                    for c, want in enumerate(measure._chunk_sizes(count)))
+    assert in_check == points[0] == proposals > count
+
+
 def test_invariance_identity_map_is_exact(golden_spec):
-    def ident(idx, off, hei, status):
+    def ident(idx, off, hei, r, status):
         status[:] = kernels.OK
         return 0
 
@@ -257,7 +333,7 @@ def test_invariance_identity_map_is_exact(golden_spec):
 
 
 def test_invariance_detects_broken_dynamics(golden_spec):
-    def shove(idx, off, hei, status):
+    def shove(idx, off, hei, r, status):
         hei += 5.0
         status[:] = kernels.OK
         return 0
@@ -267,7 +343,7 @@ def test_invariance_detects_broken_dynamics(golden_spec):
 
 
 def test_invariance_all_discarded_raises(golden_spec):
-    def kill(idx, off, hei, status):
+    def kill(idx, off, hei, r, status):
         status[:] = kernels.TRUNCATION
         return 1
 
@@ -276,9 +352,9 @@ def test_invariance_all_discarded_raises(golden_spec):
 
 
 def test_invariance_check_memory_does_not_grow_with_the_chunk(golden_spec):
-    # a chunk's samples and box coordinates, and block-sized temporaries
-    # for its sampler rounds and its step: about 4.5 MB, and 13.6 MB with
-    # rounds and steps on the whole chunk at once
+    # a chunk's samples with their roofs, its int8 box ids and status, and
+    # block-sized temporaries for its sampler rounds and its step: 3.89 MB
+    # (4.47 MB with box coordinates in place of ids)
     invariance_check(golden_spec, count=10, seed=1)
     tracemalloc.start()
     try:
@@ -286,7 +362,7 @@ def test_invariance_check_memory_does_not_grow_with_the_chunk(golden_spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6e6
+    assert peak <= 4.4e6
 
 
 def whole_batch_check(spec, count, seed, step):
@@ -297,7 +373,7 @@ def whole_batch_check(spec, count, seed, step):
     xs_pre = lefts[batch.idx] + batch.off
     ys_pre = batch.hei.copy()
     status = np.empty(count, dtype=np.int64)
-    step(batch.idx, batch.off, batch.hei, status)
+    step(batch.idx, batch.off, batch.hei, batch.roof, status)
     keep = status == kernels.OK
     used = int(np.count_nonzero(keep))
     before = (xs_pre[keep], ys_pre[keep])
@@ -313,11 +389,12 @@ def whole_batch_check(spec, count, seed, step):
 @pytest.mark.parametrize("injected", [False, True])
 def test_invariance_check_streams_the_whole_batch_bits(golden_spec, count,
                                                        injected, caplog):
-    def time_one(idx, off, hei, status):
+    def time_one(idx, off, hei, r, status):
         return kernels.batch_kernels().flow_time_one_batch(
-            golden_spec.iet.pack(), golden_spec.pack(), idx, off, hei, status)
+            golden_spec.iet.pack(), golden_spec.pack(), idx, off, hei, r,
+            status)
 
-    def drop_some(idx, off, hei, status):
+    def drop_some(idx, off, hei, r, status):
         # point by point: lifts every point and drops those in interval 2
         hei += 0.5
         status[:] = np.where(idx == 2, kernels.TRUNCATION, kernels.OK)
@@ -325,9 +402,9 @@ def test_invariance_check_streams_the_whole_batch_bits(golden_spec, count,
 
     chunks = []
 
-    def recorded(idx, off, hei, status):
-        chunks.append((idx.copy(), off.copy(), hei.copy()))
-        return drop_some(idx, off, hei, status)
+    def recorded(idx, off, hei, r, status):
+        chunks.append((idx.copy(), off.copy(), hei.copy(), r.copy()))
+        return drop_some(idx, off, hei, r, status)
 
     step = drop_some if injected else time_one
     caplog.set_level(logging.DEBUG, logger="ietlab.measure")
@@ -347,8 +424,46 @@ def test_invariance_check_streams_the_whole_batch_bits(golden_spec, count,
         assert [len(c[0]) for c in chunks] == [
             min(SAMPLE_CHUNK, count - pos)
             for pos in range(0, count, SAMPLE_CHUNK)]
-        for got, want in zip(zip(*chunks), (whole.idx, whole.off, whole.hei)):
+        for got, want in zip(zip(*chunks),
+                             (whole.idx, whole.off, whole.hei, whole.roof)):
             assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def test_standard_boxes_are_pairwise_disjoint():
+    for a, b in itertools.combinations(standard_boxes(), 2):
+        assert not (a.x_lo < b.x_hi and b.x_lo < a.x_hi
+                    and a.y_lo < b.y_hi and b.y_lo < a.y_hi), (a, b)
+
+
+def test_box_ids_give_the_boxes_of_region_contains(vnk_iet):
+    # the odometer's deepest intervals start where x rounds to 1.0
+    iet = vnk_iet
+    lefts = interval_lefts(iet)
+    last = iet.n_trunc - 1
+    xs = [x for j in range(4) for x in (0.25 * j, np.nextafter(0.25 * j, -1.0),
+                                        np.nextafter(0.25 * j, 2.0))
+          if x >= 0.0]
+    xs += np.random.default_rng(4).random(40).tolist()
+    points = [iet.locate(float(x)) for x in xs]
+    points += [FiberPoint(last, u) for u in (0.0, 0.5 * iet.length(last))]
+    heights = [0.0, -0.0, 0.75, -0.75, 0.3, -0.3, 2.0, -2.0]
+    heights += [float(np.nextafter(y, t)) for y in (0.0, 0.75, -0.75)
+                for t in (-1.0, 1.0)]
+    idx = np.repeat([p.index for p in points], len(heights))
+    off = np.repeat([p.offset for p in points], len(heights))
+    hei = np.tile(heights, len(points))
+    xs = lefts[idx] + off
+    assert {0.25, 0.5, 0.75, 1.0} <= set(xs.tolist())
+    ids = measure._box_ids(lefts, idx, off, hei)
+    assert ids.dtype == np.int8
+    inside = np.zeros(idx.shape[0], dtype=bool)
+    for j, box in enumerate(standard_boxes()):
+        hit = box.contains(xs, hei)
+        assert np.array_equal(ids == j, hit), box
+        assert hit.any()
+        inside |= hit
+    assert np.array_equal(ids == measure._NO_BOX, ~inside)
+    assert not inside.all()
 
 
 def test_standard_boxes_tile_core_band():
