@@ -1,5 +1,38 @@
 """Numerical laboratory for suspension flows over countable interval exchanges."""
 
+
+def _import_numpy_with_libm_log_exp() -> None:
+    """Import numpy with its AVX-512 targets off, unless told otherwise.
+
+    numpy's AVX-512 float64 ``log`` and ``exp`` round differently from
+    libm's on some inputs; without them, numpy's loops call libm for each
+    element, and ``libm.elementwise`` takes those loops (it asks numpy
+    which loop runs).  numpy reads the variable once, at its first import,
+    so it is set only then, and unset again so that child processes do not
+    inherit it.  A value the user set for either variable, even an empty
+    one, is left alone: numpy refuses to start with both set, and a numpy
+    built with an AVX-512 baseline refuses to disable it.
+    """
+    import os
+    import sys
+    import warnings
+
+    if ("numpy" in sys.modules or "NPY_DISABLE_CPU_FEATURES" in os.environ
+            or "NPY_ENABLE_CPU_FEATURES" in os.environ):
+        return
+    os.environ["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    try:
+        with warnings.catch_warnings():
+            # numpy names targets it does not know in an ImportWarning
+            warnings.simplefilter("ignore", ImportWarning)
+            import numpy  # noqa: F401
+    finally:
+        del os.environ["NPY_DISABLE_CPU_FEATURES"]
+
+
+_import_numpy_with_libm_log_exp()
+
+
 from .errors import (
     ConfigError,
     ConsistencyError,

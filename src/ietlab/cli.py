@@ -150,7 +150,8 @@ def _check_summability(spec: RoofSpec) -> CheckOutcome:
 
 # The sandwich, beta and cocycle-algebra checks draw their points and
 # evaluate them on lanes, with ``lane_geometry``, which is imported on first
-# use, so that commands without geometry do not load it.
+# use, so that commands without geometry do not load it.  Each check
+# evaluates the fiber edges over its points once, for all its functions.
 
 
 def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
@@ -159,9 +160,10 @@ def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
     from . import lane_geometry as lanes
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
     z, dx, dy = lanes.sandwich_draws(spec, rng, count)
+    fibers = lanes.fiber_edges(spec, z.idx, z.off)
     ne = lanes.metric_norm(spec, params, z, dx, dy, kind="euclidean")
-    nd = lanes.metric_norm(spec, params, z, dx, dy, kind="delta")
-    return z, dx, dy, ne, nd, lanes.constant_C(spec, z)
+    nd = lanes.metric_norm(spec, params, z, dx, dy, "delta", fibers)
+    return z, dx, dy, ne, nd, lanes.constant_C(spec, z, fibers)
 
 
 def _beta_values(spec: RoofSpec, params: MetricParams, seed: int,
@@ -169,10 +171,12 @@ def _beta_values(spec: RoofSpec, params: MetricParams, seed: int,
     """Points and the two sides of the beta check's bound."""
     from . import lane_geometry as lanes
     rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
-    z, jac, z1 = lanes.beta_draws(spec, rng, count)
-    lhs = lanes.op_norm_between(lanes.metric_form(spec, params, z), jac,
-                                lanes.metric_form(spec, params, z1))
-    rhs = lanes.beta_factor(spec, params, z) * lanes.op_norm_euclidean(jac)
+    z, jac, z1, here = lanes.beta_draws(spec, rng, count)
+    fibers = lanes.fiber_edges(spec, z.idx, z.off, here=here)
+    lhs = lanes.op_norm_between(lanes.metric_form(spec, params, z, fibers),
+                                jac, lanes.metric_form(spec, params, z1))
+    rhs = (lanes.beta_factor(spec, params, z, fibers)
+           * lanes.op_norm_euclidean(jac))
     return z, lhs, rhs
 
 

@@ -27,6 +27,7 @@ from .errors import (
     TruncationExceededError,
     raise_for_status,
 )
+from .libm import elementwise
 
 #: Default rotation number of the per-block rotation family.
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
@@ -428,7 +429,7 @@ class PartitionEntropy:
 
 
 def _entropy_term(lengths: np.ndarray) -> np.ndarray:
-    return -lengths * np.log(lengths)
+    return -lengths * elementwise(math.log, lengths)
 
 
 def _octave_trend(lengths: np.ndarray) -> tuple[str, float]:

@@ -7,6 +7,9 @@ of points; ``geometry``'s functions of one point are one-lane calls.
 ``cocycle_tries`` and evaluates them all at once, and ``lab lyapunov``
 takes C at every start and checkpoint endpoint of a round in one call.
 Points travel as ``Points``, three arrays, and cocycles as ``Cocycles``.
+The functions that read the roof at both fiber edges take them as
+``fibers``, ``fiber_edges``' result, where a check evaluates several of
+them at the same points, so that each edge is evaluated once.
 
 Each lane gives the formula's floats on Python floats bit for bit: only
 the operations ``lanes`` vectorises are used, plus sqrt and the stacked
@@ -28,9 +31,9 @@ from .flow import Cocycle2x2
 from .geometry import MAX_GLUE, SuspensionPoint
 from .iet import FiberPoint
 from .kernels import OK, SINGULARITY
+from .libm import elementwise
 from .lanes import (
     _in_band,
-    _math,
     _smooth_step,
     canonicalize_k,
     iet_step,
@@ -65,16 +68,18 @@ def _roof_value(spec, i, u):
     return (*roof_eval(u, bs[i], l), _in_band(u, l, band))
 
 
-def fiber_edges(spec, idx, off, check: bool = True):
+def fiber_edges(spec, idx, off, check: bool = True, here=None):
     """``((r_below, dr_below, r_here, dr_here), refused)``: the roof at
     T^-1 x and at x, so that the fiber over x is [-r_below, r_here), and
     the lanes where the backward step or a roof is refused, the first of
-    which raises if ``check``."""
+    which raises if ``check``.  ``here`` is the roof at x as
+    ``_roof_value`` gives it, where the caller has it already."""
     j, v, st = iet_step_inv(spec.iet.pack(), idx, off)
     stepped = st == OK
     j, v = np.where(stepped, j, idx), np.where(stepped, v, off)
     r_below, dr_below, below_refused = _roof_value(spec, j, v)
-    r_here, dr_here, here_refused = _roof_value(spec, idx, off)
+    r_here, dr_here, here_refused = (_roof_value(spec, idx, off)
+                                     if here is None else here)
     refused = ~stepped | below_refused | here_refused
     if check and refused.any():
         k = int(np.argmax(refused))
@@ -84,13 +89,19 @@ def fiber_edges(spec, idx, off, check: bool = True):
     return (r_below, dr_below, r_here, dr_here), refused
 
 
-def _shear(spec, z: Points, check: bool = True):
+def _fibers(spec, z: Points, fibers, check: bool = True):
+    """``fibers``, the result of ``fiber_edges`` at ``z`` with ``check``
+    that a caller has already, or else that result evaluated now."""
+    return fiber_edges(spec, z.idx, z.off, check) if fibers is None else fibers
+
+
+def _shear(spec, z: Points, check: bool = True, fibers=None):
     """``(s, d, refused)``: the straightening shear [[1, 0], [s, 1]] in
     force, s = -r'(x) where the top edge is nearest and s = +r'(T^-1 x)
     where the bottom edge is, the fiber distance d to that edge, and the
     refused lanes of ``fiber_edges``."""
-    (r_below, dr_below, r_here, dr_here), refused = fiber_edges(
-        spec, z.idx, z.off, check)
+    (r_below, dr_below, r_here, dr_here), refused = _fibers(spec, z, fibers,
+                                                            check)
     d_top = r_here - z.hei
     d_bot = z.hei + r_below
     top = d_top <= d_bot
@@ -103,10 +114,10 @@ def _blend(params, d):
     return 1.0 - _smooth_step(d / params.delta)[0]
 
 
-def metric_form(spec, params, z: Points):
+def metric_form(spec, params, z: Points, fibers=None):
     """Gram matrices of the blended norm, shape (n, 2, 2): rho I + (1 - rho)
     B^T B for the shear B, the identity off the edge zone."""
-    s, d, _ = _shear(spec, z)
+    s, d, _ = _shear(spec, z, fibers=fibers)
     rho = _blend(params, d)
     g = np.empty((s.shape[0], 2, 2))
     g[:, 0, 0] = rho + (1.0 - rho) * (1.0 + s * s)
@@ -116,14 +127,15 @@ def metric_form(spec, params, z: Points):
     return g
 
 
-def metric_norm(spec, params, z: Points, dx, dy, kind: str = "delta"):
+def metric_norm(spec, params, z: Points, dx, dy, kind: str = "delta",
+                fibers=None):
     """Lengths of the tangent vectors ``(dx, dy)`` under ``kind``'s norm."""
-    euclidean = _math(math.hypot, dx, dy)
+    euclidean = elementwise(math.hypot, dx, dy)
     if kind == "euclidean":
         return euclidean
     if kind != "delta":
         raise ConstraintViolationError(f"unknown norm kind {kind!r}")
-    s, d, _ = _shear(spec, z)
+    s, d, _ = _shear(spec, z, fibers=fibers)
     rho = _blend(params, d)
     e2 = dx * dx + dy * dy
     sheared = s * dx + dy
@@ -138,10 +150,10 @@ def sandwich_constants(spec, z: Points):
     return 2.0 + 2.0 * np.abs(s), refused
 
 
-def constant_C(spec, z: Points):
+def constant_C(spec, z: Points, fibers=None):
     """Sandwich constants, C(z)^-1 ||v||_e <= ||v||_delta <= C(z) ||v||_e,
     from the roof derivative of the edge each point is nearest to."""
-    return 2.0 + 2.0 * np.abs(_shear(spec, z)[0])
+    return 2.0 + 2.0 * np.abs(_shear(spec, z, fibers=fibers)[0])
 
 
 def _max(a, b):
@@ -149,7 +161,7 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
-def beta_factor(spec, params, z: Points):
+def beta_factor(spec, params, z: Points, fibers=None):
     """One-step expansion bounds: ||dphi||_delta <= beta(z) ||dphi||_e.
 
     1 on the core, -r(T^-1 x) + delta < y < r(x) - (1 + delta); elsewhere
@@ -157,8 +169,8 @@ def beta_factor(spec, params, z: Points):
     Tx near the top, over x with either edge active near the bottom.  The
     first lane whose edges, or Tx or the roof there, are refused raises.
     """
-    (r_below, dr_below, r_here, dr_here), bad = fiber_edges(
-        spec, z.idx, z.off, check=False)
+    (r_below, dr_below, r_here, dr_here), bad = _fibers(spec, z, fibers,
+                                                        check=False)
     y = z.hei
     core = (-r_below + params.delta < y) & (y < r_here - (1.0 + params.delta))
     c_top = 2.0 + 2.0 * np.abs(dr_here)
@@ -169,6 +181,7 @@ def beta_factor(spec, params, z: Points):
     stepped = st == OK
     j, v = np.where(stepped, j, z.idx[at]), np.where(stepped, v, z.off[at])
     _, dr_next, refused = _roof_value(spec, j, v)
+    bad = bad.copy()
     bad[at] |= ~stepped | refused
     if bad.any():  # the edges' error first, then that of the step to Tx
         k = int(np.argmax(bad))
@@ -180,10 +193,11 @@ def beta_factor(spec, params, z: Points):
     return beta
 
 
-def jacobian_step(spec, z: Points):
+def jacobian_step(spec, z: Points, here=None):
     """``flow.jacobian_step`` on lanes: ``(matrices (n, 2, 2), status)``,
-    SINGULARITY where the roof at the point is refused."""
-    r, dr, refused = _roof_value(spec, z.idx, z.off)
+    SINGULARITY where the roof at the point is refused.  ``here`` is that
+    roof as ``_roof_value`` gives it, where the caller has it already."""
+    r, dr, refused = _roof_value(spec, z.idx, z.off) if here is None else here
     return (shears(np.where(z.hei + 1.0 < r, 0.0, -2.0 * dr)),
             np.where(refused, SINGULARITY, OK))
 
@@ -361,7 +375,9 @@ def cocycle_tries(spec, rng, count: int) -> CocycleTries:
 
 
 def beta_draws(spec, rng, count: int):
-    """The beta check's points, their time-one Jacobians and images.
+    """The beta check's points, their time-one Jacobians and images, and
+    the roof at the points (``_roof_value``'s three arrays), which the
+    Jacobians read.
 
     Each round draws the points of as many tries as are still wanted; a
     point whose Jacobian or time-one image fails is skipped.
@@ -370,9 +386,11 @@ def beta_draws(spec, rng, count: int):
     found = 0
     while found < count:
         z = _canonical_draws(spec, rng, count - found)
-        jac, jac_status = jacobian_step(spec, z)
+        here = _roof_value(spec, z.idx, z.off)
+        jac, jac_status = jacobian_step(spec, z, here)
         z1, flow_status = flow(spec, z, 1.0)
         keep = np.flatnonzero((jac_status == OK) & (flow_status == OK))
-        parts.append((z.take(keep), jac[keep], z1.take(keep)))
+        parts.append((z.take(keep), jac[keep], z1.take(keep),
+                      tuple(a[keep] for a in here)))
         found += keep.shape[0]
     return tuple(_joined(parts))

@@ -29,10 +29,10 @@ bit, and each roof and base-map rule, the sampler's band test included, is
 one function here, the twin of one kernel.  Only IEEE-exact operations are
 vectorised: + - * /, comparisons, abs, ``ldexp``, ``frexp`` and
 ``searchsorted``, and sums taken in the scalar loop's order
-(``np.add.accumulate``).  Every ``log``, ``exp`` and ``hypot`` goes through
-``math``, lane by lane, because numpy's versions round differently from
-``math`` on some inputs.  The roof functions assume the invariant that
-``RoofSpec`` enforces, 0 < b < l/2 on every interval.
+(``np.add.accumulate``).  Every ``log`` and ``exp`` goes through
+``libm.elementwise``, which gives the bits of ``math``: by numpy's loop
+where that calls libm, else lane by lane.  The roof functions assume the
+invariant that ``RoofSpec`` enforces, 0 < b < l/2 on every interval.
 """
 
 from __future__ import annotations
@@ -53,12 +53,7 @@ from .kernels import (
     SINGULARITY,
     TRUNCATION,
 )
-
-
-def _math(fn, *xs):
-    """``fn`` from ``math`` applied elementwise to the float arrays ``xs``."""
-    return np.fromiter(map(fn, *(x.tolist() for x in xs)), np.float64,
-                       xs[0].shape[0])
+from .libm import elementwise
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +273,7 @@ def _smooth_step(s):
             a[k], da[k] = kernels.smooth_step(float(s[k]))
         return a, da
     both = np.concatenate((x, s))
-    e = _math(math.exp, -1.0 / both)
+    e = elementwise(math.exp, -1.0 / both)
     de = e / (both * both)
     m = s.shape[0]
     num, oth = e[:m], e[m:]
@@ -320,14 +315,14 @@ def roof_eval(u, b, l, value=True):
         ws = w[sp]
         dr[sp] = np.where(left[sp], -1.0, 1.0) / ws
         if value:
-            r[sp] = 1.0 - _math(math.log, ws / b[sp])
+            r[sp] = 1.0 - elementwise(math.log, ws / b[sp])
     bl = np.flatnonzero(~(spike | flat_mid))
     if bl.size:
         wb = w[bl]
         bb = b[bl]
         t = wb / bb
         a, da = _smooth_step(2.0 * t - 1.0)
-        fm1 = -_math(math.log, t)
+        fm1 = -elementwise(math.log, t)
         lb = left[bl]
         g = np.where(lb, da, -da) * (2.0 / bb) * fm1
         aw = a / wb

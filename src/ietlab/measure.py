@@ -34,6 +34,7 @@ from .errors import (
 )
 from .geometry import SuspensionPoint
 from .iet import CountableIET, FiberPoint
+from .libm import elementwise
 from .roof import RoofSpec, roof_integral
 
 log = logging.getLogger(__name__)
@@ -209,7 +210,7 @@ def _sampler_round(table: tuple, backend, draws: Iterator[np.ndarray],
     # ratio past 1
     t_eff = np.where(left_spike, u / b,
                      np.where(right_spike, (l - u) / b, 1.0))
-    env = 1.0 - np.log(np.maximum(t_eff, 5e-324))
+    env = 1.0 - elementwise(math.log, np.maximum(t_eff, 5e-324))
     ok = ~lanes._in_band(u, l, band)
     stats.band_rejects += int(k - np.count_nonzero(ok))
 
@@ -701,7 +702,7 @@ def _key_entropy(keys: np.ndarray, size: int) -> float:
         ends = np.flatnonzero(keys[1:] != keys[:-1]) + 1
         counts = np.diff(np.concatenate(([0], ends, [m])))
     p = counts / m
-    return float(-np.sum(p * np.log(p)))
+    return float(-np.sum(p * elementwise(math.log, p)))
 
 
 def _check_key_width(a: int, block_len: int) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import ConstraintViolationError, LabError, SingularityProximityError
 from .iet import CountableIET, FiberPoint, partition_entropy
+from .libm import elementwise
 
 #: Relative half-width of the refusal zone around each breakpoint.
 EXCLUSION_BAND = 1e-12
@@ -218,7 +219,7 @@ class RoofSpec:
                     f"policy width {b!r} violates 0 < b < l/2 on interval {i}")
             widths.append(b)
         widths = np.array(widths)
-        partial = float(np.sum(-widths * np.log(widths)))
+        partial = float(np.sum(-widths * elementwise(math.log, widths)))
         tail_l = max(0.0, 1.0 - iet.right(n - 1))
         tail_bound, verdict = policy.tail_blog_bound(iet, n)
         report = SummabilityReport(partial, tail_bound, verdict)
@@ -385,7 +386,7 @@ def _blend_integrals(spec: RoofSpec, n: int, derivative: bool, scheme: str,
 
     def f(u, k):
         r, dr = lanes.roof_eval(u, bs[k], ls[k], value=not derivative)
-        return lanes._math(math.log1p, np.abs(dr)) if derivative else r
+        return elementwise(math.log1p, np.abs(dr)) if derivative else r
 
     if scheme == "simpson":
         return adaptive_simpson(f, lo, hi, tol).reshape(n, 2)
@@ -447,11 +448,10 @@ def log_derivative_integral(spec: RoofSpec, n_terms: int | None = None,
     cap = bump_sup_derivative()
     bound = 3.0 + math.log(2.0 * cap) + spec.summability.partial_sum \
         + spec.summability.tail_bound
-    from . import lanes
     b = spec.widths[:n]
     half = 0.5 * b
-    spike = half * lanes._math(math.log1p, 2.0 / b) \
-        + lanes._math(math.log1p, half)
+    spike = half * elementwise(math.log1p, 2.0 / b) \
+        + elementwise(math.log1p, half)
     blends = _blend_integrals(spec, n, True, scheme, quad_tol)
     total = _in_order(np.column_stack((2.0 * spike, blends)).reshape(1, -1))[0]
     return float(total), float(bound)

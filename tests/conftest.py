@@ -1,7 +1,14 @@
-"""Shared fixtures: one spec per family, built once per session."""
+"""Shared fixtures: one spec per family, built once per session.
+
+``ietlab`` is imported before numpy, as ``lab`` imports it, so that
+``libm.elementwise`` takes numpy's loops for log and exp, which call libm
+(``libm.LIBM_UFUNCS``), and the pinned digests judge that path;
+``tests/test_libm_path.py`` runs the ``math`` path in subprocesses.
+"""
 
 import sys
 
+import ietlab  # noqa: F401  (first: see above)
 import numpy as np
 import pytest
 

@@ -353,9 +353,36 @@ def test_sandwich_and_beta_gates_can_fail(make):
     assert cli._check_sandwich(spec, PARAMS, 0).status == "PASS"
 
     rng = np.random.default_rng(np.random.SeedSequence((0, 202)))
-    z, jac, z1 = lanes.beta_draws(spec, rng, 10000)
+    z, jac, z1, _ = lanes.beta_draws(spec, rng, 10000)
     lhs = lanes.op_norm_between(lanes.metric_form(spec, PARAMS, z), jac,
                                 lanes.metric_form(spec, PARAMS, z1))
     euclidean = lanes.op_norm_euclidean(jac)
     assert np.count_nonzero(lhs > euclidean * (1 + 1e-9)) >= 100
     assert cli._check_beta_bound(spec, PARAMS, 0).status == "PASS"
+
+
+def test_checks_evaluate_each_fiber_edge_once(monkeypatch, golden_spec):
+    """The sandwich check evaluates the roof at both fiber edges of each
+    point once; the beta check at each drawn point, for its Jacobian, then
+    at T^-1 x of each point kept, at both edges of each image, and at Tx
+    where beta reads it."""
+    count = 2000
+    seen = {"roof": 0, "drawn": 0, "tx": 0}
+
+    def counting(name, fn, size):
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen[name] += size(args, out)
+            return out
+        monkeypatch.setattr(lanes, fn.__name__, counted)
+
+    counting("roof", lanes.roof_eval, lambda args, out: args[0].shape[0])
+    counting("drawn", lanes._canonical_draws,
+             lambda args, out: out.idx.shape[0])
+    counting("tx", lanes.iet_step, lambda args, out: args[1].shape[0])
+    cli._sandwich_values(golden_spec, PARAMS, 1, count)
+    assert seen == {"roof": 2 * count, "drawn": count, "tx": 0}
+    seen.update(roof=0, drawn=0)
+    cli._beta_values(golden_spec, PARAMS, 1, count)
+    assert seen["roof"] == seen["drawn"] + 3 * count + seen["tx"]
+    assert seen["drawn"] >= count and seen["tx"] > 0
