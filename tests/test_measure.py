@@ -625,7 +625,7 @@ def tuple_key_lz78(symbols, alphabet_size):
     return phrases * math.log(phrases) / symbols.size, mid_phrase
 
 
-@pytest.mark.parametrize("alphabet", [2, 3, 16, 64])
+@pytest.mark.parametrize("alphabet", [2, 3, 16, 64, 300])
 def test_lz78_rate_matches_tuple_keyed_trie(alphabet):
     rng = np.random.default_rng(alphabet)
     ends = []
@@ -649,17 +649,43 @@ PLUGIN_PINS = {
     "orbit(VonNeumannKakutani)": "0x1.62bbb93816da0p-4",
 }
 
-#: (alphabet, block length, stream length) -> plug-in estimate on uniform
-#: symbols seeded by the stream length.  The lengths put the number of
-#: blocks on either side of a quarter of the number of possible keys: for
-#: the 7-blocks over 3 symbols (546 and 547 of 2187), and for the 6-blocks
-#: over 4 symbols (1023 and 1024 of 4096).
+#: (alphabet, block length, stream length, lone symbol) -> plug-in estimate
+#: on uniform symbols seeded by the stream length.  The lengths put the
+#: number of blocks on either side of a quarter of the number of possible
+#: keys: for the 7-blocks over 3 symbols (546 and 547 of 2187), for the
+#: 6-blocks over 4 symbols (1023 and 1024 of 4096), and for the 2-blocks
+#: over 16 symbols (63 and 64 of 256).  Where the lone symbol is not None,
+#: the stream ends with it and draws every other symbol from the rest of
+#: the alphabet, so that its last (L - 1)-block occurs nowhere else.
 PLUGIN_EDGE_PINS = {
-    (3, 7, 552): "0x1.4665b85e8b4e0p-2",
-    (3, 7, 553): "0x1.25993dc2bead0p-2",
-    (4, 7, 1028): "0x1.eb4daef7c8600p-4",
-    (4, 7, 1029): "0x1.ee496ef6d5a80p-4",
+    (3, 7, 552, None): "0x1.4665b85e8b4e0p-2",
+    (3, 7, 553, None): "0x1.25993dc2bead0p-2",
+    (4, 7, 1028, None): "0x1.eb4daef7c8600p-4",
+    (4, 7, 1029, None): "0x1.ee496ef6d5a80p-4",
+    (16, 2, 64, None): "0x1.6076214aed4a6p+0",
+    (16, 2, 65, None): "0x1.5b850d8706718p+0",
+    (3, 1, 100, 0): "0x1.762cb12d4b546p-1",
+    (16, 1, 64, 15): "0x1.500188dca733bp+1",
+    (3, 2, 100, 1): "0x1.593ab95ac435ap-1",
+    (3, 2, 100, 2): "0x1.593ab95ac4359p-1",
+    (16, 2, 64, 0): "0x1.6876eac9e89aep+0",
+    (16, 2, 64, 15): "0x1.6876eac9e89aep+0",
+    (16, 2, 65, 7): "0x1.612e84b3a14aap+0",
+    (3, 7, 552, 0): "0x1.3fcd4a36d9f58p-1",
+    (3, 7, 553, 2): "0x1.34e44f06766a0p-1",
+    (4, 7, 1028, 3): "0x1.db58ff07d5640p-2",
 }
+
+
+def edge_stream(alphabet, n, lone):
+    """The stream of a ``PLUGIN_EDGE_PINS`` key."""
+    rng = np.random.default_rng(n)
+    if lone is None:
+        return SymbolStream(alphabet, rng.integers(0, alphabet, n))
+    rest = np.delete(np.arange(alphabet), lone)
+    sym = rest[rng.integers(0, alphabet - 1, n)]
+    sym[-1] = lone
+    return SymbolStream(alphabet, sym)
 
 
 def test_plugin_block_entropy_bits_on_the_diagnostics_streams():
@@ -673,11 +699,9 @@ def test_plugin_block_entropy_bits_on_the_diagnostics_streams():
 
 
 def test_plugin_block_entropy_bits_around_the_counting_switch():
-    got = {}
-    for alphabet, block_len, n in PLUGIN_EDGE_PINS:
-        sym = np.random.default_rng(n).integers(0, alphabet, n)
-        got[alphabet, block_len, n] = plugin_block_entropy(
-            SymbolStream(alphabet, sym), block_len).hex()
+    got = {key: plugin_block_entropy(edge_stream(key[0], *key[2:]),
+                                     key[1]).hex()
+           for key in PLUGIN_EDGE_PINS}
     assert got == PLUGIN_EDGE_PINS
 
 
