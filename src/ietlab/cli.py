@@ -151,7 +151,8 @@ def _check_summability(spec: RoofSpec) -> CheckOutcome:
 # The sandwich, beta and cocycle-algebra checks draw their points and
 # evaluate them on lanes, with ``lane_geometry``, which is imported on first
 # use, so that commands without geometry do not load it.  Each check
-# evaluates the fiber edges over its points once, for all its functions.
+# evaluates the fiber edges over its points once, for all its functions,
+# and the sandwich check the Euclidean lengths of its vectors once.
 
 
 def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
@@ -162,7 +163,7 @@ def _sandwich_values(spec: RoofSpec, params: MetricParams, seed: int,
     z, dx, dy = lanes.sandwich_draws(spec, rng, count)
     fibers = lanes.fiber_edges(spec, z.idx, z.off)
     ne = lanes.metric_norm(spec, params, z, dx, dy, kind="euclidean")
-    nd = lanes.metric_norm(spec, params, z, dx, dy, "delta", fibers)
+    nd = lanes.metric_norm(spec, params, z, dx, dy, "delta", fibers, ne)
     return z, dx, dy, ne, nd, lanes.constant_C(spec, z, fibers)
 
 
@@ -173,8 +174,10 @@ def _beta_values(spec: RoofSpec, params: MetricParams, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
     z, jac, z1, here = lanes.beta_draws(spec, rng, count)
     fibers = lanes.fiber_edges(spec, z.idx, z.off, here=here)
+    fibers1 = lanes.image_fiber_edges(spec, z, fibers, z1)
     lhs = lanes.op_norm_between(lanes.metric_form(spec, params, z, fibers),
-                                jac, lanes.metric_form(spec, params, z1))
+                                jac, lanes.metric_form(spec, params, z1,
+                                                       fibers1))
     rhs = (lanes.beta_factor(spec, params, z, fibers)
            * lanes.op_norm_euclidean(jac))
     return z, lhs, rhs

@@ -9,7 +9,9 @@ takes C at every start and checkpoint endpoint of a round in one call.
 Points travel as ``Points``, three arrays, and cocycles as ``Cocycles``.
 The functions that read the roof at both fiber edges take them as
 ``fibers``, ``fiber_edges``' result, where a check evaluates several of
-them at the same points, so that each edge is evaluated once.
+them at the same points, so that each edge is evaluated once;
+``image_fiber_edges`` takes them over to the images whose base point did
+not move.
 
 Each lane gives the formula's floats on Python floats bit for bit: only
 the operations ``lanes`` vectorises are used, plus sqrt and the stacked
@@ -89,6 +91,23 @@ def fiber_edges(spec, idx, off, check: bool = True, here=None):
     return (r_below, dr_below, r_here, dr_here), refused
 
 
+def image_fiber_edges(spec, z: Points, fibers, image: Points):
+    """``fiber_edges`` at ``image`` with ``check``, given ``fibers``, that
+    result at ``z`` with ``check``.  A lane whose base point ``image``
+    keeps has its edges in ``fibers`` and is not refused, so only the lanes
+    whose base point moved are evaluated, and the first of them that is
+    refused raises, as it would among all lanes."""
+    moved = np.flatnonzero((image.idx != z.idx) | (image.off != z.off))
+    new_edges, new_refused = fiber_edges(spec, image.idx[moved],
+                                         image.off[moved])
+    edges = tuple(a.copy() for a in fibers[0])
+    for whole, part in zip(edges, new_edges):
+        whole[moved] = part
+    refused = fibers[1].copy()
+    refused[moved] = new_refused
+    return edges, refused
+
+
 def _fibers(spec, z: Points, fibers, check: bool = True):
     """``fibers``, the result of ``fiber_edges`` at ``z`` with ``check``
     that a caller has already, or else that result evaluated now."""
@@ -128,9 +147,12 @@ def metric_form(spec, params, z: Points, fibers=None):
 
 
 def metric_norm(spec, params, z: Points, dx, dy, kind: str = "delta",
-                fibers=None):
-    """Lengths of the tangent vectors ``(dx, dy)`` under ``kind``'s norm."""
-    euclidean = elementwise(math.hypot, dx, dy)
+                fibers=None, euclidean=None):
+    """Lengths of the tangent vectors ``(dx, dy)`` under ``kind``'s norm.
+    ``euclidean`` is their Euclidean lengths, where the caller has them
+    already."""
+    if euclidean is None:
+        euclidean = elementwise(math.hypot, dx, dy)
     if kind == "euclidean":
         return euclidean
     if kind != "delta":

@@ -548,21 +548,34 @@ def invariance_check(spec: RoofSpec, count: int = 100000, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
+def _symbol_dtype(alphabet_size: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds symbols below
+    ``alphabet_size``: uint8 for every alphabet up to 256."""
+    return np.min_scalar_type(alphabet_size - 1)
+
+
 @dataclass(frozen=True)
 class SymbolStream:
-    """Integer symbols in [0, alphabet_size) with a provenance note."""
+    """Integer symbols in [0, alphabet_size) with a provenance note.
+
+    The symbols are checked as given, then kept in the narrowest unsigned
+    dtype that holds the alphabet: uint8 up to 256 symbols.
+    """
 
     alphabet_size: int
     symbols: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols, dtype=np.int64)
-        object.__setattr__(self, "symbols", sym)
+        sym = np.asarray(self.symbols)
+        if not np.issubdtype(sym.dtype, np.integer):
+            sym = sym.astype(np.int64)
         if self.alphabet_size < 2:
             raise ConstraintViolationError("alphabet needs at least 2 symbols")
         if sym.size and (sym.min() < 0 or sym.max() >= self.alphabet_size):
             raise ConstraintViolationError("symbol out of alphabet range")
+        object.__setattr__(self, "symbols", sym.astype(
+            _symbol_dtype(self.alphabet_size), copy=False))
 
     def __len__(self) -> int:
         return int(self.symbols.size)
@@ -573,7 +586,7 @@ def bernoulli_stream(p: float, length: int, seed: int) -> SymbolStream:
     if not 0.0 < p < 1.0:
         raise ConstraintViolationError("bernoulli parameter must be in (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    sym = (rng.random(length) < p).astype(np.int64)
+    sym = (rng.random(length) < p).view(np.uint8)
     return SymbolStream(2, sym, provenance=f"bernoulli(p={p})")
 
 
@@ -633,7 +646,7 @@ def coded_orbit_stream(iet: CountableIET, length: int, seed: int = 0,
     orbits that would come near 1 - 2^-53 take the kernel's step loop.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    out = np.empty(length, dtype=np.int64)
+    out = np.empty(length, dtype=_symbol_dtype(alphabet_size))
     base = iet.pack()
     for _ in range(CODED_ORBIT_ATTEMPTS):
         if start is not None:
@@ -679,12 +692,26 @@ def read_symbols(path, alphabet_size: int | None = None) -> SymbolStream:
 
 def _block_keys(sym: np.ndarray, a: int, block_len: int, m: int) -> np.ndarray:
     """Base-``a`` keys of the first ``m`` blocks of length ``block_len >= 1``,
-    in a new array."""
-    keys = sym[:m].copy()
+    in a new int64 array."""
+    keys = sym[:m].astype(np.int64)
     for j in range(1, block_len):
         keys *= a
         keys += sym[j:j + m]
     return keys
+
+
+def _count_entropy(counts: np.ndarray, total: int) -> float:
+    """Entropy (nats) of the nonzero ``counts`` out of ``total``."""
+    p = counts / total
+    return float(-np.sum(p * elementwise(math.log, p)))
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys of a sorted array starts."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _key_entropy(keys: np.ndarray, size: int) -> float:
@@ -699,10 +726,8 @@ def _key_entropy(keys: np.ndarray, size: int) -> float:
         counts = counts[counts > 0]
     else:
         keys.sort()
-        ends = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        counts = np.diff(np.concatenate(([0], ends, [m])))
-    p = counts / m
-    return float(-np.sum(p * elementwise(math.log, p)))
+        counts = np.diff(np.append(_run_starts(keys), m))
+    return _count_entropy(counts, m)
 
 
 def _check_key_width(a: int, block_len: int) -> None:
@@ -727,8 +752,12 @@ def plugin_block_entropy(stream: SymbolStream, block_len: int = 12) -> float:
     """Conditional block estimator: H(block_len) - H(block_len - 1), nats.
 
     Requires length >= alphabet_size * 2**block_len so the longest blocks
-    are not hopelessly undersampled.  The keys of the shorter blocks are
-    built once and extended to the longer ones.
+    are not hopelessly undersampled.  Only the keys of the longer blocks
+    are built.  The shorter blocks are their prefixes ``key // a`` plus the
+    stream's last (block_len - 1)-block, so their counts are the longer
+    blocks' counts summed by prefix, plus one at that last block.  Both
+    count arrays come out in ascending key order, as ``_key_entropy``
+    gives them, so each sum takes the same terms in the same order.
     """
     if block_len < 1:
         raise ConstraintViolationError("block length must be >= 1")
@@ -743,11 +772,29 @@ def plugin_block_entropy(stream: SymbolStream, block_len: int = 12) -> float:
     m = len(stream) - block_len + 1
     if block_len == 1:
         return _key_entropy(sym.copy(), a)
-    short = _block_keys(sym, a, block_len - 1, m + 1)
-    keys = short[:m] * a
-    keys += sym[block_len - 1:]
-    return (_key_entropy(keys, a ** block_len)
-            - _key_entropy(short, a ** (block_len - 1)))
+    keys = _block_keys(sym, a, block_len, m)
+    last = 0
+    for s in sym[m:].tolist():
+        last = last * a + s
+    size = a ** block_len
+    if size <= BINCOUNT_KEYS_PER_BLOCK * m:
+        counts = np.bincount(keys, minlength=size)
+        short = counts.reshape(-1, a).sum(axis=1)
+        short[last] += 1
+        counts, short = counts[counts > 0], short[short > 0]
+    else:
+        keys.sort()
+        starts = _run_starts(keys)
+        counts = np.diff(np.append(starts, m))
+        heads = keys[starts] // a
+        firsts = _run_starts(heads)
+        short, heads = np.add.reduceat(counts, firsts), heads[firsts]
+        at = int(np.searchsorted(heads, last))
+        if at < heads.size and heads[at] == last:
+            short[at] += 1
+        else:
+            short = np.insert(short, at, 1)
+    return _count_entropy(counts, m) - _count_entropy(short, m + 1)
 
 
 def lz78_rate(stream: SymbolStream) -> float:
@@ -769,7 +816,7 @@ def lz78_rate(stream: SymbolStream) -> float:
         children = [0] * alphabet
         blank = children[:]
         node = 0
-        for s in sym.tolist():
+        for s in sym.tobytes():  # one byte per symbol at these alphabets
             nxt = children[node + s]
             if nxt:
                 node = nxt
@@ -782,7 +829,7 @@ def lz78_rate(stream: SymbolStream) -> float:
         # the trie's edge (node, symbol) is keyed node * alphabet + symbol
         table: dict[int, int] = {}
         node = 0
-        for s in sym.tolist():
+        for s in memoryview(sym):
             key = node * alphabet + s
             nxt = table.get(key)
             if nxt is None:

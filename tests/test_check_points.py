@@ -14,6 +14,7 @@ same order, the same values bit for bit, the same error.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -363,11 +364,16 @@ def test_sandwich_and_beta_gates_can_fail(make):
 
 def test_checks_evaluate_each_fiber_edge_once(monkeypatch, golden_spec):
     """The sandwich check evaluates the roof at both fiber edges of each
-    point once; the beta check at each drawn point, for its Jacobian, then
-    at T^-1 x of each point kept, at both edges of each image, and at Tx
-    where beta reads it."""
+    point once, and the Euclidean length of each vector once; the beta
+    check evaluates the roof at each drawn point, for its Jacobian, then at
+    T^-1 x of each point kept, at both edges of each image whose base point
+    moved, and at Tx where beta reads it."""
     count = 2000
-    seen = {"roof": 0, "drawn": 0, "tx": 0}
+    rng = np.random.default_rng(np.random.SeedSequence((1, 202)))
+    z, _, z1, _ = lanes.beta_draws(golden_spec, rng, count)
+    moved = int(np.count_nonzero((z1.idx != z.idx) | (z1.off != z.off)))
+    assert 0 < moved < count
+    seen = {"roof": 0, "drawn": 0, "tx": 0, "hypot": 0}
 
     def counting(name, fn, size):
         def counted(*args, **kwargs):
@@ -380,9 +386,12 @@ def test_checks_evaluate_each_fiber_edge_once(monkeypatch, golden_spec):
     counting("drawn", lanes._canonical_draws,
              lambda args, out: out.idx.shape[0])
     counting("tx", lanes.iet_step, lambda args, out: args[1].shape[0])
+    counting("hypot", lanes.elementwise,
+             lambda args, out: out.shape[0] if args[0] is math.hypot else 0)
     cli._sandwich_values(golden_spec, PARAMS, 1, count)
-    assert seen == {"roof": 2 * count, "drawn": count, "tx": 0}
+    assert seen == {"roof": 2 * count, "drawn": count, "tx": 0,
+                    "hypot": count}
     seen.update(roof=0, drawn=0)
     cli._beta_values(golden_spec, PARAMS, 1, count)
-    assert seen["roof"] == seen["drawn"] + 3 * count + seen["tx"]
+    assert seen["roof"] == seen["drawn"] + count + 2 * moved + seen["tx"]
     assert seen["drawn"] >= count and seen["tx"] > 0

@@ -500,10 +500,22 @@ def test_bernoulli_stream_contract():
 def test_symbol_stream_validation():
     with pytest.raises(ConstraintViolationError):
         SymbolStream(1, np.zeros(4, dtype=np.int64))
-    with pytest.raises(ConstraintViolationError):
-        SymbolStream(2, np.array([0, 2]))
-    with pytest.raises(ConstraintViolationError):
-        SymbolStream(2, np.array([-1, 0]))
+    # checked as given, so that narrowing cannot wrap a bad symbol into range
+    for alphabet, bad in ((2, 2), (2, -1), (2, 256), (256, -256), (300, 300),
+                          (300, -1), (300, 65536)):
+        with pytest.raises(ConstraintViolationError):
+            SymbolStream(alphabet, np.array([0, bad]))
+
+
+@pytest.mark.parametrize("alphabet, dtype", [
+    (2, np.uint8), (16, np.uint8), (256, np.uint8), (257, np.uint16),
+    (300, np.uint16)])
+def test_symbol_stream_keeps_the_narrowest_unsigned_dtype(alphabet, dtype):
+    given = np.array([0, alphabet - 1, 1], dtype=np.int64)
+    s = SymbolStream(alphabet, given)
+    assert s.symbols.dtype == dtype
+    assert s.symbols.tolist() == given.tolist()
+    assert SymbolStream(alphabet, given.tolist()).symbols.dtype == dtype
 
 
 def test_coded_orbit_matches_python_steps(golden_iet):
@@ -703,6 +715,34 @@ def test_plugin_block_entropy_bits_around_the_counting_switch():
                                      key[1]).hex()
            for key in PLUGIN_EDGE_PINS}
     assert got == PLUGIN_EDGE_PINS
+
+
+def traced(fn):
+    """``(fn(), bytes kept, peak bytes)`` under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_entropy_memory_on_the_diagnostics_streams():
+    # at 4e5 symbols a stream keeps one byte per symbol (0.4 MB, 3.2 MB as
+    # int64); the plug-in estimator one int64 key array and sort or count
+    # temporaries (3.4-3.6 MB, 6.6-6.8 MB with a second key array); LZ78
+    # its trie and no symbol list (1.3-1.8 MB, 4.1-4.6 MB with one)
+    vnk = CountableIET.von_neumann_kakutani(n_trunc=64)
+    for make in (lambda n: bernoulli_stream(0.5, n, DIAGNOSTICS_SEED),
+                 lambda n: coded_orbit_stream(vnk, n, seed=DIAGNOSTICS_SEED)):
+        small = make(4096)
+        plugin_block_entropy(small, 8)
+        lz78_rate(small)
+        stream, kept, _ = traced(lambda: make(400_000))
+        assert kept <= 0.5e6
+        assert traced(lambda: plugin_block_entropy(stream, 12))[2] < 4e6
+        assert traced(lambda: lz78_rate(stream))[2] < 2e6
 
 
 def test_entropy_estimate_wrapper():
