@@ -711,9 +711,10 @@ def test_plugin_block_entropy_bits_on_the_diagnostics_streams():
 
 
 def test_plugin_block_entropy_bits_around_the_counting_switch():
-    got = {key: plugin_block_entropy(edge_stream(key[0], *key[2:]),
-                                     key[1]).hex()
-           for key in PLUGIN_EDGE_PINS}
+    got = {}
+    for alphabet, block_len, n, lone in PLUGIN_EDGE_PINS:
+        got[alphabet, block_len, n, lone] = plugin_block_entropy(
+            edge_stream(alphabet, n, lone), block_len).hex()
     assert got == PLUGIN_EDGE_PINS
 
 
