@@ -7,8 +7,8 @@ reproducibility bug.  ``parse_config(serialize_config(cfg)) == cfg`` holds
 for every valid config.
 
 Exit codes: 0 all passed, 1 config or usage error (including constraint
-violations while building the objects and outputs that cannot be
-written), 2 experiment or check failure.
+violations while building the objects, and outputs that collide or
+cannot be written), 2 experiment or check failure.
 CSV cells use shortest round-trip decimals; rerunning a command with the
 same config yields byte-identical CSV files, and a report.json identical
 except for the wall-clock field.
@@ -68,13 +68,29 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def _csv_target(dest_dir: Path, exp: ExperimentSpec, kind: str,
-                position: int, repeats: int) -> Path:
-    if exp.output_path is not None:
-        return dest_dir / exp.output_path
-    if repeats > 1:
-        return dest_dir / f"{kind}_{position}.csv"
-    return dest_dir / f"{kind}.csv"
+def _csv_targets(dest_dir: Path, selected: list, kind: str,
+                 plot: bool) -> list[Path]:
+    """The CSV file of each selected ``(config position, experiment)``, or
+    a config error that names the output_path making two of the run's
+    files (CSVs, SVG plots and report.json) one."""
+    owners = {dest_dir / "report.json": "the run's report"}
+    targets = []
+    for pos, (k, exp) in enumerate(selected):
+        name = exp.output_path or (
+            f"{kind}_{pos}.csv" if len(selected) > 1 else f"{kind}.csv")
+        who = (f"experiments[{k}].output_path" if exp.output_path
+               else "the default output") + f" {name!r}"
+        path = dest_dir / name
+        files = [path]
+        if plot and RUNNERS[kind][1] is not None:
+            files.append(path.with_suffix(".svg"))
+        for out in files:
+            if out in owners:
+                raise ConfigError(f"{who} and {owners[out]} both write "
+                                  f"{out.relative_to(dest_dir)}")
+            owners[out] = who
+        targets.append(path)
+    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -700,30 +716,28 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
 
     started = time.monotonic()
+    dest_dir = Path(args.out)
     try:
         cfg = load_config(args.config)
         spec = build_spec(cfg)
+        plot = args.plot or cfg.plot
+        selected = [(k, e) for k, e in enumerate(cfg.experiments)
+                    if e.kind == args.kind]
+        if args.kind == "check" and not selected:
+            selected = [(None, ExperimentSpec(kind="check"))]
+        targets = _csv_targets(dest_dir, selected, args.kind, plot)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    params = MetricParams(delta=cfg.delta)
-    plot = args.plot or cfg.plot
-    dest_dir = Path(args.out)
-
-    selected = [e for e in cfg.experiments if e.kind == args.kind]
-    if args.kind == "check" and not selected:
-        selected = [ExperimentSpec(kind="check")]
     if not selected:
         print(f"config has no {args.kind!r} experiment", file=sys.stderr)
         return 1
 
+    params = MetricParams(delta=cfg.delta)
     exit_code = 0
     results = []
     try:
-        for pos, exp in enumerate(selected):
-            out_path = _csv_target(dest_dir, exp, args.kind, pos,
-                                   len(selected))
+        for (_, exp), out_path in zip(selected, targets):
             out_path.parent.mkdir(parents=True, exist_ok=True)
             runner, plotter = RUNNERS[exp.kind]
             code, result, data = runner(spec, params, exp, out_path)

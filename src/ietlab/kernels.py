@@ -42,9 +42,8 @@ the same name in ``lanes`` (private there but for ``roof_eval``):
 Orbit kernels report integer status codes (see ``errors``):
 0 ok, 1 singularity band, 2 truncation exceeded, 3 inconsistent data.
 Only ``iet_step`` and ``iet_step_inv`` detect truncation, and the orbit
-kernels pass their status on, with one exception: ``code_orbit`` takes the
-rotation step inline and tests ``j >= ntr`` itself.  Without numba it is a
-long scalar loop with no lane twin (one orbit is one lane); on the odometer,
+kernels pass their status on.  ``code_orbit`` has no lane twin: without
+numba it is a long scalar loop (one orbit is one lane); on the odometer,
 ``measure.coded_orbit_stream`` codes starts on the 2^-53 grid as a
 bit-reversed counter instead and calls it for the rest.
 """
@@ -604,14 +603,15 @@ def code_orbit(base, i, u, alphabet, out):
     """Symbolic coding of the base orbit: symbol = min(index, alphabet - 1).
 
     Each step writes its symbol, then takes ``iet_step``'s step.  A
-    rotation orbit stays in its block pair, so its loop takes that step
-    inline, with the same float operations in the same order; the other
-    families loop over ``iet_step``.  Returns ``iet_step``'s first status
-    other than OK, at the same step.
+    rotation orbit stays in its block pair, so when that pair lies inside
+    the truncation its loop takes the step inline, with the same float
+    operations in the same order, and cannot fail.  Any other orbit loops
+    over ``iet_step`` and returns its first status other than OK, at the
+    same step.
     """
     fam, theta, xs, aa, ys, yl, yi, ntr = base
     top = alphabet - 1
-    if fam == FAM_ROTATION:
+    if fam == FAM_ROTATION and (i | 1) < ntr:
         n = i >> 1
         lo = n << 1
         hi = lo + 1
@@ -634,8 +634,6 @@ def code_orbit(base, i, u, alphabet, out):
                     i = lo
                 else:
                     u = u - cut
-            if i >= ntr:
-                return TRUNCATION
         return OK
     for step in range(out.shape[0]):
         out[step] = i if i < top else top

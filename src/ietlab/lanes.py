@@ -298,14 +298,12 @@ def roof_eval(u, b, l, value=True):
     # other lane has u >= b > b/2: so the pieces follow from two tests each
     spike = (u < half) | ~(v > half)
     flat_mid = (v > b) & ~(u < b)
+    # at and past the interval ends the roof is infinite, as in the kernel
     edge = (u <= 0.0) | (u >= l)
     if edge.any():
-        for k in np.flatnonzero(edge).tolist():
-            rk, drk, _ = kernels.roof_eval(float(u[k]), float(b[k]),
-                                           float(l[k]))
-            if value:
-                r[k] = rk
-            dr[k] = drk
+        if value:
+            r[edge] = math.inf
+        dr[edge] = np.where(u[edge] <= 0.0, -math.inf, math.inf)
         spike &= ~edge
         flat_mid |= edge
     left = u < v  # the nearer end, on spike and blend lanes

@@ -50,8 +50,8 @@ MIN_EFFICIENCY = 0.25
 #: Widest alphabet whose LZ78 trie is a flat list with a slot per symbol
 #: for every node; wider alphabets key a dict by edge instead.
 LZ78_LIST_ALPHABET = 16
-#: The plug-in estimator counts blocks with ``np.bincount`` while there are
-#: at most this many possible keys per block, and sorts them otherwise.
+#: ``_block_counts`` counts blocks with ``np.bincount`` while there are at
+#: most this many possible keys per block, and sorts them otherwise.
 BINCOUNT_KEYS_PER_BLOCK = 4
 
 
@@ -714,50 +714,48 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _key_entropy(keys: np.ndarray, size: int) -> float:
-    """Empirical entropy (nats) of block keys that lie in [0, size).
+def _block_counts(sym: np.ndarray, a: int, block_len: int):
+    """The distinct blocks of length ``block_len`` of ``sym``, as ascending
+    base-``a`` keys, and their counts.
 
-    May sort ``keys`` in place.  The counts come out in ascending key order
-    either way, so the sum takes the same terms in the same order.
+    Counts with ``np.bincount`` while there are at most
+    ``BINCOUNT_KEYS_PER_BLOCK`` possible keys per block, and by sorting the
+    keys in place otherwise.
     """
-    m = keys.size
-    if size <= BINCOUNT_KEYS_PER_BLOCK * m:
-        counts = np.bincount(keys)
-        counts = counts[counts > 0]
-    else:
-        keys.sort()
-        counts = np.diff(np.append(_run_starts(keys), m))
-    return _count_entropy(counts, m)
-
-
-def _check_key_width(a: int, block_len: int) -> None:
     if block_len * math.log2(a) >= 62:
         raise ConstraintViolationError("block keys exceed int64 range")
+    m = sym.size - block_len + 1
+    keys = _block_keys(sym, a, block_len, m)
+    if a ** block_len <= BINCOUNT_KEYS_PER_BLOCK * m:
+        counts = np.bincount(keys)
+        keys = np.flatnonzero(counts)
+        return keys, counts[keys]
+    keys.sort()
+    starts = _run_starts(keys)
+    return keys[starts], np.diff(np.append(starts, m))
 
 
 def block_entropy(stream: SymbolStream, block_len: int) -> float:
     """Empirical entropy (nats) of overlapping blocks of the given length."""
     if block_len == 0:
         return 0.0
-    a = stream.alphabet_size
     m = len(stream) - block_len + 1
     if m <= 0:
         raise InsufficientDataError("stream shorter than the block length")
-    _check_key_width(a, block_len)
-    keys = _block_keys(stream.symbols, a, block_len, m)
-    return _key_entropy(keys, a ** block_len)
+    counts = _block_counts(stream.symbols, stream.alphabet_size, block_len)[1]
+    return _count_entropy(counts, m)
 
 
 def plugin_block_entropy(stream: SymbolStream, block_len: int = 12) -> float:
     """Conditional block estimator: H(block_len) - H(block_len - 1), nats.
 
     Requires length >= alphabet_size * 2**block_len so the longest blocks
-    are not hopelessly undersampled.  Only the keys of the longer blocks
-    are built.  The shorter blocks are their prefixes ``key // a`` plus the
-    stream's last (block_len - 1)-block, so their counts are the longer
-    blocks' counts summed by prefix, plus one at that last block.  Both
-    count arrays come out in ascending key order, as ``_key_entropy``
-    gives them, so each sum takes the same terms in the same order.
+    are not hopelessly undersampled.  Only the longer blocks are counted.
+    The shorter blocks are their prefixes ``key // a`` plus the stream's
+    last (block_len - 1)-block, so their counts are the longer blocks'
+    counts summed over runs of equal prefixes, plus one at that last block.
+    Both count arrays are in ascending key order, so each sum takes the
+    same terms in the same order whichever way the blocks were counted.
     """
     if block_len < 1:
         raise ConstraintViolationError("block length must be >= 1")
@@ -767,33 +765,20 @@ def plugin_block_entropy(stream: SymbolStream, block_len: int = 12) -> float:
             f"plug-in block estimator needs >= {need} symbols, "
             f"got {len(stream)}")
     a = stream.alphabet_size
-    _check_key_width(a, block_len)
     sym = stream.symbols
     m = len(stream) - block_len + 1
+    keys, counts = _block_counts(sym, a, block_len)
     if block_len == 1:
-        return _key_entropy(sym.copy(), a)
-    keys = _block_keys(sym, a, block_len, m)
-    last = 0
-    for s in sym[m:].tolist():
-        last = last * a + s
-    size = a ** block_len
-    if size <= BINCOUNT_KEYS_PER_BLOCK * m:
-        counts = np.bincount(keys, minlength=size)
-        short = counts.reshape(-1, a).sum(axis=1)
-        short[last] += 1
-        counts, short = counts[counts > 0], short[short > 0]
+        return _count_entropy(counts, m)
+    heads = keys // a
+    firsts = _run_starts(heads)
+    short, heads = np.add.reduceat(counts, firsts), heads[firsts]
+    last = int(_block_keys(sym[m:], a, block_len - 1, 1)[0])
+    at = int(np.searchsorted(heads, last))
+    if at < heads.size and heads[at] == last:
+        short[at] += 1
     else:
-        keys.sort()
-        starts = _run_starts(keys)
-        counts = np.diff(np.append(starts, m))
-        heads = keys[starts] // a
-        firsts = _run_starts(heads)
-        short, heads = np.add.reduceat(counts, firsts), heads[firsts]
-        at = int(np.searchsorted(heads, last))
-        if at < heads.size and heads[at] == last:
-            short[at] += 1
-        else:
-            short = np.insert(short, at, 1)
+        short = np.insert(short, at, 1)
     return _count_entropy(counts, m) - _count_entropy(short, m + 1)
 
 

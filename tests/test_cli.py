@@ -413,6 +413,11 @@ def test_exit_code_one_for_config_and_usage_errors(tmp_path):
     (cfg_with({"kind": "measure", "n": 2000,
                "output_path": "report.json/m.csv"}),
      "cannot write output"),
+    (cfg_with({"kind": "measure", "n": 2000, "output_path": "same.csv"},
+              {"kind": "measure", "n": 2000, "output_path": "same.csv"}),
+     "experiments[1].output_path"),
+    (cfg_with({"kind": "measure", "n": 2000, "output_path": "report.json"}),
+     "experiments[0].output_path"),
 ])
 def test_invalid_config_exits_one_with_config_error(tmp_path, capsys, data,
                                                     cause):
@@ -423,6 +428,40 @@ def test_invalid_config_exits_one_with_config_error(tmp_path, capsys, data,
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert cause in err
+
+
+@pytest.mark.parametrize("experiments, plot, cause", [
+    ([{"output_path": "same.csv"}, {"output_path": "same.csv"}], False,
+     "experiments[2].output_path 'same.csv' and "
+     "experiments[1].output_path 'same.csv' both write same.csv"),
+    ([{"output_path": "report.json"}], False,
+     "experiments[1].output_path 'report.json' and the run's report both "
+     "write report.json"),
+    ([{"output_path": "lyapunov_1.csv"}, {}], False,
+     "the default output 'lyapunov_1.csv' and "
+     "experiments[1].output_path 'lyapunov_1.csv' both write"),
+    ([{"output_path": "a.csv"}, {"output_path": "a.svg"}], True,
+     "experiments[2].output_path 'a.svg' and "
+     "experiments[1].output_path 'a.csv' both write a.svg"),
+    ([{"output_path": "b.svg"}], True,
+     "experiments[1].output_path 'b.svg' and "
+     "experiments[1].output_path 'b.svg' both write b.svg"),
+])
+def test_colliding_outputs_fail_before_anything_runs(tmp_path, capsys,
+                                                     experiments, plot,
+                                                     cause):
+    """Two outputs of one run that are one file are a config error, found
+    before any experiment runs or any file is written."""
+    data = cfg_with({"kind": "measure", "n": 2000},
+                    *({"kind": "lyapunov", "n": 10, "samples": 1, **e}
+                      for e in experiments))
+    data["plot"] = plot
+    out = tmp_path / "out"
+    assert main(["lyapunov", "--config", write_cfg(tmp_path, data),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and cause in err
+    assert not out.exists()
 
 
 def test_deep_truncation_fails_fast_with_underflow_message(tmp_path, capsys):

@@ -131,14 +131,19 @@ def roof_lanes(draw, min_count=1):
         i = draw(st.integers(min_value=0, max_value=spec.iet.n_trunc - 1))
         l = float(spec.lengths[i])
         b = float(spec.widths[i])
-        # the five pieces, their breakpoints and both interval ends
+        # the five pieces, their breakpoints and both interval ends, or an
+        # offset at or past an end
         lo, hi = draw(st.sampled_from([(0.0, 0.5 * b), (0.5 * b, b),
                                        (b, l - b), (l - b, l - 0.5 * b),
                                        (l - 0.5 * b, l)]))
-        if draw(st.booleans()):
+        how = draw(st.integers(0, 2))
+        if how == 0:
             u = draw(st.sampled_from([lo, hi, np.nextafter(hi, 0.0)]))
-        else:
+        elif how == 1:
             u = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        else:
+            u = draw(st.sampled_from([-1.0, -0.0, 0.0, l, np.nextafter(l, 1.0),
+                                      2.0, math.nan, math.inf, -math.inf]))
         idx.append(i)
         off.append(u)
     return spec, np.array(idx, dtype=np.int64), np.array(off)

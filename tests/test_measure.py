@@ -718,6 +718,25 @@ def test_plugin_block_entropy_bits_around_the_counting_switch():
     assert got == PLUGIN_EDGE_PINS
 
 
+#: (alphabet, block length, stream length) -> ``block_entropy`` on the
+#: uniform ``edge_stream`` of that length.  The 8-blocks over 2 symbols are
+#: counted by ``np.bincount``; the 6-blocks over 16 symbols and the 2-blocks
+#: over 300 symbols have more than four possible keys per block, so their
+#: keys are sorted.
+BLOCK_PINS = {
+    (2, 8, 4000): "0x1.60fc2b0a81f1fp+2",
+    (16, 6, 4000): "0x1.095e9bb608db0p+3",
+    (300, 2, 4000): "0x1.085da11b1dbb4p+3",
+}
+
+
+def test_block_entropy_bits_on_both_counting_paths():
+    got = {(alphabet, block_len, n): block_entropy(
+        edge_stream(alphabet, n, None), block_len).hex()
+        for alphabet, block_len, n in BLOCK_PINS}
+    assert got == BLOCK_PINS
+
+
 def traced(fn):
     """``(fn(), bytes kept, peak bytes)`` under tracemalloc."""
     tracemalloc.start()
